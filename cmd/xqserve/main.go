@@ -23,14 +23,16 @@
 // coordinator's robustness (see the /shards endpoint for live counters).
 //
 // Every /query response carries an X-Request-ID (echoing the caller's, or
-// freshly generated) and, when the query's compile surfaced diagnostics,
-// an X-Query-Warnings header. -log writes one structured access-log line
-// per request; /debug/slowlog keeps the -slowlog K slowest requests with
-// their span trees (queue wait, exec, per-shard attempts, gather morsels).
+// freshly generated), X-Query-Wait, X-Query-Compile (the parse and plan time
+// of an ad-hoc text, 0s on a plan-cache hit) and X-Query-Exec, and, when the
+// query's compile surfaced diagnostics, an X-Query-Warnings header. -log
+// writes one structured access-log line per request; /debug/slowlog keeps
+// the -slowlog K slowest requests with their span trees (queue wait, exec,
+// per-shard attempts, gather morsels).
 //
 // Endpoints:
 //
-//	GET /query?system=D&q=8               benchmark query 8 on System D
+//	GET /query?system=D&q=8               numbered query 8 on System D (1-20, hybrids 21-23)
 //	GET /query?system=A&q=count(//item)   ad-hoc query text
 //	GET /explain?system=D&q=8             JSON: optimized plan + warnings
 //	GET /analyze?system=D&q=8             EXPLAIN ANALYZE: plan + runtime counters
@@ -40,7 +42,8 @@
 //	GET /debug/slowlog                    top-K slowest requests + span trees
 //	GET /healthz                          readiness + catalog load status
 //
-// The server starts listening immediately and loads the catalog in the
+// The server binds its listener first and prints the address it actually
+// got (so -addr 127.0.0.1:0 is usable), then loads the catalog in the
 // background; /healthz answers 503 with {"status":"loading"} until the
 // catalog is ready, so drivers and CI wait on readiness instead of
 // sleeping. A full admission queue answers 503 (backpressure); closing
@@ -56,6 +59,7 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"os"
@@ -184,10 +188,12 @@ func main() {
 	if *accessLog {
 		s.accessLog = log.New(os.Stderr, "xqserve: ", log.LstdFlags|log.LUTC)
 	}
-	srv := &http.Server{Addr: *addr, Handler: s.routes(*pprofOn)}
+	srv := &http.Server{Handler: s.routes(*pprofOn)}
+	ln, err := net.Listen("tcp", *addr)
+	check(err)
+	fmt.Printf("xqserve: listening on %s, loading catalog at factor %g...\n", ln.Addr(), *factor)
 	go func() {
-		fmt.Printf("xqserve: listening on %s, loading catalog at factor %g...\n", *addr, *factor)
-		if err := srv.ListenAndServe(); !errors.Is(err, http.ErrServerClosed) {
+		if err := srv.Serve(ln); !errors.Is(err, http.ErrServerClosed) {
 			check(err)
 		}
 	}()
@@ -320,17 +326,19 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 }
 
 // parseRequest extracts the system and query (number or ad-hoc text) of a
-// /query or /explain call.
-func parseRequest(r *http.Request) (service.Request, error) {
+// /query or /explain call. A number must name a query in the catalog's
+// plan cache.
+func parseRequest(r *http.Request, cat *service.Catalog) (service.Request, error) {
 	sys := r.URL.Query().Get("system")
 	q := r.URL.Query().Get("q")
 	if sys == "" || q == "" {
-		return service.Request{}, errors.New("need system= and q= (a query number 1-20 or query text)")
+		return service.Request{}, errors.New("need system= and q= (a query number or query text)")
 	}
 	req := service.Request{System: xmark.SystemID(sys)}
 	if qid, err := strconv.Atoi(q); err == nil {
-		if qid < 1 || qid > 20 {
-			return service.Request{}, errors.New("query number out of range 1-20")
+		if _, err := cat.QueryText(qid); err != nil {
+			ids := cat.QueryIDs()
+			return service.Request{}, fmt.Errorf("query number out of range %d-%d", ids[0], ids[len(ids)-1])
 		}
 		req.QueryID = qid
 	} else {
@@ -367,14 +375,14 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	sw.Header().Set("X-Request-ID", reqID)
 	root := obs.StartSpan("request")
 	var (
-		req        service.Request
-		wait, exec time.Duration
-		shardNote  = "-"
+		req                 service.Request
+		wait, compile, exec time.Duration
+		shardNote           = "-"
 	)
 	if s.accessLog != nil {
 		defer func() {
-			s.accessLog.Printf("req=%s system=%s q=%q status=%d wait=%s exec=%s shard=%s",
-				reqID, req.System, queryLabel(req), sw.status, wait, exec, shardNote)
+			s.accessLog.Printf("req=%s system=%s q=%q status=%d wait=%s compile=%s exec=%s shard=%s",
+				reqID, req.System, queryLabel(req), sw.status, wait, compile, exec, shardNote)
 		}()
 	}
 
@@ -383,7 +391,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	var err error
-	req, err = parseRequest(r)
+	req, err = parseRequest(r, cat)
 	if err != nil {
 		http.Error(sw, err.Error(), http.StatusBadRequest)
 		return
@@ -393,7 +401,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 
 	// The request context follows the client connection; the server-side
 	// deadline bounds how long a slow query may pin a worker slot.
-	ctx := obs.ContextWith(r.Context(), root)
+	ctx := obs.ContextWithRequestID(obs.ContextWith(r.Context(), root), reqID)
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
@@ -444,9 +452,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if s.writeQueryError(sw, r, ctx, err, start) {
 		return
 	}
-	wait, exec = resp.Wait, resp.Exec
+	wait, compile, exec = resp.Wait, resp.Compile, resp.Exec
 	sw.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	sw.Header().Set("X-Query-Wait", resp.Wait.String())
+	sw.Header().Set("X-Query-Compile", resp.Compile.String())
 	sw.Header().Set("X-Query-Exec", resp.Exec.String())
 	if len(resp.Warnings) > 0 {
 		sw.Header().Set("X-Query-Warnings", strings.Join(resp.Warnings, "; "))
@@ -486,6 +495,9 @@ func (s *server) writeQueryError(w http.ResponseWriter, r *http.Request, ctx con
 			time.Since(start).Round(time.Millisecond), s.timeout), http.StatusGatewayTimeout)
 	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
 		// The client is gone; nothing useful to write.
+	case errors.Is(err, service.ErrInternal):
+		// A panic the worker recovered: the server's fault, not the query's.
+		http.Error(w, err.Error(), http.StatusInternalServerError)
 	default:
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
@@ -529,7 +541,7 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := parseRequest(r)
+	req, err := parseRequest(r, cat)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return
@@ -561,7 +573,7 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	if !ok {
 		return
 	}
-	req, err := parseRequest(r)
+	req, err := parseRequest(r, cat)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
 		return

@@ -3,10 +3,12 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"log"
 	"net/http"
 	"net/http/httptest"
 	"net/url"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -183,5 +185,68 @@ func TestMetricsAndSlowlog(t *testing.T) {
 		if !strings.Contains(line, w) {
 			t.Errorf("access log line missing %q: %q", w, line)
 		}
+	}
+}
+
+// TestHybridQueriesByNumber pins the number range of /query and /explain to
+// the catalog's plan cache: the hybrid keyword queries (21-23) answer by
+// number exactly what their text answers ad hoc, and the first number past
+// the cache is a 400 that names the range.
+func TestHybridQueriesByNumber(t *testing.T) {
+	s := newTestServer(t)
+	mux := s.routes(false)
+	for _, q := range xmark.HybridQueries() {
+		byNumber := get(t, mux, "/query?system=D&q="+strconv.Itoa(q.ID), nil)
+		if byNumber.Code != http.StatusOK {
+			t.Fatalf("Q%d by number: status %d: %s", q.ID, byNumber.Code, byNumber.Body.String())
+		}
+		byText := get(t, mux, "/query?"+url.Values{"system": {"D"}, "q": {q.Text(s.cat.Card)}}.Encode(), nil)
+		if byText.Code != http.StatusOK || byText.Body.String() != byNumber.Body.String() {
+			t.Errorf("Q%d: by number and by text differ (%d vs %d bytes)",
+				q.ID, byNumber.Body.Len(), byText.Body.Len())
+		}
+		if rec := get(t, mux, "/explain?system=D&q="+strconv.Itoa(q.ID), nil); rec.Code != http.StatusOK {
+			t.Errorf("/explain Q%d: status %d", q.ID, rec.Code)
+		}
+	}
+	rec := get(t, mux, "/query?system=D&q=24", nil)
+	if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), "1-23") {
+		t.Errorf("q=24: status %d body %q, want 400 naming 1-23", rec.Code, rec.Body.String())
+	}
+}
+
+// TestQueryCompileHeader pins X-Query-Compile: the parse and plan time of an
+// ad-hoc text, zero on a plan-cache hit, and present in the access log.
+func TestQueryCompileHeader(t *testing.T) {
+	s := newTestServer(t)
+	var logBuf bytes.Buffer
+	s.accessLog = log.New(&logBuf, "", 0)
+	mux := s.routes(false)
+
+	rec := get(t, mux, "/query?system=D&q=1", nil)
+	if d, err := time.ParseDuration(rec.Header().Get("X-Query-Compile")); err != nil || d != 0 {
+		t.Errorf("cached plan: X-Query-Compile = %q, want 0s", rec.Header().Get("X-Query-Compile"))
+	}
+	rec = get(t, mux, "/query?"+url.Values{"system": {"D"}, "q": {"count(//item)"}}.Encode(), nil)
+	if d, err := time.ParseDuration(rec.Header().Get("X-Query-Compile")); err != nil || d <= 0 {
+		t.Errorf("ad-hoc text: X-Query-Compile = %q, want a positive duration", rec.Header().Get("X-Query-Compile"))
+	}
+	if line := logBuf.String(); strings.Count(line, "compile=") != 2 {
+		t.Errorf("access log lines lack compile=: %q", line)
+	}
+}
+
+// TestInternalErrorIs500 pins the HTTP mapping of a panic the executor
+// recovered: 500, not the 400 of a bad query.
+func TestInternalErrorIs500(t *testing.T) {
+	s := &server{}
+	rec := httptest.NewRecorder()
+	r := httptest.NewRequest("GET", "/query", nil)
+	err := fmt.Errorf("%w: request %q: boom", service.ErrInternal, "r1")
+	if !s.writeQueryError(rec, r, r.Context(), err, time.Now()) || rec.Code != http.StatusInternalServerError {
+		t.Fatalf("status %d, want 500", rec.Code)
+	}
+	if !strings.Contains(rec.Body.String(), "r1") {
+		t.Errorf("body %q does not name the request", rec.Body.String())
 	}
 }

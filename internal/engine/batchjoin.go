@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math"
 	"sort"
 
 	"repro/internal/nodestore"
@@ -30,8 +31,9 @@ import (
 //     conjuncts (Q11/Q12's income > 5000·initial). There is no hash bucket
 //     for an inequality, but the clause sequence is variable-independent,
 //     so its items and their atomized key values memoize per session
-//     (Session.thetaCache) and each outer tuple evaluates its own side of
-//     the comparison exactly once instead of once per inner item.
+//     (Session.thetaCache) — numeric keys as a float vector with a sorted
+//     copy, so a comparison is a binary-search range — and each outer tuple
+//     evaluates and converts its own side of the comparison exactly once.
 
 // ---- vectorized for-clause binding ----
 
@@ -337,102 +339,41 @@ func (ev *evaluator) fillKeyIndex(idx *joinIndex, n *plan.Node) {
 
 // thetaIndex memoizes the variable-independent inner side of a planned
 // non-equality join: the materialized items and, per item, the atomized
-// values of the conjunct's inner-side expression. Keyed by plan-node
-// identity in Session.thetaCache, exactly like the hash-join cache.
+// values of the conjunct's key expression. Keyed by plan-node identity in
+// Session.thetaCache, exactly like the hash-join cache.
+//
+// The keys live in one of two layouts. When the planner proved the key
+// side numeric (plan.Node.NumKeys) and every item has exactly one key, the
+// index is typed: nums holds item i's key at nums[i], in inner-sequence
+// order, and sorted holds the same keys ascending with NaN left out (NaN
+// satisfies no comparison but !=). Any comparison against one operand is
+// then a range of sorted, found by binary search. Otherwise keys holds the
+// atomized key values per item and the probe compares them one by one;
+// numKeys records that they are all numbers, which is enough to convert
+// the outer operand once per tuple instead of once per comparison.
 type thetaIndex struct {
 	items Seq
-	keys  []Seq
-	probe *plan.Node
+	// keyPlan is the key expression the index was built from;
+	// identity-checked so a stale cache entry never answers.
+	keyPlan *plan.Node
+
+	nums   []float64
+	sorted []float64
+
+	keys    []Seq // nil in the typed layout
+	numKeys bool
 }
 
-// thetaJoinTupleIter executes a planned OpNLJoin whose conjunct is a value
-// comparison: for each outer tuple it evaluates the outer side of the
-// comparison once, then tests the memoized inner key values item by item.
-// Output-equivalent to the for+where pair it replaces — items emit in
-// sequence order, a tuple×item pair emits iff the general comparison holds
-// — but the inner sequence evaluates once per session instead of once per
-// outer tuple, and the outer key once per tuple instead of once per pair.
-type thetaJoinTupleIter struct {
-	ev        *evaluator
-	in        tupleIter
-	node      *plan.Node
-	op        compareOp
-	probeLeft bool // conjunct is probe-side OP build-side
-
-	idx   *thetaIndex
-	tp    *bindings
-	bvals Seq
-	i     int
-}
-
-// newThetaJoinIter returns the vectorized nested-loop join for n, or nil
-// when the conjunct is not a value comparison the operator handles (the
-// caller then falls back to the for+where pair).
-func (ev *evaluator) newThetaJoinIter(in tupleIter, n *plan.Node) tupleIter {
-	if n.Cond == nil || n.Probe == nil || n.Build == nil {
-		return nil
-	}
-	b, ok := n.Cond.Expr.(*xquery.Binary)
-	if !ok {
-		return nil
-	}
-	op, ok := cmpOpOf[b.Op]
-	if !ok {
-		return nil
-	}
-	if n.Probe != n.Cond.Kids[0] && n.Probe != n.Cond.Kids[1] {
-		return nil
-	}
-	return &thetaJoinTupleIter{
-		ev: ev, in: in, node: n, op: op,
-		probeLeft: n.Probe == n.Cond.Kids[0],
-	}
-}
-
-func (t *thetaJoinTupleIter) Next() (*bindings, bool) {
-	for {
-		if t.tp != nil {
-			for t.i < len(t.idx.items) {
-				k := t.i
-				t.i++
-				if t.match(t.idx.keys[k]) {
-					return t.tp.bind(t.node.Var, Seq{t.idx.items[k]}), true
-				}
-			}
-			t.tp = nil
-		}
-		tp, ok := t.in.Next()
-		if !ok {
-			return nil, false
-		}
-		// The index builds on the first tuple, not in the constructor: a
-		// join whose outer side is empty never touches the inner sequence,
-		// exactly like the for+where pair.
-		if t.idx == nil {
-			t.idx = t.ev.thetaIndexFor(t.node)
-		}
-		t.tp = tp
-		t.bvals = t.ev.atomizeSeq(t.ev.eval(t.node.Build, tp))
-		t.i = 0
-	}
-}
-
-// match applies the existential general comparison between the tuple's
-// outer values and one item's memoized inner values, honoring the
-// conjunct's operand order.
-func (t *thetaJoinTupleIter) match(keys Seq) bool {
-	for _, b := range t.bvals {
-		for _, p := range keys {
-			if t.probeLeft {
-				if compareAtomics(t.op, p, b) {
-					return true
-				}
-			} else if compareAtomics(t.op, b, p) {
-				return true
-			}
-		}
-	}
-	return false
+// thetaProbe is one outer tuple's operand, prepared by thetaIndex.probe
+// for match and count.
+type thetaProbe struct {
+	op compareOp // normalized to key OP operand
+	// nums are the operand's values as numbers when the key side is
+	// numeric, reduced to the ones that decide the comparison — a single
+	// bound for <, <=, >, >=.
+	nums []float64
+	// vals are the operand's atomized values for non-numeric keys.
+	vals Seq
 }
 
 // thetaIndexFor returns the session's memoized theta index for the join,
@@ -441,7 +382,7 @@ func (ev *evaluator) thetaIndexFor(n *plan.Node) *thetaIndex {
 	if ev.sess.thetaCache == nil {
 		ev.sess.thetaCache = make(map[*plan.Node]*thetaIndex)
 	}
-	if idx := ev.sess.thetaCache[n]; idx != nil && idx.probe == n.Probe {
+	if idx := ev.sess.thetaCache[n]; idx != nil && idx.keyPlan == n.Probe {
 		return idx
 	}
 	env := &bindings{}
@@ -458,11 +399,245 @@ func (ev *evaluator) thetaIndexFor(n *plan.Node) *thetaIndex {
 	} else {
 		items = ev.eval(n.Seq, env)
 	}
-	idx := &thetaIndex{items: items, keys: make([]Seq, len(items)), probe: n.Probe}
+	idx := &thetaIndex{items: items, keys: make([]Seq, len(items)), keyPlan: n.Probe, numKeys: n.NumKeys}
+	single := idx.numKeys
 	for i, it := range items {
 		envI := (&bindings{}).bind(n.Var, Seq{it})
-		idx.keys[i] = ev.atomizeSeq(ev.eval(n.Probe, envI))
+		ks := ev.atomizeSeq(ev.eval(n.Probe, envI))
+		idx.keys[i] = ks
+		single = single && len(ks) == 1
+		for _, k := range ks {
+			if _, num := k.(NumItem); !num {
+				idx.numKeys, single = false, false
+			}
+		}
+	}
+	if single {
+		idx.nums = make([]float64, len(items))
+		idx.sorted = make([]float64, 0, len(items))
+		for i, ks := range idx.keys {
+			x := float64(ks[0].(NumItem))
+			idx.nums[i] = x
+			if !math.IsNaN(x) {
+				idx.sorted = append(idx.sorted, x)
+			}
+		}
+		sort.Float64s(idx.sorted)
+		idx.keys = nil
 	}
 	ev.sess.thetaCache[n] = idx
 	return idx
+}
+
+// probe prepares one outer tuple's operand values: the index's single probe
+// entry point, whichever layout holds the keys. Against numeric keys the
+// comparison is numeric whatever the operand's type, so each value converts
+// (strings parse) exactly once, here, and the existential comparison keeps
+// only the values that decide it: NaN satisfies no ordering or equality and
+// is dropped (under != it satisfies everything and stays), an ordering
+// against several values is decided by the smallest (>, >=) or the largest
+// (<, <=), and values that are all equal are one value.
+func (idx *thetaIndex) probe(op compareOp, vals Seq, pr *thetaProbe) {
+	pr.op, pr.vals, pr.nums = op, vals, pr.nums[:0]
+	if !idx.numKeys {
+		return
+	}
+	for _, v := range vals {
+		if x := toNumber(v); !math.IsNaN(x) || op == cmpNeq {
+			pr.nums = append(pr.nums, x)
+		}
+	}
+	if len(pr.nums) < 2 {
+		return
+	}
+	bound := pr.nums[0]
+	for _, x := range pr.nums[1:] {
+		switch op {
+		case cmpGt, cmpGe:
+			bound = math.Min(bound, x)
+		case cmpLt, cmpLe:
+			bound = math.Max(bound, x)
+		default:
+			if x != bound {
+				return
+			}
+		}
+	}
+	pr.nums = append(pr.nums[:0], bound)
+}
+
+// ranged reports whether the prepared operand selects a range of the sorted
+// keys: the typed layout against at most one bound.
+func (idx *thetaIndex) ranged(pr *thetaProbe) bool {
+	return idx.keys == nil && len(pr.nums) <= 1
+}
+
+// match applies the existential general comparison between item k's keys
+// and the prepared operand. The generic comparison loop is the last branch;
+// the two numeric branches are the same loop over floats.
+func (idx *thetaIndex) match(k int, pr *thetaProbe) bool {
+	if idx.keys == nil {
+		x := idx.nums[k]
+		for _, b := range pr.nums {
+			if compareNumbers(pr.op, x, b) {
+				return true
+			}
+		}
+		return false
+	}
+	for _, p := range idx.keys[k] {
+		if idx.numKeys {
+			for _, b := range pr.nums {
+				if compareNumbers(pr.op, float64(p.(NumItem)), b) {
+					return true
+				}
+			}
+			continue
+		}
+		for _, b := range pr.vals {
+			if compareAtomics(pr.op, p, b) {
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// count returns how many items match the prepared operand. In the typed
+// layout a single-bound operand selects a range of the sorted keys — two
+// binary searches, no key touched; everything else sweeps match over the
+// items.
+func (idx *thetaIndex) count(pr *thetaProbe) int {
+	if idx.ranged(pr) {
+		if len(pr.nums) == 0 {
+			return 0
+		}
+		b := pr.nums[0]
+		// ge and gt are the positions of the first key >= b and > b. A NaN
+		// bound (only != keeps one) puts both at the end: no key equals it.
+		ge := sort.Search(len(idx.sorted), func(i int) bool { return idx.sorted[i] >= b })
+		gt := ge + sort.Search(len(idx.sorted)-ge, func(i int) bool { return idx.sorted[ge+i] > b })
+		switch pr.op {
+		case cmpLt:
+			return ge
+		case cmpLe:
+			return gt
+		case cmpGt:
+			return len(idx.sorted) - gt
+		case cmpGe:
+			return len(idx.sorted) - ge
+		case cmpEq:
+			return gt - ge
+		default:
+			// !=: every key but the equal ones, NaN keys included.
+			return len(idx.nums) - (gt - ge)
+		}
+	}
+	n := 0
+	for k := range idx.items {
+		if idx.match(k, pr) {
+			n++
+		}
+	}
+	return n
+}
+
+// thetaJoinTupleIter executes a planned OpNLJoin whose conjunct is a value
+// comparison: for each outer tuple it evaluates and prepares the outer side
+// of the comparison once, then emits the matching items of the memoized
+// index. Output-equivalent to the for+where pair it replaces — items emit
+// in inner-sequence order (the index keeps the sequence order; its sorted
+// copy only ever answers how many match), a tuple×item pair emits iff the
+// general comparison holds — but the inner sequence evaluates once per
+// session instead of once per outer tuple, and the outer key converts once
+// per tuple instead of once per pair.
+type thetaJoinTupleIter struct {
+	ev   *evaluator
+	in   tupleIter
+	node *plan.Node
+	op   compareOp // the conjunct's operator as key OP outer operand
+
+	idx *thetaIndex
+	pr  thetaProbe
+	tp  *bindings
+	i   int
+	all bool // every item matches the current tuple: emit without testing
+}
+
+// flipped is each operator with its operands exchanged.
+var flipped = [...]compareOp{cmpEq: cmpEq, cmpNeq: cmpNeq, cmpLt: cmpGt, cmpLe: cmpGe, cmpGt: cmpLt, cmpGe: cmpLe}
+
+// newThetaJoinIter returns the vectorized nested-loop join for n, or nil
+// when the conjunct is not a value comparison the operator handles (the
+// caller then falls back to the for+where pair).
+func (ev *evaluator) newThetaJoinIter(in tupleIter, n *plan.Node) *thetaJoinTupleIter {
+	if n.Cond == nil || n.Probe == nil || n.Build == nil {
+		return nil
+	}
+	b, ok := n.Cond.Expr.(*xquery.Binary)
+	if !ok {
+		return nil
+	}
+	op, ok := cmpOpOf[b.Op]
+	if !ok {
+		return nil
+	}
+	switch n.Probe {
+	case n.Cond.Kids[0]:
+	case n.Cond.Kids[1]:
+		op = flipped[op]
+	default:
+		return nil
+	}
+	return &thetaJoinTupleIter{ev: ev, in: in, node: n, op: op}
+}
+
+// prepare evaluates the tuple's outer operand against the index. The index
+// builds on the first tuple, not in the constructor: a join whose outer
+// side is empty never touches the inner sequence, exactly like the
+// for+where pair.
+func (t *thetaJoinTupleIter) prepare(tp *bindings) {
+	if t.idx == nil {
+		t.idx = t.ev.thetaIndexFor(t.node)
+	}
+	t.idx.probe(t.op, t.ev.atomizeSeq(t.ev.eval(t.node.Build, tp)), &t.pr)
+}
+
+// countMatches is the join's count-only form (plan rule count-join): the
+// number of bindings Next would produce for tp.
+func (t *thetaJoinTupleIter) countMatches(tp *bindings) int {
+	t.prepare(tp)
+	return t.idx.count(&t.pr)
+}
+
+func (t *thetaJoinTupleIter) Next() (*bindings, bool) {
+	for {
+		if t.tp != nil {
+			for t.i < len(t.idx.items) {
+				k := t.i
+				t.i++
+				if t.all || t.idx.match(k, &t.pr) {
+					return t.tp.bind(t.node.Var, Seq{t.idx.items[k]}), true
+				}
+			}
+			t.tp = nil
+		}
+		tp, ok := t.in.Next()
+		if !ok {
+			return nil, false
+		}
+		t.prepare(tp)
+		t.all = false
+		if t.idx.ranged(&t.pr) {
+			// The range is two binary searches: an empty one skips the
+			// tuple, a full one skips the per-item test.
+			switch t.idx.count(&t.pr) {
+			case 0:
+				continue
+			case len(t.idx.items):
+				t.all = true
+			}
+		}
+		t.tp, t.i = tp, 0
+	}
 }

@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"math/rand"
 	"runtime"
 	"strings"
 	"testing"
@@ -140,7 +141,7 @@ func TestBatchJoinEquivalence(t *testing.T) {
 
 // TestBatchJoinPlansFire asserts the equivalence sweep actually exercises
 // the vectorized operators: the eq joins plan as BatchHashJoin and the
-// theta join as BatchNestedLoopJoin on a mapping store.
+// theta join (numeric keys) as BatchSortJoin on a mapping store.
 func TestBatchJoinPlansFire(t *testing.T) {
 	e := joinEngines(t)["path"]
 	for qi, src := range joinQueries {
@@ -149,7 +150,7 @@ func TestBatchJoinPlansFire(t *testing.T) {
 			t.Fatalf("q%d: %v", qi, err)
 		}
 		ex := prep.Explain()
-		if !strings.Contains(ex, "BatchHashJoin") && !strings.Contains(ex, "BatchNestedLoopJoin") {
+		if !strings.Contains(ex, "BatchHashJoin") && !strings.Contains(ex, "BatchSortJoin") {
 			t.Errorf("q%d: no vectorized join in plan:\n%s", qi, ex)
 		}
 	}
@@ -247,5 +248,118 @@ func TestSessionResetReleasesJoinMemory(t *testing.T) {
 			t.Fatal("joinIndex not collected after Reset: memory is retained")
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// thetaTestValues are the spellings a random key or operand draws from:
+// integers, decimals, duplicates of both, whitespace-padded numbers (they
+// parse), and strings that do not parse — NaN under a numeric comparison,
+// plain strings under a string one.
+var thetaTestValues = []string{
+	"0", "1", "7", "7", "42", "42", "-3", "1000000", "2.5", "2.50", "-0.125", "1e3",
+	" 7 ", "\t42", "abc", "", "7x", "NaN",
+}
+
+// thetaTestDoc builds a random document of outer <o> and inner <i>
+// elements, both extents past the vectorize gate. An inner element carries
+// attributes a and b, each present or not; an outer one carries x, y and
+// zero to three <v> children.
+func thetaTestDoc(r *rand.Rand) []byte {
+	val := func() string { return thetaTestValues[r.Intn(len(thetaTestValues))] }
+	attr := func(b *strings.Builder, name string) {
+		if r.Intn(5) > 0 {
+			b.WriteString(` ` + name + `="` + val() + `"`)
+		}
+	}
+	var b strings.Builder
+	b.WriteString(`<r><os>`)
+	for i := 0; i < 40; i++ {
+		b.WriteString(`<o id="o` + itoa(i) + `"`)
+		attr(&b, "x")
+		attr(&b, "y")
+		b.WriteString(`>`)
+		for k := r.Intn(4); k > 0; k-- {
+			b.WriteString(`<v>` + val() + `</v>`)
+		}
+		b.WriteString(`</o>`)
+	}
+	b.WriteString(`</os><is>`)
+	for i := 0; i < 48; i++ {
+		b.WriteString(`<i id="i` + itoa(i) + `"`)
+		attr(&b, "a")
+		attr(&b, "b")
+		b.WriteString(`/>`)
+	}
+	b.WriteString(`</is></r>`)
+	return []byte(b.String())
+}
+
+// TestBatchSortJoinProperty drives the theta-join index — typed sorted keys,
+// numeric multi-valued keys, untyped keys — against the for+where pair it
+// replaces (width 1) over random key vectors: every comparison operator,
+// both operand orders, single-, multi- and zero-valued keys and operands,
+// in the emitting form (match order must survive) and the count-only form.
+func TestBatchSortJoinProperty(t *testing.T) {
+	keys := []string{
+		`number($i/@a)`,                  // typed: one number per item, NaN for junk and absent
+		`$i/@a * 1`,                      // numeric, absent attribute → no key
+		`(number($i/@a), number($i/@b))`, // numeric, two keys per item
+		`(number($i/@a), $i/@b * 1)`,     // numeric, one or two keys per item
+		`$i/@a`,                          // untyped keys
+	}
+	operands := []string{
+		`$o/@x`,                          // untyped, zero or one value
+		`$o/v/text()`,                    // untyped, zero to three values
+		`number($o/@x)`,                  // one number, NaN for junk and absent
+		`(number($o/@x), number($o/@y))`, // two numbers
+		`($o/@x, 7)`,                     // mixed
+	}
+	typed := 0
+	for seed := int64(1); seed <= 2; seed++ {
+		doc, err := tree.Parse(thetaTestDoc(rand.New(rand.NewSource(seed))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		// No hash joins: "=" must reach the theta operator too.
+		e := New(mapping.NewPath(doc), Options{PathExtents: true})
+		for _, key := range keys {
+			for _, operand := range operands {
+				for _, op := range []string{"=", "!=", "<", "<=", ">", ">="} {
+					for _, cond := range []string{key + " " + op + " " + operand, operand + " " + op + " " + key} {
+						for form, src := range map[string]string{
+							"emit": `for $o in /r/os/o for $i in /r/is/i where ` + cond + ` return ($o/@id, $i/@id)`,
+							"count": `for $o in /r/os/o let $l := for $i in /r/is/i where ` + cond +
+								` return $i return <c o="{$o/@id}">{count($l)}</c>`,
+						} {
+							prep, err := e.Prepare(src)
+							if err != nil {
+								t.Fatalf("%s: %v", src, err)
+							}
+							ex := prep.Explain()
+							if !strings.Contains(ex, "BatchSortJoin") && !strings.Contains(ex, "BatchNestedLoopJoin") {
+								t.Fatalf("%s: no vectorized theta join in plan:\n%s", src, ex)
+							}
+							if form == "count" && !strings.Contains(ex, "[count-only]") {
+								t.Fatalf("%s: count-join did not fire:\n%s", src, ex)
+							}
+							sess := NewSession()
+							got := serializeWidth(t, prep, sess, 0)
+							for _, idx := range sess.thetaCache {
+								if idx.keys == nil {
+									typed++
+								}
+							}
+							if want := serializeWidth(t, prep, nil, 1); got != want {
+								t.Errorf("seed %d, %s form, where %s: differs from for+where (%d vs %d bytes)",
+									seed, form, cond, len(got), len(want))
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if typed == 0 {
+		t.Error("no execution used the typed sorted layout")
 	}
 }

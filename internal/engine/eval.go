@@ -936,7 +936,13 @@ func (ev *evaluator) buildTuplesNode(n *plan.Node, env *bindings) tupleIter {
 	case plan.OpTupleSrc:
 		return &singleTupleIter{tp: env}
 	case plan.OpLet:
-		return &letTupleIter{ev: ev, in: ev.buildTuples(n.Input, env), name: n.Var, seq: n.Seq}
+		l := &letTupleIter{ev: ev, in: ev.buildTuples(n.Input, env), name: n.Var, seq: n.Seq}
+		// A count-only let binds its join's match count; batch size 1 keeps
+		// materializing the match sequence through the tuple operators.
+		if n.CountOnly && ev.batchSize > 1 {
+			l.join = n.Seq.Input
+		}
+		return l
 	case plan.OpFor:
 		// Vectorized bindings come straight off the sequence's NodeID
 		// batches; batch size 1 keeps the plain tuple expansion.
@@ -976,14 +982,73 @@ type letTupleIter struct {
 	in   tupleIter
 	name string
 	seq  *plan.Node
+
+	// join is the planned join of a count-only let (plan rule count-join),
+	// nil for every other let: the binding is then the join's match count
+	// for the tuple, asked of the join operator itself — built on the first
+	// tuple, like the pipeline it stands in for — instead of the sequence
+	// of its matches.
+	join    *plan.Node
+	counter matchCounter
 }
+
+// matchCounter is a join operator's count-only form: how many bindings it
+// would emit for one outer tuple.
+type matchCounter interface {
+	countMatches(tp *bindings) int
+}
+
+// matchCount is the binding of a count-only let: the number of join matches
+// standing in for the match sequence. The count-join rule proved every
+// reference to the variable is count($v), so the value only ever reaches
+// iterCount.
+type matchCount int
+
+func (matchCount) isItem() {}
 
 func (l *letTupleIter) Next() (*bindings, bool) {
 	tp, ok := l.in.Next()
 	if !ok {
 		return nil, false
 	}
+	if l.join != nil {
+		if c, ok := l.countMatches(tp); ok {
+			return tp.bind(l.name, Seq{matchCount(c)}), true
+		}
+	}
 	return tp.bind(l.name, l.ev.eval(l.seq, tp)), true
+}
+
+// countMatches answers the tuple's match count from the join operator; ok
+// is false (for this and every later tuple) when the join has no count-only
+// form, and the let materializes after all.
+func (l *letTupleIter) countMatches(tp *bindings) (int, bool) {
+	ev := l.ev
+	if l.counter == nil {
+		switch l.join.Op {
+		case plan.OpHashJoin:
+			l.counter = ev.newHashJoinIter(nil, l.join)
+		case plan.OpNLJoin:
+			if t := ev.newThetaJoinIter(nil, l.join); t != nil {
+				l.counter = t
+			}
+		}
+		if l.counter == nil {
+			l.join = nil
+			return 0, false
+		}
+	}
+	if ev.prof == nil {
+		return l.counter.countMatches(tp), true
+	}
+	// EXPLAIN ANALYZE: the join never streams, so its counters are fed here —
+	// the tuples it would have emitted and the time spent counting them.
+	st := ev.prof.statsFor(l.join)
+	start := time.Now()
+	c := l.counter.countMatches(tp)
+	st.ns += int64(time.Since(start))
+	st.tuples += int64(c)
+	return c, true
 }
 
 // forTupleIter expands each tuple by the items of the for sequence: the
@@ -1196,7 +1261,7 @@ type hashJoinTupleIter struct {
 // nature — and is memoized in the Session keyed by the join's plan node,
 // so it is reused across evaluations within a run and, for a worker that
 // keeps its Session, across executions.
-func (ev *evaluator) newHashJoinIter(in tupleIter, n *plan.Node) tupleIter {
+func (ev *evaluator) newHashJoinIter(in tupleIter, n *plan.Node) *hashJoinTupleIter {
 	if ev.sess.joinCache == nil {
 		ev.sess.joinCache = make(map[*plan.Node]*joinIndex)
 	}
@@ -1246,6 +1311,12 @@ func (j *hashJoinTupleIter) Next() (*bindings, bool) {
 		j.matches = j.tupleMatches(tp)
 		j.mi = 0
 	}
+}
+
+// countMatches is the join's count-only form (plan rule count-join): the
+// size of the tuple's match set, a bucket length for a single key.
+func (j *hashJoinTupleIter) countMatches(tp *bindings) int {
+	return len(j.tupleMatches(tp))
 }
 
 // tupleMatches probes the index with the tuple's outer-side keys and

@@ -207,6 +207,14 @@ func (ev *evaluator) iterCount(n *plan.Node, env *bindings) Iterator {
 		if total, ok := ev.countDescendants(n, env); ok {
 			return one(NumItem(float64(total)))
 		}
+	case plan.CountMatches:
+		// The variable's let bound its join's match count, unless this
+		// execution runs tuple-at-a-time and bound the matches themselves.
+		if s := env.lookup(n.Kids[0].Var); len(s) == 1 {
+			if c, ok := s[0].(matchCount); ok {
+				return one(NumItem(float64(c)))
+			}
+		}
 	}
 	if arg := n.Kids[0]; arg.Op == plan.OpGather {
 		// Parallel count recombines by partial sums: each partition

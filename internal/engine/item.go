@@ -211,22 +211,7 @@ func compareAtomics(op compareOp, a, b Item) bool {
 	_, aNum := a.(NumItem)
 	_, bNum := b.(NumItem)
 	if aNum || bNum {
-		x, y := toNumber(a), toNumber(b)
-		switch op {
-		case cmpEq:
-			return x == y
-		case cmpNeq:
-			return x != y
-		case cmpLt:
-			return x < y
-		case cmpLe:
-			return x <= y
-		case cmpGt:
-			return x > y
-		case cmpGe:
-			return x >= y
-		}
-		return false
+		return compareNumbers(op, toNumber(a), toNumber(b))
 	}
 	if ab, ok := a.(BoolItem); ok {
 		if bb, ok2 := b.(BoolItem); ok2 {
@@ -239,6 +224,26 @@ func compareAtomics(op compareOp, a, b Item) bool {
 		}
 	}
 	x, y := itemString(a), itemString(b)
+	switch op {
+	case cmpEq:
+		return x == y
+	case cmpNeq:
+		return x != y
+	case cmpLt:
+		return x < y
+	case cmpLe:
+		return x <= y
+	case cmpGt:
+		return x > y
+	case cmpGe:
+		return x >= y
+	}
+	return false
+}
+
+// compareNumbers is the numeric general comparison (IEEE semantics: NaN
+// satisfies only !=).
+func compareNumbers(op compareOp, x, y float64) bool {
 	switch op {
 	case cmpEq:
 		return x == y

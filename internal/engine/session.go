@@ -95,6 +95,10 @@ func (s *Session) Reset() {
 	s.serFree = nil
 }
 
+// CachedJoins reports how many join indexes the session currently
+// memoizes: what an execution leaves behind on it and Reset drops.
+func (s *Session) CachedJoins() int { return len(s.joinCache) + len(s.thetaCache) }
+
 // getBatchBuf takes a recycled NodeID vector of at least n capacity from
 // the free list, or allocates a fresh one. The returned slice has length n.
 func (s *Session) getBatchBuf(n int) []tree.NodeID {

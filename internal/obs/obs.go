@@ -137,6 +137,21 @@ func FromContext(ctx context.Context) *Span {
 	return s
 }
 
+type reqIDKey struct{}
+
+// ContextWithRequestID attaches the request's identifier to a context, so
+// layers below the HTTP handler can name the request in what they report.
+func ContextWithRequestID(ctx context.Context, id string) context.Context {
+	return context.WithValue(ctx, reqIDKey{}, id)
+}
+
+// RequestIDFrom returns the context's request identifier, or "" when the
+// caller attached none.
+func RequestIDFrom(ctx context.Context) string {
+	id, _ := ctx.Value(reqIDKey{}).(string)
+	return id
+}
+
 var reqFallback atomic.Uint64
 
 // NewRequestID returns a 16-hex-character random request identifier,

@@ -74,7 +74,7 @@ func NodeLabel(n *Node) string {
 	case OpGather:
 		return fmt.Sprintf("Gather [degree <= %d]", n.Degree)
 	case OpFor, OpLet:
-		return fmt.Sprintf("%s $%s", n.Op, n.Var)
+		return clauseLabel(n)
 	case OpNLJoin, OpHashJoin:
 		return fmt.Sprintf("%s $%s", joinName(n), n.Var)
 	case OpCount:
@@ -184,7 +184,7 @@ func renderNode(b *strings.Builder, n *Node, depth int, label string, annot func
 		kid(n.Input, "")
 		kid(n.Ret, "return: ")
 	case OpFor, OpLet:
-		self(fmt.Sprintf("%s $%s", n.Op, n.Var))
+		self(clauseLabel(n))
 		kid(n.Input, "")
 		kid(n.Seq, "seq: ")
 	case OpNLJoin, OpHashJoin:
@@ -360,12 +360,27 @@ func renderNode(b *strings.Builder, n *Node, depth int, label string, annot func
 	}
 }
 
+// clauseLabel renders a for or let clause; a let the count-join rule fused
+// binds its join's match count, not the match sequence.
+func clauseLabel(n *Node) string {
+	s := fmt.Sprintf("%s $%s", n.Op, n.Var)
+	if n.CountOnly {
+		s += " [count-only]"
+	}
+	return s
+}
+
 // joinName is the operator name a join renders under: joins the vectorize
 // rule marked render with a Batch prefix (BatchHashJoin, BatchNestedLoopJoin)
 // — the batch operator builds its index from NodeID vectors and probes
-// without per-tuple iterator chains, but emits byte-identical tuples.
+// without per-tuple iterator chains, but emits byte-identical tuples — and
+// a nested-loop join over numeric keys as BatchSortJoin, after its sorted
+// key vector.
 func joinName(n *Node) string {
-	if n.Vectorized {
+	switch {
+	case n.NumKeys:
+		return "BatchSortJoin"
+	case n.Vectorized:
 		return "Batch" + n.Op.String()
 	}
 	return n.Op.String()
@@ -378,7 +393,18 @@ func joinLabel(n *Node) string {
 	if n.Vectorized && n.BuildCard > 0 {
 		s += fmt.Sprintf(" [build=%d]", n.BuildCard)
 	}
+	if n.NumKeys {
+		s += " [keys=num]"
+	}
 	return s
+}
+
+// catalogCount reports whether a count is answered from the catalog and
+// renders as its own operator; a draining count — and one reading its
+// count-only let's binding, which the let's line already shows — renders
+// in source form.
+func catalogCount(n *Node) bool {
+	return n.CountMode == CountCatalogPath || n.CountMode == CountCatalogDesc
 }
 
 // pathScanLabel renders a PathScan with its pushed-down filters; scans the
@@ -457,7 +483,7 @@ func subtreePlain(n *Node) bool {
 			plain = false
 			return
 		case OpCount:
-			if n.CountMode != CountDrain {
+			if catalogCount(n) {
 				plain = false
 				return
 			}
@@ -516,7 +542,7 @@ func oneline(n *Node) (string, bool) {
 		}
 		return in + steps, true
 	case OpCount:
-		if n.CountMode != CountDrain {
+		if catalogCount(n) {
 			return "", false
 		}
 		arg, ok := oneline(n.Kids[0])

@@ -185,6 +185,10 @@ const (
 	// CountCatalogDesc iterates the truncated context path CountCtx and
 	// sums CountDescendants(ctx, CountTag) from the catalog.
 	CountCatalogDesc
+	// CountMatches reads the match count a count-only let (CountOnly)
+	// bound in place of its join's match sequence. When the engine bound
+	// the sequence after all (batch size 1), the count drains it.
+	CountMatches
 )
 
 // StepStrategy is the chosen physical strategy of one path step.
@@ -331,6 +335,17 @@ type Node struct {
 	// for marked nodes and falls back to the item iterators everywhere
 	// else.
 	Vectorized bool
+	// NumKeys marks a vectorized OpNLJoin whose key side (Probe) is
+	// statically numeric — arithmetic, count(), number() and the like — so
+	// every key the index build sees is a number. The engine then keeps the
+	// keys as a float vector with a sorted copy and answers a comparison by
+	// binary search; EXPLAIN renders the join as BatchSortJoin [keys=num].
+	NumKeys bool
+	// CountOnly marks an OpLet over a vectorized join whose every use is
+	// count($v) (the count-join rule): the engine binds the number of join
+	// matches per tuple instead of materializing the match sequence, and
+	// the counting OpCount nodes run in CountMatches mode.
+	CountOnly bool
 	// BuildCard is the cardinality catalog's size estimate for a
 	// vectorized join's indexed (scanned) side; 0 when the catalog
 	// cannot answer. The engine pre-sizes the join index with it and

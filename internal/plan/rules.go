@@ -14,9 +14,11 @@ import (
 // reads less than a filtered scan), join selection runs over the tuple
 // chains after the clause sequences have their final shapes, parallelize
 // runs over the final physical scan shapes (filtered path extents,
-// post-join chains) rather than intermediate ones, and vectorize runs dead
-// last so its batch marks land on the scans parallelize just partitioned —
-// each morsel then runs vector-at-a-time inside its Gather.
+// post-join chains) rather than intermediate ones, vectorize runs after
+// every shape rewrite so its batch marks land on the scans parallelize just
+// partitioned — each morsel then runs vector-at-a-time inside its Gather —
+// and count-join follows it because it only fuses joins the batch operators
+// will run.
 func (p *Plan) Optimize(opts Options, store nodestore.Store) {
 	ruleCountShortcut(p, opts, store)
 	rulePathExtent(p, opts, store)
@@ -28,6 +30,7 @@ func (p *Plan) Optimize(opts Options, store nodestore.Store) {
 	ruleOrderByElim(p)
 	ruleParallelize(p, opts, store)
 	ruleVectorize(p, opts, store)
+	ruleCountJoin(p)
 	ruleFulltext(p, opts, store)
 }
 
@@ -452,6 +455,107 @@ func unlinkTupleOp(project, target *Node) {
 			return
 		}
 	}
+}
+
+// ruleCountJoin fuses count() into the join below it. A let clause of the
+// shape
+//
+//	let $v := for $i in S where θ return $i
+//
+// whose FLWOR planned as a single vectorized join (OpHashJoin or OpNLJoin
+// straight over the tuple source, return = the join variable) and whose
+// every reference is count($v) never needs the match sequence: the join's
+// index already knows how many items match — a bucket length for a hash
+// join, a binary-search range for a sort join — so the let binds that
+// number (CountOnly) and the counts read it (CountMatches). Q8, Q11 and
+// Q12 have this shape; Q11/Q12 otherwise materialize hundreds of thousands
+// of bindings per request only to count them.
+//
+// The rewrite is blocked — the let keeps materializing — when $v is
+// referenced anywhere but as the whole argument of count() (a path over
+// it, a positional filter $v[1], a bare reference), when anything in its
+// scope rebinds the name (a later clause, a nested FLWOR or quantifier:
+// telling those references apart is not worth a scope analysis), or when
+// the inner FLWOR is more than the bare join (another clause, a residual
+// where, an order by, a return other than the join variable).
+func ruleCountJoin(p *Plan) {
+	p.walk(func(e *Node) {
+		if e.Op != OpProject {
+			return
+		}
+		// Walking the chain top-down, scope accumulates what a clause's
+		// variable is visible to — the return clause and everything the
+		// later operators evaluate — and rebound the names those operators
+		// bind, which hide an earlier binding from part of that scope.
+		scope := []*Node{e.Ret}
+		rebound := map[string]bool{}
+		for c := e.Input; c != nil && c.Op != OpTupleSrc; c = c.Input {
+			if c.Op == OpLet && !rebound[c.Var] && bareVectorizedJoin(c.Seq) {
+				if counts, ok := countOnlyUses(scope, c.Var); ok {
+					c.CountOnly = true
+					for _, cn := range counts {
+						cn.CountMode = CountMatches
+					}
+					p.fire("count-join", c)
+				}
+			}
+			if c.Var != "" {
+				rebound[c.Var] = true
+			}
+			scope = append(scope, c.Seq, c.Cond)
+			for _, k := range c.Keys {
+				scope = append(scope, k.Key)
+			}
+		}
+	})
+}
+
+// bareVectorizedJoin reports whether seq is a FLWOR that planned as exactly
+// one vectorized join returning its own variable.
+func bareVectorizedJoin(seq *Node) bool {
+	if seq.Op != OpProject {
+		return false
+	}
+	j := seq.Input
+	return (j.Op == OpNLJoin || j.Op == OpHashJoin) && j.Vectorized &&
+		j.Input.Op == OpTupleSrc &&
+		seq.Ret.Op == OpVar && seq.Ret.Var == j.Var
+}
+
+// countOnlyUses inspects every reference to $v under the scope roots and
+// returns the drain-mode count($v) nodes; ok is false when $v is referenced
+// any other way or rebound anywhere in the scope.
+func countOnlyUses(scope []*Node, v string) (counts []*Node, ok bool) {
+	refs := 0
+	ok = true
+	seen := map[*Node]bool{}
+	for _, root := range scope {
+		walkNode(root, seen, func(n *Node) {
+			switch n.Op {
+			case OpVar:
+				if n.Var == v {
+					refs++
+				}
+			case OpCount:
+				if arg := n.Kids[0]; n.CountMode == CountDrain && arg.Op == OpVar && arg.Var == v {
+					counts = append(counts, n)
+				}
+			case OpFor, OpLet, OpNLJoin, OpHashJoin:
+				if n.Var == v {
+					ok = false
+				}
+			case OpQuantified:
+				for _, qv := range n.Expr.(*xquery.Quantified).Vars {
+					if qv == v {
+						ok = false
+					}
+				}
+			}
+		})
+	}
+	// Every count($v) contributes exactly one reference (its argument), so
+	// equal totals mean no reference lives outside a count.
+	return counts, ok && refs == len(counts)
 }
 
 // ruleOrderByElim drops OrderBy operators whose keys are all literals: a

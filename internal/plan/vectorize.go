@@ -211,14 +211,56 @@ func (vz *vectorizer) mark(n *Node) batchInfo {
 		// IS string equality), so match sets and emission order are
 		// unchanged. BuildCard is the catalog's size estimate for the
 		// indexed side; the engine pre-sizes with it, EXPLAIN renders it.
+		// A nested-loop join over statically numeric keys is a sort join:
+		// the engine indexes the keys as a sorted float vector.
 		if vz.batched(n.Seq).batched {
 			n.Vectorized = true
 			n.BuildCard = vz.scanCard(n.Seq)
+			n.NumKeys = n.Op == OpNLJoin && vz.numeric(n.Probe)
 			vz.p.fire("vectorize-join", n)
 		}
 		return batchInfo{}
 	}
 	return batchInfo{}
+}
+
+// numeric reports whether every atom n can evaluate to is a number: the
+// static type that makes a general comparison against it numeric whatever
+// the other operand holds. Deliberately shallow — the forms join keys are
+// actually written in (Q11/Q12's 5000 * exactly-one(...)), not a type
+// system.
+func (vz *vectorizer) numeric(n *Node) bool {
+	switch n.Op {
+	case OpLiteral:
+		_, ok := n.Expr.(*xquery.NumberLit)
+		return ok
+	case OpCount, OpUnary:
+		return true
+	case OpBinary:
+		switch n.Expr.(*xquery.Binary).Op {
+		case xquery.OpAdd, xquery.OpSub, xquery.OpMul, xquery.OpDiv, xquery.OpMod:
+			return true
+		}
+	case OpCall:
+		name := n.Expr.(*xquery.Call).Name
+		if _, user := vz.p.Funcs[name]; user {
+			return false
+		}
+		switch name {
+		case "number", "sum", "string-length":
+			return true
+		case "exactly-one", "zero-or-one":
+			return len(n.Kids) == 1 && vz.numeric(n.Kids[0])
+		}
+	case OpSequence:
+		for _, k := range n.Kids {
+			if !vz.numeric(k) {
+				return false
+			}
+		}
+		return len(n.Kids) > 0
+	}
+	return false
 }
 
 // ctorPartBatchable reports whether one constructor content part is a

@@ -20,6 +20,7 @@ package service
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 	"time"
 
@@ -37,8 +38,9 @@ type prepKey struct {
 
 // Catalog is the shared, immutable state of a query service: one
 // generated document loaded into every system architecture, plus every
-// benchmark query compiled against every system. Load it once, share it
-// from any number of goroutines.
+// numbered query — the paper's twenty and the hybrid keyword extensions
+// (21+) — compiled against every system. Load it once, share it from any
+// number of goroutines.
 type Catalog struct {
 	// Factor is the scaling factor of the loaded document.
 	Factor float64
@@ -57,11 +59,11 @@ type Catalog struct {
 }
 
 // Load generates the benchmark document at factor, bulkloads it into each
-// of the given systems (all seven when systems is nil), and compiles all
-// twenty benchmark queries against each system into the plan cache.
+// of the given systems (all seven when systems is nil), and compiles every
+// numbered query against each system into the plan cache.
 //
 // The per-system work — document parse, store build with its indexes, and
-// the twenty Prepare calls — is independent across systems, so Load runs
+// the Prepare calls — is independent across systems, so Load runs
 // it concurrently, bounded by GOMAXPROCS. Cold start dominated xqserve
 // readiness at larger factors when the seven systems loaded back to back;
 // concurrent bulkload cuts it to roughly the slowest system's time. Each
@@ -92,11 +94,13 @@ func LoadDoc(docText []byte, card xmlgen.Cardinalities, factor float64, systems 
 		DocBytes:  len(docText),
 		systems:   systems,
 		instances: make(map[xmark.SystemID]*xmark.Instance, len(systems)),
-		prepared:  make(map[prepKey]*engine.Prepared, len(systems)*20),
-		queryText: make(map[int]string, 20),
+		prepared:  make(map[prepKey]*engine.Prepared),
+		queryText: make(map[int]string),
 	}
-	for _, q := range xmark.Queries() {
-		c.queryText[q.ID] = q.Text(card)
+	for _, qs := range [][]xmark.QuerySpec{xmark.Queries(), xmark.HybridQueries()} {
+		for _, q := range qs {
+			c.queryText[q.ID] = q.Text(card)
+		}
 	}
 
 	type loaded struct {
@@ -190,6 +194,16 @@ func (c *Catalog) Instance(sys xmark.SystemID) (*xmark.Instance, error) {
 		return nil, fmt.Errorf("service: system %s not loaded", sys)
 	}
 	return inst, nil
+}
+
+// QueryIDs returns the numbers of the queries in the plan cache, ascending.
+func (c *Catalog) QueryIDs() []int {
+	ids := make([]int, 0, len(c.queryText))
+	for id := range c.queryText {
+		ids = append(ids, id)
+	}
+	sort.Ints(ids)
+	return ids
 }
 
 // QueryText returns the source of benchmark query qid adapted to the

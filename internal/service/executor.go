@@ -4,7 +4,9 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"os"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -19,6 +21,11 @@ var ErrQueueFull = errors.New("service: admission queue full")
 
 // ErrClosed is returned by Execute after Close.
 var ErrClosed = errors.New("service: executor closed")
+
+// ErrInternal wraps a panic a worker recovered while executing a request:
+// a bug in the engine or a store, not a fault of the query. The worker
+// keeps serving; the error names the request.
+var ErrInternal = errors.New("service: internal error")
 
 // Config sizes an Executor.
 type Config struct {
@@ -41,9 +48,9 @@ type Config struct {
 	BatchSize int
 }
 
-// Request names one query execution: a benchmark query by ID (1-20,
-// served from the Catalog's plan cache) or an ad-hoc query text
-// (compiled on the worker).
+// Request names one query execution: a numbered query by ID (served from
+// the Catalog's plan cache) or an ad-hoc query text (compiled on the
+// worker).
 type Request struct {
 	System  xmark.SystemID
 	QueryID int
@@ -60,6 +67,9 @@ type Response struct {
 	Wait time.Duration
 	// Exec is the evaluation plus serialization time on the worker.
 	Exec time.Duration
+	// Compile is the parse and plan time of an ad-hoc query text, spent on
+	// the worker before Exec starts; 0 for a plan-cache hit.
+	Compile time.Duration
 	// LeadAtomic and TailAtomic report whether Output begins/ends with an
 	// atomic item (both false when Output is empty). The serializer
 	// separates adjacent atomics with a single space, so a merger
@@ -250,39 +260,64 @@ func (e *Executor) Close() {
 func (e *Executor) worker() {
 	defer e.wg.Done()
 	// The worker's Session lives as long as the worker: free-list buffers
-	// stay warm across every query it executes, and the executor's batch
-	// width rides on it into every execution. Memoized join build sides
-	// live only for the request that built them — Reset below drops them
-	// so an idle worker never pins one request's materialized indexes.
+	// stay warm across every query it executes, cached plan or ad-hoc text,
+	// and the executor's batch width rides on it into every execution.
+	// Memoized join build sides live only for the request that built them —
+	// serve resets the session so an idle worker never pins one request's
+	// materialized indexes.
 	sess := engine.NewSession()
 	sess.BatchSize = e.batchSize
 	for t := range e.queue {
-		e.metrics.queueDepth.Add(-1)
-		wait := time.Since(t.enq)
-		if t.ctx.Err() != nil {
-			// Canceled while queued: don't start the work.
-			e.metrics.canceled.Add(1)
-			t.done <- taskResult{err: t.ctx.Err()}
-			continue
-		}
-		if sp := obs.FromContext(t.ctx); sp != nil {
-			sp.Add("queue-wait", wait)
-		}
-		e.metrics.inFlight.Add(1)
-		resp, err := e.run(t.ctx, sess, t.req)
-		sess.Reset()
-		e.metrics.inFlight.Add(-1)
-		resp.Wait = wait
-		switch {
-		case err == nil:
-			e.metrics.observe(t.req.System, t.req.QueryID, wait, resp.Exec)
-		case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
-			e.metrics.canceled.Add(1)
-		default:
-			e.metrics.failed.Add(1)
-		}
-		t.done <- taskResult{resp: resp, err: err}
+		e.serve(sess, t)
 	}
+}
+
+// serve runs one dequeued task on the worker's session and answers it.
+func (e *Executor) serve(sess *engine.Session, t *task) {
+	e.metrics.queueDepth.Add(-1)
+	wait := time.Since(t.enq)
+	if t.ctx.Err() != nil {
+		// Canceled while queued: don't start the work.
+		e.metrics.canceled.Add(1)
+		t.done <- taskResult{err: t.ctx.Err()}
+		return
+	}
+	if sp := obs.FromContext(t.ctx); sp != nil {
+		sp.Add("queue-wait", wait)
+	}
+	e.metrics.inFlight.Add(1)
+	resp, err := e.runRecovered(t.ctx, sess, t.req)
+	sess.Reset()
+	e.metrics.inFlight.Add(-1)
+	resp.Wait = wait
+	switch {
+	case err == nil:
+		e.metrics.observe(t.req.System, t.req.QueryID, wait, resp.Exec)
+	case errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded):
+		e.metrics.canceled.Add(1)
+	default:
+		e.metrics.failed.Add(1)
+	}
+	t.done <- taskResult{resp: resp, err: err}
+}
+
+// runRecovered is run with a panic barrier. The engine turns evaluation
+// errors into error returns itself; anything else that panics below — an
+// engine bug, a store invariant — would take the whole process down with
+// every other request in flight. It becomes this request's ErrInternal
+// instead, with the stack on standard error, and the session it unwound
+// through is replaced rather than trusted.
+func (e *Executor) runRecovered(ctx context.Context, sess *engine.Session, req Request) (resp Response, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			id := obs.RequestIDFrom(ctx)
+			fmt.Fprintf(os.Stderr, "service: panic executing request %q: %v\n%s", id, r, debug.Stack())
+			*sess = engine.Session{BatchSize: e.batchSize}
+			resp = Response{System: req.System, QueryID: req.QueryID}
+			err = fmt.Errorf("%w: request %q: %v", ErrInternal, id, r)
+		}
+	}()
+	return e.run(ctx, sess, req)
 }
 
 // cancelCheckInterval is how many result items a worker streams between
@@ -301,13 +336,12 @@ func (e *Executor) run(ctx context.Context, sess *engine.Session, req Request) (
 	case req.QueryID != 0:
 		prep, err = e.cat.Prepared(req.System, req.QueryID)
 	case req.Text != "":
+		// An ad-hoc Prepared lives for one request, and so do the session's
+		// join caches keyed by its plan nodes: serve resets them after
+		// every request.
+		start := time.Now()
 		prep, err = e.cat.PrepareText(req.System, req.Text)
-		// An ad-hoc Prepared lives for one request, but Session cache
-		// entries are keyed by its expression nodes and would outlive it
-		// in the worker's session — an unbounded leak under a stream of
-		// ad-hoc queries. Give those a throwaway session instead.
-		sess = engine.NewSession()
-		sess.BatchSize = e.batchSize
+		resp.Compile = time.Since(start)
 	default:
 		err = fmt.Errorf("service: request needs a QueryID or a Text")
 	}

@@ -144,15 +144,15 @@ func NewCoordinator(cat *ShardedCatalog, cfg Config) (*Coordinator, error) {
 		cat:   cat,
 		cfg:   cfg,
 		execs: make([]*service.Executor, len(cat.Shards)),
-		modes: make(map[int]plan.ShardMerge, 20),
+		modes: make(map[int]plan.ShardMerge),
 		env:   xmark.EnvelopeTags(),
 	}
 	for i, sh := range cat.Shards {
 		co.execs[i] = service.NewExecutor(sh.Catalog, cfg.Exec)
 	}
 	co.global = service.NewExecutor(cat.Global, cfg.Exec)
-	for _, q := range xmark.Queries() {
-		text, err := cat.Global.QueryText(q.ID)
+	for _, qid := range cat.Global.QueryIDs() {
+		text, err := cat.Global.QueryText(qid)
 		if err != nil {
 			co.Close()
 			return nil, err
@@ -160,9 +160,9 @@ func NewCoordinator(cat *ShardedCatalog, cfg Config) (*Coordinator, error) {
 		parsed, err := xquery.Parse(text)
 		if err != nil {
 			co.Close()
-			return nil, fmt.Errorf("shard: parsing Q%d: %w", q.ID, err)
+			return nil, fmt.Errorf("shard: parsing Q%d: %w", qid, err)
 		}
-		co.modes[q.ID] = plan.ShardableQuery(parsed, plan.ShardSchema{Envelope: co.env})
+		co.modes[qid] = plan.ShardableQuery(parsed, plan.ShardSchema{Envelope: co.env})
 	}
 	return co, nil
 }

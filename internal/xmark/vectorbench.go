@@ -39,7 +39,7 @@ type VectorPoint struct {
 	// Speedup is tuple time over batch time (1.0 = no change).
 	Speedup float64 `json:"speedup"`
 	// JoinVectorized reports whether the plan carries a vectorize-join
-	// firing (a BatchHashJoin or BatchNestedLoopJoin node); false marks
+	// firing (a BatchHashJoin, BatchSortJoin or BatchNestedLoopJoin node); false marks
 	// the honest tuple baselines where no join scan clears the cost gate
 	// (the plain-traversal and embedded systems).
 	JoinVectorized bool `json:"join_vectorized"`
