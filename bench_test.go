@@ -6,6 +6,7 @@
 //	BenchmarkTable1Bulkload    - bulkload time per system (Table 1)
 //	BenchmarkTable2Breakdown   - compile vs execute of Q1/Q2 on A-C (Table 2)
 //	BenchmarkTable3Queries     - the reported queries on Systems A-F (Table 3)
+//	BenchmarkStringValue       - one Store.StringValue call per store kind
 //	BenchmarkFigure4Embedded   - all 20 queries on System G at small scales (Figure 4)
 //	BenchmarkQ15Q16Ratio       - the §7 observation that Q16 costs ~8x Q15 on
 //	                             relational systems
@@ -158,6 +159,38 @@ func BenchmarkTable3Queries(b *testing.B) {
 					if _, err := bench.RunQuery(inst[sid], qid); err != nil {
 						b.Fatal(err)
 					}
+				}
+			})
+		}
+	}
+}
+
+var stringValueSink int
+
+// BenchmarkStringValue is the in-process cost of one Store.StringValue
+// call per store kind (edge, path, inline, DOM) on the two mixed-content
+// subtrees the full-text queries atomize: item descriptions (Q14, Q21,
+// Q22) and mail bodies (Q23). With the text heap it is the store's own
+// lookup of the node plus one slice, 0 B/op on every kind.
+func BenchmarkStringValue(b *testing.B) {
+	_, inst := setup(b)
+	for _, sid := range []xmark.SystemID{xmark.SystemA, xmark.SystemB, xmark.SystemC, xmark.SystemD} {
+		store := inst[sid].Engine.Store()
+		descriptions, _ := store.TagExtent("description", nil)
+		mails, _ := store.TagExtent("mail", nil)
+		var bodies []tree.NodeID
+		for _, m := range mails {
+			bodies = store.ChildrenByTag(m, "text", bodies)
+		}
+		for _, c := range []struct {
+			name  string
+			nodes []tree.NodeID
+		}{{"description", descriptions}, {"mail-text", bodies}} {
+			nodes := c.nodes
+			b.Run(store.Name()+"/"+c.name, func(b *testing.B) {
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					stringValueSink += len(store.StringValue(nodes[i%len(nodes)]))
 				}
 			})
 		}

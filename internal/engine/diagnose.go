@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"repro/internal/nodestore"
 	"repro/internal/xquery"
 )
 
@@ -31,8 +32,7 @@ func (p *Prepared) diagnose() {
 			return
 		}
 		seenTag[tag] = true
-		ext, ok := store.TagExtent(tag, nil)
-		if ok && len(ext) == 0 {
+		if n, ok := nodestore.TagCount(store, tag); ok && n == 0 {
 			warn("tag <%s> occurs nowhere in the database instance", tag)
 		}
 	}
@@ -43,11 +43,11 @@ func (p *Prepared) diagnose() {
 		}
 		prefix := pathPrefix(path)
 		for i := 1; i <= len(prefix); i++ {
-			ext, ok := store.PathExtent(prefix[:i], nil)
+			n, ok := nodestore.PathCount(store, prefix[:i])
 			if !ok {
 				return
 			}
-			if len(ext) == 0 {
+			if n == 0 {
 				warn("path /%s is empty: no <%s> at this position",
 					strings.Join(prefix[:i], "/"), prefix[i-1])
 				return

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/mapping"
 	"repro/internal/nodestore"
 	"repro/internal/tree"
 )
@@ -106,5 +107,72 @@ func TestDiagnoseEachTagOnce(t *testing.T) {
 	}
 	if len(p.Diagnostics) != 1 {
 		t.Fatalf("want 1 deduplicated diagnostic, got %v", p.Diagnostics)
+	}
+}
+
+// extentCounter counts the extents a compile materializes on the
+// fragmenting mapping, whose TagExtent concatenates and merges fragments.
+type extentCounter struct {
+	*mapping.Path
+	materialized int
+}
+
+func (c *extentCounter) TagExtent(tag string, buf []tree.NodeID) ([]tree.NodeID, bool) {
+	c.materialized++
+	return c.Path.TagExtent(tag, buf)
+}
+
+func (c *extentCounter) PathExtent(path []string, buf []tree.NodeID) ([]tree.NodeID, bool) {
+	c.materialized++
+	return c.Path.PathExtent(path, buf)
+}
+
+// TestDiagnoseReadsCatalogNotExtents: on a store with a cardinality
+// catalog, compiling Q14 — and diagnosing typos — materializes no extent;
+// the same store with its catalog hidden falls back to extents and says
+// the same thing.
+func TestDiagnoseReadsCatalogNotExtents(t *testing.T) {
+	doc, err := tree.Parse([]byte(sampleDoc))
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := Options{PathExtents: true, HashJoins: true, AttrIndexes: true}
+	const q14 = `for $i in /site//item
+where contains(string(exactly-one($i/description)), "gold")
+return $i/name/text()`
+	const typos = `for $b in /site/peeple/person return $b/homepaje/text()`
+	wantTypos := []string{
+		"path /site/peeple is empty: no <peeple> at this position",
+		"tag <peeple> occurs nowhere in the database instance",
+		"tag <homepaje> occurs nowhere in the database instance",
+	}
+
+	st := &extentCounter{Path: mapping.NewPath(doc)}
+	for _, c := range []struct {
+		store     nodestore.Store
+		noExtents bool
+	}{
+		{st, true},
+		{struct{ nodestore.Store }{st}, false}, // interface embedding hides Cardinalities
+	} {
+		e := New(c.store, opts)
+		st.materialized = 0
+		p, err := e.Prepare(q14)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(p.Diagnostics) != 0 {
+			t.Fatalf("Q14 diagnostics: %v", p.Diagnostics)
+		}
+		p, err = e.Prepare(typos)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(p.Diagnostics, "\n") != strings.Join(wantTypos, "\n") {
+			t.Fatalf("diagnostics = %q, want %q", p.Diagnostics, wantTypos)
+		}
+		if (st.materialized == 0) != c.noExtents {
+			t.Fatalf("catalog visible = %v: %d extents materialized at compile", c.noExtents, st.materialized)
+		}
 	}
 }

@@ -61,6 +61,11 @@ type Edge struct {
 	nNodes   int
 	root     tree.NodeID
 
+	// text is the document's text heap, kept when the Doc is dropped: a
+	// text segment clustered in document order beside the relation, which
+	// answers StringValue as one span.
+	text tree.TextHeap
+
 	// Per-symbol byte renderings built once at load: openTags[sym] is
 	// "<tag", closeTags[sym] "</tag>", attrPre[sym] ` name="` for "@name"
 	// symbols. The subtree writer emits names as single slice copies.
@@ -93,6 +98,7 @@ func NewEdge(doc *tree.Doc) *Edge {
 		syms:   make(map[string]int32),
 		nNodes: doc.Len(),
 		root:   doc.Root(),
+		text:   doc.TextHeap(),
 	}
 	nextAttrID := int64(doc.Len())
 	for n := tree.NodeID(0); int(n) < doc.Len(); n++ {
@@ -118,6 +124,7 @@ func NewEdge(doc *tree.Doc) *Edge {
 				nextAttrID++
 			}
 		} else {
+			s.table.Dict().InternAliased(doc.Text(n))
 			s.table.Append(
 				relational.NodeVal(int64(n)),
 				relational.NodeVal(parent),
@@ -310,28 +317,15 @@ func (s *Edge) Attrs(n tree.NodeID) []tree.Attr {
 	return out
 }
 
-// StringValue implements nodestore.Store. Subtree rows are contiguous in
-// the heap (bulkload order is document order), so this is a range scan.
+// StringValue implements nodestore.Store: the id index finds the row, its
+// end column closes the span, and the text heap is sliced — no row of the
+// subtree is read.
 func (s *Edge) StringValue(n tree.NodeID) string {
-	rows := s.idIdx.LookupInt(int64(n))
-	if len(rows) == 0 {
+	r, ok := s.rowOf(n)
+	if !ok {
 		return ""
 	}
-	start := int(rows[0])
-	if s.kinds[start] == rowText {
-		return s.value(start)
-	}
-	end := s.ends[start]
-	var out []byte
-	for i := start + 1; i < len(s.ids); i++ {
-		if s.kinds[i] != rowAttr && s.ids[i] >= end {
-			break
-		}
-		if s.kinds[i] == rowText {
-			out = append(out, s.value(i)...)
-		}
-	}
-	return string(out)
+	return s.text.Span(n, tree.NodeID(s.ends[r]))
 }
 
 // SubtreeEnd implements nodestore.Store.
@@ -670,7 +664,7 @@ func (s *Edge) PathExtentFilteredPartitions([]string, []nodestore.ValueFilter, i
 func (s *Edge) Stats() nodestore.Stats {
 	return nodestore.Stats{
 		Name:      s.Name(),
-		SizeBytes: s.table.SizeBytes() + s.table.Dict().SizeBytes(),
+		SizeBytes: s.table.SizeBytes() + s.table.Dict().SizeBytes() + s.text.SizeBytes(),
 		Tables:    1,
 		Nodes:     s.nNodes,
 	}

@@ -102,22 +102,44 @@ func TestStoresAgreeWithDOM(t *testing.T) {
 	}
 }
 
-func TestStringValueAgreement(t *testing.T) {
+// TestStringValueZeroAlloc pins the text-heap contract on every store
+// kind: the string value of a mixed-content description (several text
+// nodes under nested markup) is a slice, not a concatenation.
+func TestStringValueZeroAlloc(t *testing.T) {
 	ref, stores := buildAll(t, 0.002)
 	doc := ref.Doc()
-	// StringValue is expensive; sample a subset of nodes.
-	for _, s := range stores {
-		for n := tree.NodeID(0); int(n) < doc.Len(); n += 7 {
-			if got, want := s.StringValue(n), ref.StringValue(n); got != want {
-				t.Fatalf("%s: node %d StringValue %q != %q", s.Name(), n, got, want)
+	desc := tree.Nil
+	for _, n := range doc.DescendantElements(doc.Root(), doc.TagSymbol("description"), nil) {
+		texts := 0
+		for k := n + 1; k < doc.SubtreeEnd(n); k++ {
+			if doc.Kind(k) == tree.Text {
+				texts++
 			}
+		}
+		if texts >= 3 {
+			desc = n
+			break
+		}
+	}
+	if desc == tree.Nil {
+		t.Fatal("no mixed-content description in the document")
+	}
+	want := doc.StringValue(desc)
+	for _, s := range append(stores, nodestore.Store(ref)) {
+		var got string
+		allocs := testing.AllocsPerRun(100, func() { got = s.StringValue(desc) })
+		if got != want {
+			t.Fatalf("%s: StringValue %q, want %q", s.Name(), got, want)
+		}
+		if allocs != 0 {
+			t.Errorf("%s: StringValue allocates %.0f times per call", s.Name(), allocs)
 		}
 	}
 }
 
 func TestTagExtentAgreement(t *testing.T) {
 	ref, stores := buildAll(t, 0.002)
-	for _, tag := range []string{"item", "person", "keyword", "bidder", "increase", "homepage", "no_such_tag"} {
+	for _, tag := range []string{"item", "person", "keyword", "text", "bidder", "increase", "homepage", "no_such_tag"} {
 		want, ok := ref.TagExtent(tag, nil)
 		if !ok {
 			t.Fatal("reference store lacks tag extents")
@@ -133,6 +155,31 @@ func TestTagExtentAgreement(t *testing.T) {
 			if !sort.SliceIsSorted(got, func(i, j int) bool { return got[i] < got[j] }) {
 				t.Fatalf("%s: extent of %q not in document order", s.Name(), tag)
 			}
+		}
+	}
+}
+
+// TestPathTagExtentMergesFragments pins the fragment merge: a tag that
+// ends several label paths (item under six regions, text and keyword under
+// every description shape) comes back in document order behind whatever
+// the caller's buffer already held, and so do its partitions; a tag with
+// one fragment takes the no-sort path to the same answer.
+func TestPathTagExtentMergesFragments(t *testing.T) {
+	ref, stores := buildAll(t, 0.002)
+	for _, s := range stores[1:] {
+		p := s.(*Path)
+		for _, tag := range []string{"item", "text", "keyword", "person"} {
+			if multi := tag != "person"; (len(p.byTag[tag]) > 1) != multi {
+				t.Fatalf("%s: <%s> has %d fragments", p.Name(), tag, len(p.byTag[tag]))
+			}
+			want, _ := ref.TagExtent(tag, []tree.NodeID{9, 7})
+			got, _ := p.TagExtent(tag, []tree.NodeID{9, 7})
+			assertSameIDs(t, got, want, p.Name()+" "+tag)
+			parts, ok := p.TagExtentPartitions(tag, 3)
+			if !ok {
+				t.Fatalf("%s: <%s> not splittable", p.Name(), tag)
+			}
+			assertSameIDs(t, drainPartsCur(t, parts), want[2:], p.Name()+" "+tag+" partitions")
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package mapping
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync/atomic"
@@ -70,6 +71,11 @@ type Path struct {
 	pathOf      []int32 // node id -> entry index
 	root        tree.NodeID
 	nNodes      int
+	// text is the document's text heap, kept when the Doc is dropped: a
+	// text segment clustered in document order beside the fragments, so a
+	// string value is one span however many fragments its text rows are
+	// scattered over.
+	text tree.TextHeap
 	// metaOps counts catalog consultations; fragmented mappings pay more
 	// metadata cost (paper Table 2 discussion). Atomic: the count is
 	// bumped on read paths, and a loaded store is shared read-only by
@@ -96,6 +102,7 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 		pathOf:      make([]int32, doc.Len()),
 		root:        doc.Root(),
 		nNodes:      doc.Len(),
+		text:        doc.TextHeap(),
 	}
 	var insert func(n tree.NodeID, parentPath string, parent *pathTable, ord int)
 	insert = func(n tree.NodeID, parentPath string, parent *pathTable, ord int) {
@@ -104,6 +111,7 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 			label = doc.Tag(n)
 		} else {
 			label = textLabel
+			s.dict.InternAliased(doc.Text(n))
 		}
 		var path string
 		if parentPath == "" {
@@ -212,7 +220,9 @@ func (s *Path) appendInlined(doc *tree.Doc, n tree.NodeID, pt *pathTable, row re
 			continue
 		}
 		if cols, ok := pt.inlined[doc.Tag(c)]; ok {
-			row[cols[0]] = relational.StringVal(doc.StringValue(c))
+			v := doc.StringValue(c)
+			s.dict.InternAliased(v)
+			row[cols[0]] = relational.StringVal(v)
 			row[cols[1]] = relational.IntVal(1)
 		}
 	}
@@ -373,45 +383,15 @@ func (s *Path) Attrs(n tree.NodeID) []tree.Attr {
 	return out
 }
 
-// StringValue implements nodestore.Store: fragment-wise descent gathering
-// text rows, ordered by node id.
+// StringValue implements nodestore.Store: the node's fragment row gives
+// the subtree end and the text heap is sliced. The #text fragments its
+// text rows are scattered over are not visited.
 func (s *Path) StringValue(n tree.NodeID) string {
 	pt, row, ok := s.rowOf(n)
-	if pt.tag == textLabel {
-		if !ok {
-			return ""
-		}
-		return pt.table.Str(row, pValue)
-	}
 	if !ok {
 		return ""
 	}
-	lo, hi := n, tree.NodeID(pt.table.Int(row, pEnd))
-	type idText struct {
-		id  tree.NodeID
-		txt string
-	}
-	var parts []idText
-	var collect func(pt *pathTable)
-	collect = func(p *pathTable) {
-		if p.tag == textLabel {
-			i := sort.Search(len(p.ids), func(k int) bool { return p.ids[k] > lo })
-			for ; i < len(p.ids) && p.ids[i] < hi; i++ {
-				parts = append(parts, idText{p.ids[i], p.table.Str(i, pValue)})
-			}
-			return
-		}
-		for _, c := range p.children {
-			collect(c)
-		}
-	}
-	collect(pt)
-	sort.Slice(parts, func(i, j int) bool { return parts[i].id < parts[j].id })
-	var b strings.Builder
-	for _, p := range parts {
-		b.WriteString(p.txt)
-	}
-	return b.String()
+	return s.text.Span(n, tree.NodeID(pt.table.Int(row, pEnd)))
 }
 
 // SubtreeEnd implements nodestore.Store.
@@ -424,15 +404,18 @@ func (s *Path) SubtreeEnd(n tree.NodeID) tree.NodeID {
 }
 
 // TagExtent implements nodestore.Store: a catalog consultation per path
-// ending in the tag, then an id merge.
+// ending in the tag, then an id merge. Each fragment's clustered id column
+// is already in document order, so a single fragment needs no sort.
 func (s *Path) TagExtent(tag string, buf []tree.NodeID) ([]tree.NodeID, bool) {
 	start := len(buf)
-	for _, pt := range s.byTag[tag] {
+	pts := s.byTag[tag]
+	for _, pt := range pts {
 		s.metaOps.Add(1)
 		buf = append(buf, pt.ids...)
 	}
-	ext := buf[start:]
-	sort.Slice(ext, func(i, j int) bool { return ext[i] < ext[j] })
+	if len(pts) > 1 {
+		slices.Sort(buf[start:])
+	}
 	return buf, true
 }
 
@@ -801,6 +784,6 @@ func (s *Path) Stats() nodestore.Stats {
 			tables++
 		}
 	}
-	size += int64(len(s.pathOf))*4 + s.dict.SizeBytes()
+	size += int64(len(s.pathOf))*4 + s.dict.SizeBytes() + s.text.SizeBytes()
 	return nodestore.Stats{Name: s.name, SizeBytes: size, Tables: tables, Nodes: s.nNodes}
 }

@@ -1,0 +1,178 @@
+package mapping_test
+
+import (
+	"bytes"
+	"fmt"
+	"io"
+	"math/rand"
+	"sort"
+	"strings"
+	"testing"
+
+	"repro/internal/mapping"
+	"repro/internal/nodestore"
+	"repro/internal/tree"
+	"repro/internal/xmark"
+	"repro/internal/xmlgen"
+)
+
+// naiveStringValue is the oracle: the XPath string value by recursive
+// descent over Children and Text, with no knowledge of the text heap.
+func naiveStringValue(s nodestore.Store, n tree.NodeID) string {
+	if s.Kind(n) == tree.Text {
+		return s.Text(n)
+	}
+	var b strings.Builder
+	for _, c := range s.Children(n, nil) {
+		b.WriteString(naiveStringValue(s, c))
+	}
+	return b.String()
+}
+
+// checkStringValues loads xml into the DOM store and the three relational
+// mappings and checks, for every node of each, StringValue against the
+// oracle. wantText, when given, is the expected Text of every node in
+// document order.
+func checkStringValues(t *testing.T, label string, xml []byte, wantText []string) {
+	t.Helper()
+	doc, err := tree.Parse(xml)
+	if err != nil {
+		t.Fatalf("%s: %v\n%s", label, err, xml)
+	}
+	if wantText != nil && doc.Len() != len(wantText) {
+		t.Fatalf("%s: parsed %d nodes, generated %d\n%s", label, doc.Len(), len(wantText), xml)
+	}
+	for _, s := range []nodestore.Store{
+		nodestore.NewDOM("dom", doc, nodestore.DOMOptions{}),
+		mapping.NewEdge(doc), mapping.NewPath(doc), mapping.NewInline(doc),
+	} {
+		for n := tree.NodeID(0); int(n) < doc.Len(); n++ {
+			if wantText != nil && s.Text(n) != wantText[n] {
+				t.Fatalf("%s/%s: node %d Text %q, want %q\n%s", label, s.Name(), n, s.Text(n), wantText[n], xml)
+			}
+			if got, want := s.StringValue(n), naiveStringValue(s, n); got != want {
+				t.Fatalf("%s/%s: node %d StringValue %q, want %q", label, s.Name(), n, got, want)
+			}
+		}
+	}
+}
+
+// docGen writes a random document as XML text and records what Text(n)
+// must return for every node the parser will create.
+type docGen struct {
+	r     *rand.Rand
+	xml   strings.Builder
+	texts []string
+}
+
+// Tags the auction DTD knows (so the inlined mapping builds its columns,
+// in shapes the DTD does not promise) beside tags it does not.
+var genTags = []string{"site", "person", "name", "description", "text", "keyword", "bold", "item", "x", "y"}
+
+// Character-data pieces as written and as parsed: entity and character
+// references decode, non-ASCII passes through.
+var genPieces = [][2]string{
+	{"gold", "gold"}, {"alpha beta", "alpha beta"}, {"grüße", "grüße"}, {"日本語", "日本語"},
+	{"&amp;", "&"}, {"&lt;b&gt;", "<b>"}, {"&#233;", "é"}, {"&#x4e2d;", "中"}, {" ", " "}, {"\n\t", "\n\t"},
+}
+
+func (g *docGen) element(depth int) {
+	tag := genTags[g.r.Intn(len(genTags))]
+	g.texts = append(g.texts, "")
+	g.xml.WriteString("<" + tag)
+	if g.r.Intn(3) == 0 {
+		fmt.Fprintf(&g.xml, ` id="v%d&amp;"`, g.r.Intn(4))
+	}
+	kids := g.r.Intn(6)
+	switch {
+	case depth == 0:
+		kids += 3
+	case depth >= 5:
+		kids = 0
+	}
+	if kids == 0 {
+		if g.r.Intn(2) == 0 {
+			g.xml.WriteString("/>")
+		} else {
+			g.xml.WriteString("></" + tag + ">")
+		}
+		return
+	}
+	g.xml.WriteString(">")
+	// Two character-data runs with no markup between them parse as one
+	// node, so a run never follows a run; CDATA sections are markup and
+	// make adjacent text nodes.
+	afterRun := false
+	for i := 0; i < kids; i++ {
+		switch k := g.r.Intn(6); {
+		case k <= 1:
+			g.element(depth + 1)
+			afterRun = false
+		case k == 2 && !afterRun:
+			g.xml.WriteString(" \n\t") // whitespace-only: dropped by tree.Parse
+			afterRun = true
+		case k == 3 && !afterRun:
+			raw, parsed := "w", "w"
+			for j := g.r.Intn(4); j > 0; j-- {
+				p := genPieces[g.r.Intn(len(genPieces))]
+				raw, parsed = raw+p[0], parsed+p[1]
+			}
+			g.xml.WriteString(raw)
+			g.texts = append(g.texts, parsed)
+			afterRun = true
+		case k >= 4:
+			text := fmt.Sprintf("c%d <raw> & ü", g.r.Intn(10))
+			g.xml.WriteString("<![CDATA[" + text + "]]>")
+			g.texts = append(g.texts, text)
+			afterRun = false
+		}
+	}
+	g.xml.WriteString("</" + tag + ">")
+}
+
+// TestStringValueProperty is the text heap's correctness argument: on
+// every store kind, for every node, the O(1) span equals the recursive
+// concatenation — over random documents (mixed content, empty elements,
+// adjacent text nodes, decoded entities, non-ASCII, dropped whitespace),
+// over a generated auction document, and over shard-territory documents
+// (each merged shard document is parsed on its own and owns its own heap).
+func TestStringValueProperty(t *testing.T) {
+	r := rand.New(rand.NewSource(14))
+	for i := 0; i < 200; i++ {
+		g := &docGen{r: r}
+		g.element(0)
+		checkStringValues(t, fmt.Sprintf("random %d", i), []byte(g.xml.String()), g.texts)
+	}
+
+	const factor = 0.002
+	checkStringValues(t, "generated", []byte(xmlgen.New(xmlgen.Options{Factor: factor}).String()), nil)
+
+	files := map[string]*bytes.Buffer{}
+	err := xmlgen.New(xmlgen.Options{Factor: factor}).WriteSplit(10, func(name string) (io.WriteCloser, error) {
+		files[name] = &bytes.Buffer{}
+		return nopCloser{files[name]}, nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := make([]string, 0, len(files))
+	for name := range files {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for i, run := range [][]string{names[:len(names)/2], names[len(names)/2:]} {
+		group := map[string][]byte{}
+		for _, name := range run {
+			group[name] = files[name].Bytes()
+		}
+		merged, err := xmark.MergeCollection(group)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checkStringValues(t, fmt.Sprintf("shard %d", i), merged, nil)
+	}
+}
+
+type nopCloser struct{ io.Writer }
+
+func (nopCloser) Close() error { return nil }

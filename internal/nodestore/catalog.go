@@ -44,6 +44,29 @@ func PathCardinality(s Store, path []string) (int, bool) {
 	return 0, false
 }
 
+// TagCount answers "how many elements carry this tag?" for compile-time
+// checks that run on every ad-hoc request: from the cardinality catalog
+// where the store keeps one, and only otherwise by materializing the
+// extent (which on the fragmenting mapping concatenates and merges every
+// fragment ending in the tag). ok=false means the store has no tag access
+// path at all.
+func TagCount(s Store, tag string) (int, bool) {
+	if n, ok := TagCardinality(s, tag); ok {
+		return n, true
+	}
+	ext, ok := s.TagExtent(tag, nil)
+	return len(ext), ok
+}
+
+// PathCount is TagCount for an exact root label path.
+func PathCount(s Store, path []string) (int, bool) {
+	if n, ok := PathCardinality(s, path); ok {
+		return n, true
+	}
+	ext, ok := s.PathExtent(path, nil)
+	return len(ext), ok
+}
+
 // AttrCoder is implemented by dictionary-encoded stores: attribute values
 // are stored as int32 dictionary codes, and code equality is equivalent to
 // string equality WITHIN one store. Batch hash joins whose keys are

@@ -374,12 +374,9 @@ func (d *DOM) PathExtentFilteredPartitions(path []string, fs []ValueFilter, k in
 // Stats implements Store.
 func (d *DOM) Stats() Stats {
 	doc := d.doc
-	var size int64
+	size := doc.TextHeap().SizeBytes() // text bytes + one 4-byte offset per node
 	for n := tree.NodeID(0); int(n) < doc.Len(); n++ {
 		size += 28 // kind, tag, parent, next, first, end, attr bookkeeping
-		if doc.Kind(n) == tree.Text {
-			size += int64(len(doc.Text(n))) + 16
-		}
 		for _, a := range doc.Attrs(n) {
 			size += int64(len(a.Name)+len(a.Value)) + 32
 		}

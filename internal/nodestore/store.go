@@ -43,7 +43,8 @@ type Store interface {
 	Kind(n tree.NodeID) tree.Kind
 	// Tag returns the element tag name, or "" for text nodes.
 	Tag(n tree.NodeID) string
-	// Text returns a text node's content, or "" for elements.
+	// Text returns a text node's content, or "" for elements. Like
+	// StringValue, the result may alias store memory.
 	Text(n tree.NodeID) string
 	// Parent returns the parent node, or tree.Nil at the root.
 	Parent(n tree.NodeID) tree.NodeID
@@ -55,7 +56,12 @@ type Store interface {
 	Attr(n tree.NodeID, name string) (string, bool)
 	// Attrs returns all attributes of n in document order.
 	Attrs(n tree.NodeID) []tree.Attr
-	// StringValue returns the concatenated text content of the subtree.
+	// StringValue returns the concatenated text content of the subtree:
+	// one span of the store's document-order text heap (tree.TextHeap),
+	// cut in O(1) after the store's own lookup of n, with no allocation.
+	// The result aliases store memory shared by every reader, so callers
+	// never mutate it and copy only when they need to (System G's
+	// NaiveStrings copy in the evaluator is the one deliberate copy).
 	StringValue(n tree.NodeID) string
 	// SubtreeEnd returns one past the last descendant of n.
 	SubtreeEnd(n tree.NodeID) tree.NodeID

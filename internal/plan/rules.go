@@ -134,7 +134,7 @@ func rulePathExtent(p *Plan, opts Options, store nodestore.Store) {
 			return
 		}
 		p.Probes++
-		if _, ok := store.PathExtent(prefix, nil); !ok {
+		if _, ok := nodestore.PathCount(store, prefix); !ok {
 			return
 		}
 		n.Input = &Node{Op: OpPathScan, Expr: n.Input.Expr, Path: prefix}

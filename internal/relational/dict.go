@@ -21,8 +21,9 @@ package relational
 //     (partition workers, the service executor's sessions) safe without
 //     locks.
 type Dict struct {
-	codes map[string]int32
-	names []string
+	codes   map[string]int32
+	names   []string
+	aliased int64 // payload bytes of names owned elsewhere (InternAliased)
 }
 
 // NewDict returns an empty dictionary.
@@ -39,6 +40,19 @@ func (d *Dict) Intern(s string) int32 {
 	c := int32(len(d.names))
 	d.codes[s] = c
 	d.names = append(d.names, s)
+	return c
+}
+
+// InternAliased is Intern for a string that is a slice of memory the store
+// retains anyway (its document-order text heap). The dictionary keeps the
+// slice it is handed, never a copy, so a first-sight value costs no payload
+// of its own and SizeBytes leaves those bytes to the heap's accounting.
+func (d *Dict) InternAliased(s string) int32 {
+	before := len(d.names)
+	c := d.Intern(s)
+	if len(d.names) > before {
+		d.aliased += int64(len(s))
+	}
 	return c
 }
 
@@ -66,11 +80,12 @@ func (d *Dict) AppendName(dst []byte, c int32) []byte {
 func (d *Dict) Len() int { return len(d.names) }
 
 // SizeBytes estimates the dictionary footprint: one string payload plus
-// map/slice headers per distinct value.
+// map/slice headers per distinct value, less the payloads that alias
+// memory counted elsewhere.
 func (d *Dict) SizeBytes() int64 {
 	var n int64
 	for _, s := range d.names {
 		n += int64(len(s)) + 16 /* map entry */ + 16 /* slice header */
 	}
-	return n
+	return n - d.aliased
 }

@@ -149,3 +149,25 @@ func TestDictCodesCrossShards(t *testing.T) {
 		t.Fatal("cross-shard code order happens to agree with value order everywhere; corpus too small to witness the hazard")
 	}
 }
+
+// TestDictAliasedPayloadNotCounted: a value first seen through
+// InternAliased costs the dictionary its headers only; a value the
+// dictionary already owns stays counted however it is seen again.
+func TestDictAliasedPayloadNotCounted(t *testing.T) {
+	heap := "goldsilver"
+	d := NewDict()
+	owned := d.Intern("gold")
+	if d.SizeBytes() != 4+32 {
+		t.Fatalf("one owned value: %d bytes", d.SizeBytes())
+	}
+	if c := d.InternAliased(heap[:4]); c != owned {
+		t.Fatalf("aliased re-intern got code %d, want %d", c, owned)
+	}
+	c := d.InternAliased(heap[4:])
+	if d.Name(c) != "silver" || d.InternAliased(heap[4:]) != c {
+		t.Fatal("aliased value does not round-trip")
+	}
+	if d.SizeBytes() != 4+32+32 {
+		t.Fatalf("owned + aliased value: %d bytes, want %d", d.SizeBytes(), 4+32+32)
+	}
+}

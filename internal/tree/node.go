@@ -1,7 +1,5 @@
 package tree
 
-import "strings"
-
 // Len returns the number of nodes in the document.
 func (d *Doc) Len() int { return len(d.kinds) }
 
@@ -38,8 +36,13 @@ func (d *Doc) TagCount() int { return len(d.tagNames) }
 // TagName returns the name of a tag symbol.
 func (d *Doc) TagName(sym int32) string { return d.tagNames[sym] }
 
-// Text returns the content of a text node, or "" for elements.
-func (d *Doc) Text(n NodeID) string { return d.texts[n] }
+// Text returns the content of a text node, or "" for elements. The result
+// aliases the text heap.
+func (d *Doc) Text(n NodeID) string { return d.text.Span(n, n+1) }
+
+// TextHeap returns the document's text heap, for stores that keep it after
+// dropping the Doc.
+func (d *Doc) TextHeap() TextHeap { return d.text }
 
 // Parent returns the parent of n, or Nil for the root.
 func (d *Doc) Parent(n NodeID) NodeID { return d.parent[n] }
@@ -97,23 +100,9 @@ func (d *Doc) ChildElements(n NodeID, sym int32, buf []NodeID) []NodeID {
 
 // StringValue returns the concatenation of all text-node descendants of n
 // (or the node's own text, for a text node): the XPath string value used by
-// string() and contains() in Q14.
-func (d *Doc) StringValue(n NodeID) string {
-	if d.kinds[n] == Text {
-		return d.texts[n]
-	}
-	// Fast path: single text child.
-	if c := d.first[n]; c != Nil && d.next[c] == Nil && d.kinds[c] == Text {
-		return d.texts[c]
-	}
-	var b strings.Builder
-	for i := n + 1; i < d.end[n]; i++ {
-		if d.kinds[i] == Text {
-			b.WriteString(d.texts[i])
-		}
-	}
-	return b.String()
-}
+// string() and contains() in Q14. It is one slice of the text heap — O(1),
+// no allocation — and aliases it.
+func (d *Doc) StringValue(n NodeID) string { return d.text.Span(n, d.end[n]) }
 
 // DescendantElements appends every element in the subtree of n (excluding n
 // itself) with the given tag symbol (any element if sym < 0) to buf.

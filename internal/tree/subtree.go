@@ -24,7 +24,7 @@ func (d *Doc) AppendSubtree(dst []byte, n NodeID) []byte {
 			dst = append(dst, d.closeTags[top.sym]...)
 		}
 		if d.kinds[id] == Text {
-			dst = AppendEscapedText(dst, d.texts[id])
+			dst = AppendEscapedText(dst, d.text.Span(id, id+1))
 			continue
 		}
 		sym := d.tags[id]

@@ -11,6 +11,8 @@ package tree
 
 import (
 	"fmt"
+	"math"
+	"strings"
 
 	"repro/internal/saxparse"
 )
@@ -42,7 +44,7 @@ type Attr struct {
 type Doc struct {
 	kinds  []Kind
 	tags   []int32 // symbol per element; -1 for text nodes
-	texts  []string
+	text   TextHeap
 	parent []NodeID
 	next   []NodeID
 	first  []NodeID
@@ -99,16 +101,35 @@ func isAllSpace(s string) bool {
 	return true
 }
 
+// TextHeap is a document's text stored once: every text node's content
+// appended in document order, plus the heap bytes that precede each node.
+// A subtree is a contiguous pre-order NodeID range, so any node's string
+// value is one slice of the heap. The heap is immutable; spans alias it.
+type TextHeap struct {
+	data string
+	off  []int32 // off[n] = heap bytes before node n; len = node count + 1
+}
+
+// Span returns the text of the NodeID range [n, end): Span(n, n+1) is a
+// text node's content ("" for an element) and Span(n, SubtreeEnd(n)) is
+// the string value of n.
+func (h TextHeap) Span(n, end NodeID) string { return h.data[h.off[n]:h.off[end]] }
+
+// SizeBytes is the exact footprint of the heap and its offsets.
+func (h TextHeap) SizeBytes() int64 { return int64(len(h.data)) + int64(len(h.off))*4 }
+
 // Builder assembles a Doc from document-order events.
 type Builder struct {
 	d         *Doc
-	stack     []NodeID // open elements
-	lastChild []NodeID // most recent child at each stack depth
+	text      strings.Builder // the heap under construction; String() does not copy
+	maxText   int             // what int32 offsets address; lowered by tests
+	stack     []NodeID        // open elements
+	lastChild []NodeID        // most recent child at each stack depth
 }
 
 // NewBuilder returns an empty Builder.
 func NewBuilder() *Builder {
-	return &Builder{d: &Doc{tagIDs: make(map[string]int32)}}
+	return &Builder{d: &Doc{tagIDs: make(map[string]int32)}, maxText: math.MaxInt32}
 }
 
 func (b *Builder) newNode(kind Kind) NodeID {
@@ -116,7 +137,7 @@ func (b *Builder) newNode(kind Kind) NodeID {
 	id := NodeID(len(d.kinds))
 	d.kinds = append(d.kinds, kind)
 	d.tags = append(d.tags, -1)
-	d.texts = append(d.texts, "")
+	d.text.off = append(d.text.off, int32(b.text.Len()))
 	d.parent = append(d.parent, Nil)
 	d.next = append(d.next, Nil)
 	d.first = append(d.first, Nil)
@@ -161,8 +182,8 @@ func (b *Builder) Text(text string) {
 	if len(b.stack) == 0 {
 		panic("tree: Text outside root element")
 	}
-	id := b.newNode(Text)
-	b.d.texts[id] = text
+	b.newNode(Text)
+	b.text.WriteString(text)
 }
 
 // End closes the most recently opened element.
@@ -174,7 +195,8 @@ func (b *Builder) End() {
 }
 
 // Doc finalizes and returns the document. The builder must have closed all
-// elements and created exactly one root element.
+// elements and created exactly one root element, and the text content must
+// fit the heap's int32 offsets.
 func (b *Builder) Doc() (*Doc, error) {
 	if len(b.stack) != 0 {
 		return nil, fmt.Errorf("tree: %d unclosed elements", len(b.stack))
@@ -185,6 +207,11 @@ func (b *Builder) Doc() (*Doc, error) {
 	if b.d.kinds[0] != Element || b.d.end[0] != NodeID(len(b.d.kinds)) {
 		return nil, fmt.Errorf("tree: document must have a single element root")
 	}
+	if b.text.Len() > b.maxText {
+		return nil, fmt.Errorf("tree: %d bytes of text content exceed the %d-byte text heap limit", b.text.Len(), b.maxText)
+	}
+	b.d.text.data = b.text.String()
+	b.d.text.off = append(b.d.text.off, int32(len(b.d.text.data)))
 	b.d.renderTagTables()
 	return b.d, nil
 }

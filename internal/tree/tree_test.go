@@ -1,6 +1,7 @@
 package tree
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -169,6 +170,66 @@ func TestBuilderErrors(t *testing.T) {
 	}
 	if _, err := NewBuilder().Doc(); err == nil {
 		t.Fatal("empty document accepted")
+	}
+}
+
+// TestTextHeapLimit hits the offset-width guard without a 2 GiB document:
+// a heap one byte past the limit is a Doc() error, one at the limit loads.
+func TestTextHeapLimit(t *testing.T) {
+	build := func(limit int) (*Doc, error) {
+		b := NewBuilder()
+		b.maxText = limit
+		b.Start("a")
+		b.Text("12345")
+		b.Start("b")
+		b.Text("678")
+		b.End()
+		b.End()
+		return b.Doc()
+	}
+	if _, err := build(7); err == nil || !strings.Contains(err.Error(), "text heap limit") {
+		t.Fatalf("8 bytes of text under a 7-byte limit: err = %v", err)
+	}
+	d, err := build(8)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := d.StringValue(d.Root()); got != "12345678" {
+		t.Fatalf("string value %q", got)
+	}
+	if NewBuilder().maxText != math.MaxInt32 {
+		t.Fatal("default limit is not what int32 offsets address")
+	}
+}
+
+// TestTextHeapSpans pins the layout on adjacent text nodes and empty
+// elements: every node's Text and StringValue are slices of one heap.
+func TestTextHeapSpans(t *testing.T) {
+	b := NewBuilder()
+	b.Start("a") // 0
+	b.Text("x")  // 1
+	b.Text("yz") // 2
+	b.Start("e") // 3
+	b.End()
+	b.Start("b") // 4
+	b.Text("ü")  // 5
+	b.End()
+	b.End()
+	d, err := b.Doc()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantText := []string{"", "x", "yz", "", "", "ü"}
+	wantValue := []string{"xyzü", "x", "yz", "", "ü", "ü"}
+	for n := NodeID(0); int(n) < d.Len(); n++ {
+		if d.Text(n) != wantText[n] || d.StringValue(n) != wantValue[n] {
+			t.Fatalf("node %d: Text %q StringValue %q, want %q %q",
+				n, d.Text(n), d.StringValue(n), wantText[n], wantValue[n])
+		}
+	}
+	h := d.TextHeap()
+	if h.Span(0, NodeID(d.Len())) != "xyzü" || h.SizeBytes() != int64(len("xyzü")+4*(d.Len()+1)) {
+		t.Fatalf("heap %q, %d bytes", h.Span(0, NodeID(d.Len())), h.SizeBytes())
 	}
 }
 

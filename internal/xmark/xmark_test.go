@@ -65,6 +65,36 @@ func TestAllSystemsLoad(t *testing.T) {
 	}
 }
 
+// TestTypoDiagnosticsAllSystems pins the compile-time diagnostics of a
+// misspelled query per architecture. They are read from each store's
+// cardinality catalog, and must say exactly what materializing the extents
+// said: the path catalogs (B, C, D) name the empty path and both tags, the
+// tag-indexed stores (A, E) the tags, and F and G, with no catalog, nothing.
+func TestTypoDiagnosticsAllSystems(t *testing.T) {
+	b := bench(t, 0.002)
+	instances, err := b.LoadAll(Systems())
+	if err != nil {
+		t.Fatal(err)
+	}
+	tags := []string{
+		"tag <peeple> occurs nowhere in the database instance",
+		"tag <homepaje> occurs nowhere in the database instance",
+	}
+	withPath := append([]string{"path /site/peeple is empty: no <peeple> at this position"}, tags...)
+	want := map[SystemID][]string{
+		SystemA: tags, SystemB: withPath, SystemC: withPath, SystemD: withPath, SystemE: tags,
+	}
+	for _, inst := range instances {
+		p, err := inst.Engine.Prepare(`for $b in /site/peeple/person return $b/homepaje/text()`)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, w := strings.Join(p.Diagnostics, "\n"), strings.Join(want[inst.System.ID], "\n"); got != w {
+			t.Errorf("system %s: diagnostics %q, want %q", inst.System.ID, got, w)
+		}
+	}
+}
+
 // TestAllQueriesAllSystemsAgree is the central correctness test of the
 // reproduction: every one of the twenty queries returns the identical
 // serialized result on all seven architectures.
