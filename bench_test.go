@@ -26,6 +26,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/nodestore"
+	"repro/internal/relational"
 	"repro/internal/service"
 	"repro/internal/tree"
 	"repro/internal/xmark"
@@ -194,6 +195,55 @@ func BenchmarkStringValue(b *testing.B) {
 				}
 			})
 		}
+	}
+}
+
+var indexSink int
+
+// BenchmarkIndexLookup is one probe of the flat relational index
+// (relational.Index) over 200 k rows: a hit in a direct-address directory
+// (node ids), a hit in a sorted directory (one key per thousand of the
+// span: a binary search), and a miss inside the range of the sorted one.
+// Every probe returns a view of the index, 0 B/op.
+func BenchmarkIndexLookup(b *testing.B) {
+	const rows = 200_000
+	tab := relational.NewTable("bench", relational.Schema{
+		{Name: "dense", T: relational.Node}, {Name: "sparse", T: relational.Int}})
+	for i := int64(0); i < rows; i++ {
+		tab.Append(relational.NodeVal(i), relational.IntVal(i*1000))
+	}
+	dense, sparse := tab.CreateIndex(0), tab.CreateIndex(1)
+	for _, c := range []struct {
+		name        string
+		idx         *relational.Index
+		scale, plus int64
+	}{{"dense", dense, 1, 0}, {"sorted", sparse, 1000, 0}, {"miss", sparse, 1000, 1}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				// A stride coprime to the row count visits every key, out of order.
+				k := int64(i) * 7919 % rows
+				indexSink += len(c.idx.LookupInt(k*c.scale + c.plus))
+			}
+		})
+	}
+}
+
+// BenchmarkRowOf is the node → row step of the relational stores, through
+// the cheapest navigation call that is nothing else: Parent reads one
+// column at the row. On the heap (A) the step is an id-index probe, on the
+// fragmenting mappings (B, C) two loads from store-wide arrays.
+func BenchmarkRowOf(b *testing.B) {
+	_, inst := setup(b)
+	for _, sid := range []xmark.SystemID{xmark.SystemA, xmark.SystemB, xmark.SystemC} {
+		store := inst[sid].Engine.Store()
+		nodes := store.Stats().Nodes
+		b.Run(store.Name(), func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				indexSink += int(store.Parent(tree.NodeID(i * 7919 % nodes)))
+			}
+		})
 	}
 }
 

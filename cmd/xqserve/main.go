@@ -137,6 +137,19 @@ func (sw *statusWriter) WriteHeader(code int) {
 	sw.ResponseWriter.WriteHeader(code)
 }
 
+// WriteString forwards to the wrapped writer's own WriteString, so that
+// io.WriteString hands a result body on without a []byte copy of it.
+func (sw *statusWriter) WriteString(s string) (int, error) {
+	return io.WriteString(sw.ResponseWriter, s)
+}
+
+// writeBody writes a query result and its closing newline. Results reach
+// hundreds of KB, and fmt would copy one whole into its print buffer first.
+func writeBody(w io.Writer, out string) {
+	_, _ = io.WriteString(w, out) // a failed write is a gone client
+	_, _ = io.WriteString(w, "\n")
+}
+
 // ready returns the catalog and executor once the load succeeded. Until
 // then it writes the appropriate status — 503 while loading, 500 after a
 // failed load — and reports false.
@@ -273,6 +286,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Shards    int      `json:"shards,omitempty"`
 		Systems   []string `json:"systems,omitempty"`
 		LoadMs    float64  `json:"load_ms,omitempty"`
+		// StoreBytes reports the resident size of each system's store.
+		StoreBytes []service.StoreSize `json:"store_bytes,omitempty"`
 		// TextIndexes reports per-system inverted text index status: built
 		// or scan-only, and the resident bytes the index costs.
 		TextIndexes []service.TextIndexStatus `json:"text_indexes,omitempty"`
@@ -297,6 +312,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 			h.Systems = append(h.Systems, string(sys.ID))
 		}
 		h.LoadMs = float64(cat.LoadTime) / 1e6
+		h.StoreBytes = cat.StoreBytes()
 		h.TextIndexes = cat.TextIndexes()
 	}
 	w.Header().Set("Content-Type", "application/json")
@@ -320,9 +336,10 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Parallel    int                       `json:"parallel"`
 		BatchSize   int                       `json:"batch_size"`
 		Factor      float64                   `json:"factor"`
+		StoreBytes  []service.StoreSize       `json:"store_bytes"`
 		TextIndexes []service.TextIndexStatus `json:"text_indexes"`
 		Snapshot    service.Snapshot          `json:"snapshot"`
-	}{ex.Workers(), ex.QueueCap(), ex.Parallel(), ex.BatchSize(), cat.Factor, cat.TextIndexes(), ex.Metrics().Snapshot()})
+	}{ex.Workers(), ex.QueueCap(), ex.Parallel(), ex.BatchSize(), cat.Factor, cat.StoreBytes(), cat.TextIndexes(), ex.Metrics().Snapshot()})
 }
 
 // parseRequest extracts the system and query (number or ad-hoc text) of a
@@ -444,7 +461,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		}
 		root.End()
 		s.observeSlow(reqID, req, sw.status, 0, exec, root)
-		fmt.Fprintln(sw, res.Output)
+		writeBody(sw, res.Output)
 		return
 	}
 
@@ -462,7 +479,7 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	root.End()
 	s.observeSlow(reqID, req, sw.status, wait, exec, root)
-	fmt.Fprintln(sw, resp.Output)
+	writeBody(sw, resp.Output)
 }
 
 // observeSlow offers a completed request to the slow-query log.
@@ -609,12 +626,13 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 // plus the shard coordinator's robustness counters when sharded — in the
 // Prometheus text exposition format.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
-	_, ex, ok := s.ready(w)
+	cat, ex, ok := s.ready(w)
 	if !ok {
 		return
 	}
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	ex.Metrics().WriteProm(w)
+	cat.WriteProm(w)
 	s.mu.RLock()
 	co := s.co
 	s.mu.RUnlock()

@@ -188,6 +188,58 @@ func TestMetricsAndSlowlog(t *testing.T) {
 	}
 }
 
+// TestQueryBodyBytes pins the bytes of a /query body: the serialized
+// result exactly as the engine renders it, then one newline.
+func TestQueryBodyBytes(t *testing.T) {
+	s := newTestServer(t)
+	mux := s.routes(false)
+	for _, qid := range []int{1, 2, 13} { // one line, many lines, nested markup
+		prep, err := s.cat.Prepared("D", qid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		if err := prep.Serialize(&want); err != nil {
+			t.Fatal(err)
+		}
+		rec := get(t, mux, "/query?system=D&q="+strconv.Itoa(qid), nil)
+		if rec.Code != http.StatusOK || rec.Body.String() != want.String()+"\n" {
+			t.Errorf("Q%d: status %d, body %d bytes ending %q; want the %d result bytes and a newline",
+				qid, rec.Code, rec.Body.Len(), rec.Body.String()[max(0, rec.Body.Len()-10):], want.Len())
+		}
+	}
+}
+
+// TestStoreBytesReported pins the store size gauge on all three surfaces:
+// /healthz and /stats carry store_bytes per system beside text_indexes,
+// and /metrics exposes the same number as xq_store_bytes.
+func TestStoreBytesReported(t *testing.T) {
+	s := newTestServer(t)
+	mux := s.routes(false)
+	inst, err := s.cat.Instance("D")
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := inst.Stats.SizeBytes
+	if want <= 0 {
+		t.Fatalf("store size %d", want)
+	}
+	for _, path := range []string{"/healthz", "/stats"} {
+		var out struct {
+			StoreBytes []service.StoreSize `json:"store_bytes"`
+		}
+		if err := json.Unmarshal(get(t, mux, path, nil).Body.Bytes(), &out); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if len(out.StoreBytes) != 1 || out.StoreBytes[0] != (service.StoreSize{System: "D", Bytes: want}) {
+			t.Errorf("%s: store_bytes = %+v, want D=%d", path, out.StoreBytes, want)
+		}
+	}
+	if line := fmt.Sprintf("xq_store_bytes{system=\"D\"} %d\n", want); !strings.Contains(get(t, mux, "/metrics", nil).Body.String(), line) {
+		t.Errorf("/metrics is missing %q", line)
+	}
+}
+
 // TestHybridQueriesByNumber pins the number range of /query and /explain to
 // the catalog's plan cache: the hybrid keyword queries (21-23) answer by
 // number exactly what their text answers ad hoc, and the first number past

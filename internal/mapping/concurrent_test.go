@@ -9,10 +9,8 @@ import (
 
 // TestConcurrentStoreReads pins that a loaded mapping store is safe for
 // concurrent read sharing: 8 goroutines hammer every navigation and
-// access-path method of every mapping at once. Run with -race; this is
-// the regression test for the Path.metaOps counter, which used to be a
-// plain int64 bumped on read paths and raced as soon as two queries
-// shared one store.
+// access-path method of every mapping at once. Run with -race: the read
+// path must write nothing — no counter, no lazily built index.
 func TestConcurrentStoreReads(t *testing.T) {
 	_, stores := buildAll(t, 0.002)
 	const goroutines = 8

@@ -36,15 +36,16 @@ const (
 )
 
 // Edge is the System A store: one heap relation
-// edge(id, parent, end, tag, kind, value) plus hash indexes on id, parent
-// and tag. Attributes are rows too, with synthetic ids.
+// edge(id, parent, end, tag, kind, value) plus indexes on id, parent, tag
+// and value, built once the heap is loaded. Attributes are rows too, with
+// synthetic ids.
 type Edge struct {
 	nodestore.TextIndexHolder
 	table     *relational.Table
-	idIdx     *relational.HashIndex
-	parentIdx *relational.HashIndex
-	tagIdx    *relational.HashIndex
-	valueIdx  *relational.HashIndex
+	idIdx     *relational.Index
+	parentIdx *relational.Index
+	tagIdx    *relational.Index
+	valueIdx  *relational.Index
 
 	// Column vectors of the one heap relation, bound once at load: every
 	// navigation loop compares against these contiguous arrays instead of
@@ -185,7 +186,8 @@ func (s *Edge) sym(name string) int32 {
 }
 
 // rowOf locates the heap row of node n via the id index: System A's
-// signature cost, paid on every navigation step.
+// signature cost, paid on every navigation step. Node and attribute ids
+// are dense, so the probe is two dependent loads (directory, then row id).
 func (s *Edge) rowOf(n tree.NodeID) (int, bool) {
 	rows := s.idIdx.LookupInt(int64(n))
 	if len(rows) == 0 {

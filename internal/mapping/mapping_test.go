@@ -310,22 +310,6 @@ func TestStats(t *testing.T) {
 	}
 }
 
-func TestFragmentationMetadataTax(t *testing.T) {
-	// Paper Table 2: the fragmenting mapping consults far more metadata.
-	_, stores := buildAll(t, 0.002)
-	var p *Path
-	for _, s := range stores {
-		if s.Name() == "path" {
-			p = s.(*Path)
-		}
-	}
-	before := p.MetaOps()
-	p.Children(p.Root(), nil)
-	if p.MetaOps() == before {
-		t.Fatal("no catalog consultations recorded")
-	}
-}
-
 func equalAttrs(a, b []tree.Attr) bool {
 	if len(a) != len(b) {
 		return false

@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/nodestore"
 	"repro/internal/relational"
@@ -35,8 +34,7 @@ type pathTable struct {
 	idx   int // position in Path.entries
 
 	table     *relational.Table
-	idIdx     *relational.HashIndex
-	parentIdx *relational.HashIndex
+	parentIdx *relational.Index
 	ids       []tree.NodeID // clustered id column, document order
 
 	children  []*pathTable
@@ -50,8 +48,8 @@ type pathTable struct {
 
 type attrTable struct {
 	table    *relational.Table
-	ownerIdx *relational.HashIndex
-	valueIdx *relational.HashIndex
+	ownerIdx *relational.Index
+	valueIdx *relational.Index
 }
 
 // Path is the fragmenting mapping (System B), and with inlining enabled the
@@ -69,6 +67,7 @@ type Path struct {
 	attrsByName map[string][]*attrTable
 	entries     []*pathTable
 	pathOf      []int32 // node id -> entry index
+	rowIn       []int32 // node id -> row within that entry's table
 	root        tree.NodeID
 	nNodes      int
 	// text is the document's text heap, kept when the Doc is dropped: a
@@ -76,11 +75,6 @@ type Path struct {
 	// string value is one span however many fragments its text rows are
 	// scattered over.
 	text tree.TextHeap
-	// metaOps counts catalog consultations; fragmented mappings pay more
-	// metadata cost (paper Table 2 discussion). Atomic: the count is
-	// bumped on read paths, and a loaded store is shared read-only by
-	// concurrent queries (the service's Catalog).
-	metaOps atomic.Int64
 }
 
 // NewPath bulkloads the document into the fragmenting path mapping
@@ -100,6 +94,7 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 		byTag:       make(map[string][]*pathTable),
 		attrsByName: make(map[string][]*attrTable),
 		pathOf:      make([]int32, doc.Len()),
+		rowIn:       make([]int32, doc.Len()),
 		root:        doc.Root(),
 		nNodes:      doc.Len(),
 		text:        doc.TextHeap(),
@@ -143,7 +138,7 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 		if pt.inlined != nil {
 			row = s.appendInlined(doc, n, pt, row)
 		}
-		pt.table.Append(row...)
+		s.rowIn[n] = int32(pt.table.Append(row...))
 		pt.ids = append(pt.ids, n)
 
 		for _, a := range doc.Attrs(n) {
@@ -153,8 +148,6 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 					{Name: "owner", T: relational.Node},
 					{Name: "value", T: relational.String},
 				}, s.dict)}
-				at.ownerIdx = at.table.CreateIndex(0)
-				at.valueIdx = at.table.CreateIndex(1)
 				pt.attrs[a.Name] = at
 				pt.attrNames = append(pt.attrNames, a.Name)
 				s.attrsByName[a.Name] = append(s.attrsByName[a.Name], at)
@@ -169,6 +162,14 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 		}
 	}
 	insert(doc.Root(), "", nil, 0)
+	// The tables are complete: build every index in one pass per column.
+	for _, pt := range s.entries {
+		pt.parentIdx = pt.table.CreateIndex(pParent)
+		for _, at := range pt.attrs {
+			at.ownerIdx = at.table.CreateIndex(0)
+			at.valueIdx = at.table.CreateIndex(1)
+		}
+	}
 	return s
 }
 
@@ -200,8 +201,6 @@ func (s *Path) newPathTable(path, label string) *pathTable {
 		}
 	}
 	pt.table = relational.NewTableShared(path, sch, s.dict)
-	pt.idIdx = pt.table.CreateIndex(pID)
-	pt.parentIdx = pt.table.CreateIndex(pParent)
 	pt.idx = len(s.entries)
 	s.catalog[path] = pt
 	s.byTag[label] = append(s.byTag[label], pt)
@@ -231,14 +230,11 @@ func (s *Path) appendInlined(doc *tree.Doc, n tree.NodeID, pt *pathTable, row re
 
 func (s *Path) entryOf(n tree.NodeID) *pathTable { return s.entries[s.pathOf[n]] }
 
-// rowOf finds the row index of node n inside its fragment.
-func (s *Path) rowOf(n tree.NodeID) (pt *pathTable, row int, ok bool) {
-	pt = s.entryOf(n)
-	ids := pt.idIdx.LookupInt(int64(n))
-	if len(ids) == 0 {
-		return pt, 0, false
-	}
-	return pt, int(ids[0]), true
+// rowOf finds node n's fragment and its row there: two loads from the
+// store-wide node-indexed arrays, where a per-fragment id index would
+// search a directory of that fragment's scattered ids.
+func (s *Path) rowOf(n tree.NodeID) (pt *pathTable, row int) {
+	return s.entries[s.pathOf[n]], int(s.rowIn[n])
 }
 
 // Name implements nodestore.Store.
@@ -265,8 +261,8 @@ func (s *Path) Tag(n tree.NodeID) string {
 
 // Text implements nodestore.Store.
 func (s *Path) Text(n tree.NodeID) string {
-	pt, row, ok := s.rowOf(n)
-	if pt.tag != textLabel || !ok {
+	pt, row := s.rowOf(n)
+	if pt.tag != textLabel {
 		return ""
 	}
 	return pt.table.Str(row, pValue)
@@ -274,10 +270,7 @@ func (s *Path) Text(n tree.NodeID) string {
 
 // Parent implements nodestore.Store.
 func (s *Path) Parent(n tree.NodeID) tree.NodeID {
-	pt, row, ok := s.rowOf(n)
-	if !ok {
-		return tree.Nil
-	}
+	pt, row := s.rowOf(n)
 	return tree.NodeID(pt.table.Int(row, pParent))
 }
 
@@ -291,7 +284,6 @@ func (s *Path) Children(n tree.NodeID, buf []tree.NodeID) []tree.NodeID {
 	}
 	var kids []ordNode
 	for _, c := range pt.children {
-		s.metaOps.Add(1)
 		for _, rid := range c.parentIdx.LookupInt(int64(n)) {
 			kids = append(kids, ordNode{c.table.Int(int(rid), pOrd), tree.NodeID(c.table.Int(int(rid), pID))})
 		}
@@ -313,7 +305,6 @@ func (s *Path) TextChildren(n tree.NodeID, buf []tree.NodeID) []tree.NodeID {
 		if c.tag != textLabel {
 			continue
 		}
-		s.metaOps.Add(1)
 		for _, rid := range c.parentIdx.LookupInt(int64(n)) {
 			buf = append(buf, tree.NodeID(c.table.Int(int(rid), pID)))
 		}
@@ -329,7 +320,6 @@ func (s *Path) ChildrenByTag(n tree.NodeID, tag string, buf []tree.NodeID) []tre
 		if c.tag != tag {
 			continue
 		}
-		s.metaOps.Add(1)
 		for _, rid := range c.parentIdx.LookupInt(int64(n)) {
 			buf = append(buf, tree.NodeID(c.table.Int(int(rid), pID)))
 		}
@@ -387,19 +377,13 @@ func (s *Path) Attrs(n tree.NodeID) []tree.Attr {
 // the subtree end and the text heap is sliced. The #text fragments its
 // text rows are scattered over are not visited.
 func (s *Path) StringValue(n tree.NodeID) string {
-	pt, row, ok := s.rowOf(n)
-	if !ok {
-		return ""
-	}
+	pt, row := s.rowOf(n)
 	return s.text.Span(n, tree.NodeID(pt.table.Int(row, pEnd)))
 }
 
 // SubtreeEnd implements nodestore.Store.
 func (s *Path) SubtreeEnd(n tree.NodeID) tree.NodeID {
-	pt, row, ok := s.rowOf(n)
-	if !ok {
-		return n + 1
-	}
+	pt, row := s.rowOf(n)
 	return tree.NodeID(pt.table.Int(row, pEnd))
 }
 
@@ -410,7 +394,6 @@ func (s *Path) TagExtent(tag string, buf []tree.NodeID) ([]tree.NodeID, bool) {
 	start := len(buf)
 	pts := s.byTag[tag]
 	for _, pt := range pts {
-		s.metaOps.Add(1)
 		buf = append(buf, pt.ids...)
 	}
 	if len(pts) > 1 {
@@ -468,7 +451,6 @@ func (s *Path) Descendants(n tree.NodeID, tag string, buf []tree.NodeID) []tree.
 	lo, hi := n, s.SubtreeEnd(n)
 	start := len(buf)
 	for _, pt := range s.byTag[tag] {
-		s.metaOps.Add(1)
 		i := sort.Search(len(pt.ids), func(k int) bool { return pt.ids[k] > lo })
 		for ; i < len(pt.ids) && pt.ids[i] < hi; i++ {
 			buf = append(buf, pt.ids[i])
@@ -482,7 +464,6 @@ func (s *Path) Descendants(n tree.NodeID, tag string, buf []tree.NodeID) []tree.
 // PathExtent implements nodestore.Store: the defining strength of the path
 // mapping — a full path is one fragment scan.
 func (s *Path) PathExtent(path []string, buf []tree.NodeID) ([]tree.NodeID, bool) {
-	s.metaOps.Add(1)
 	pt := s.fragment(path)
 	if pt == nil {
 		return buf, true // path provably empty: the catalog is complete
@@ -499,7 +480,6 @@ func (s *Path) CountDescendants(tree.NodeID, string) (int, bool) { return 0, fal
 func (s *Path) AttrLookup(name, value string) ([]tree.NodeID, bool) {
 	var out []tree.NodeID
 	for _, at := range s.attrsByName[name] {
-		s.metaOps.Add(1)
 		for _, row := range at.valueIdx.LookupString(value) {
 			out = append(out, tree.NodeID(at.table.Int(int(row), 0)))
 		}
@@ -521,9 +501,9 @@ func (s *Path) InlinedChildText(n tree.NodeID, tag string) (string, bool, bool) 
 	if !s.inline {
 		return "", false, false
 	}
-	pt, row, ok := s.rowOf(n)
+	pt, row := s.rowOf(n)
 	cols, has := pt.inlined[tag]
-	if !has || !ok {
+	if !has {
 		return "", false, false
 	}
 	if pt.table.Int(row, cols[1]) == 0 {
@@ -582,7 +562,6 @@ func (s *Path) ChildrenByTagCursor(n tree.NodeID, tag string) nodestore.Cursor {
 		if c.tag != tag {
 			continue
 		}
-		s.metaOps.Add(1)
 		return &colIDCursor{ids: c.table.IntCol(pID), rows: c.parentIdx.LookupInt(int64(n))}
 	}
 	return nodestore.EmptyCursor{}
@@ -594,7 +573,6 @@ func (s *Path) ChildrenByTagCursor(n tree.NodeID, tag string) nodestore.Cursor {
 func (s *Path) DescendantsCursor(n tree.NodeID, tag string) nodestore.Cursor {
 	pts := s.byTag[tag]
 	if len(pts) == 1 {
-		s.metaOps.Add(1)
 		return nodestore.NewSliceCursor(summary.Within(pts[0].ids, n, s.SubtreeEnd(n)))
 	}
 	return nodestore.NewSliceCursor(s.Descendants(n, tag, nil))
@@ -603,7 +581,6 @@ func (s *Path) DescendantsCursor(n tree.NodeID, tag string) nodestore.Cursor {
 // PathExtentCursor implements nodestore.CursorStore: a full path is one
 // fragment, so its extent streams from the clustered id column in place.
 func (s *Path) PathExtentCursor(path []string) (nodestore.Cursor, bool) {
-	s.metaOps.Add(1)
 	pt := s.fragment(path)
 	if pt == nil {
 		return nodestore.EmptyCursor{}, true // path provably empty
@@ -622,7 +599,6 @@ func (s *Path) ChildrenByTagFilteredCursor(n tree.NodeID, tag string, fs []nodes
 		if c.tag != tag {
 			continue
 		}
-		s.metaOps.Add(1)
 		frag := c
 		cfs := compileFilters(s.dict, fs)
 		return &colIDCursor{
@@ -703,7 +679,6 @@ func (s *Path) fragValueMatchCoded(pt *pathTable, id tree.NodeID, cf *codedFilte
 // is the shared selection-vector slice scan with the fragment-probing
 // match plugged in, so it batches like every other filtered extent.
 func (s *Path) PathExtentFilteredCursor(path []string, fs []nodestore.ValueFilter) (nodestore.Cursor, bool) {
-	s.metaOps.Add(1)
 	pt := s.fragment(path)
 	if pt == nil {
 		return nodestore.EmptyCursor{}, true // path provably empty
@@ -730,7 +705,6 @@ func (s *Path) filteredCursor(pt *pathTable, ids []tree.NodeID, fs []nodestore.V
 func (s *Path) TagExtentPartitions(tag string, k int) ([]nodestore.Cursor, bool) {
 	if pts := s.byTag[tag]; len(pts) == 1 {
 		// One fragment: split its clustered id column in place.
-		s.metaOps.Add(1)
 		return nodestore.SliceCursors(nodestore.SplitIDs(pts[0].ids, k)), true
 	}
 	ext, _ := s.TagExtent(tag, nil)
@@ -741,7 +715,6 @@ func (s *Path) TagExtentPartitions(tag string, k int) ([]nodestore.Cursor, bool)
 // is one fragment, so a partition is a contiguous range of the fragment's
 // clustered id column, sliced in place.
 func (s *Path) PathExtentPartitions(path []string, k int) ([]nodestore.Cursor, bool) {
-	s.metaOps.Add(1)
 	pt := s.fragment(path)
 	if pt == nil {
 		return nil, true // path provably empty: zero partitions
@@ -755,7 +728,6 @@ func (s *Path) PathExtentPartitions(path []string, k int) ([]nodestore.Cursor, b
 // own attribute and #text tables exactly like the sequential
 // PathExtentFilteredCursor.
 func (s *Path) PathExtentFilteredPartitions(path []string, fs []nodestore.ValueFilter, k int) ([]nodestore.Cursor, bool) {
-	s.metaOps.Add(1)
 	pt := s.fragment(path)
 	if pt == nil {
 		return nil, true // path provably empty: zero partitions
@@ -767,10 +739,6 @@ func (s *Path) PathExtentFilteredPartitions(path []string, fs []nodestore.ValueF
 	}
 	return parts, true
 }
-
-// MetaOps returns the number of catalog consultations so far; tests use it
-// to verify the fragmentation metadata tax.
-func (s *Path) MetaOps() int64 { return s.metaOps.Load() }
 
 // Stats implements nodestore.Store.
 func (s *Path) Stats() nodestore.Stats {
@@ -784,6 +752,6 @@ func (s *Path) Stats() nodestore.Stats {
 			tables++
 		}
 	}
-	size += int64(len(s.pathOf))*4 + s.dict.SizeBytes() + s.text.SizeBytes()
+	size += int64(len(s.pathOf)+len(s.rowIn))*4 + s.dict.SizeBytes() + s.text.SizeBytes()
 	return nodestore.Stats{Name: s.name, SizeBytes: size, Tables: tables, Nodes: s.nNodes}
 }

@@ -147,6 +147,16 @@ func TestStringValueProperty(t *testing.T) {
 	const factor = 0.002
 	checkStringValues(t, "generated", []byte(xmlgen.New(xmlgen.Options{Factor: factor}).String()), nil)
 
+	for i, merged := range shardDocs(t, factor) {
+		checkStringValues(t, fmt.Sprintf("shard %d", i), merged, nil)
+	}
+}
+
+// shardDocs splits the generated document ten ways and merges each half of
+// the files into one shard-territory document, as a two-shard deployment
+// loads them.
+func shardDocs(t *testing.T, factor float64) [][]byte {
+	t.Helper()
 	files := map[string]*bytes.Buffer{}
 	err := xmlgen.New(xmlgen.Options{Factor: factor}).WriteSplit(10, func(name string) (io.WriteCloser, error) {
 		files[name] = &bytes.Buffer{}
@@ -160,7 +170,8 @@ func TestStringValueProperty(t *testing.T) {
 		names = append(names, name)
 	}
 	sort.Strings(names)
-	for i, run := range [][]string{names[:len(names)/2], names[len(names)/2:]} {
+	var docs [][]byte
+	for _, run := range [][]string{names[:len(names)/2], names[len(names)/2:]} {
 		group := map[string][]byte{}
 		for _, name := range run {
 			group[name] = files[name].Bytes()
@@ -169,8 +180,9 @@ func TestStringValueProperty(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		checkStringValues(t, fmt.Sprintf("shard %d", i), merged, nil)
+		docs = append(docs, merged)
 	}
+	return docs
 }
 
 type nopCloser struct{ io.Writer }

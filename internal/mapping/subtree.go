@@ -76,6 +76,5 @@ func (s *Edge) AppendSubtree(dst []byte, n tree.NodeID) []byte {
 // call, while the range walk touches each node exactly once through the
 // cheap per-node accessors and never materializes a child list.
 func (s *Path) AppendSubtree(dst []byte, n tree.NodeID) []byte {
-	s.metaOps.Add(1)
 	return nodestore.AppendSubtreeRange(dst, s, n)
 }

@@ -1,6 +1,6 @@
 // Package relational is a small in-memory relational engine: typed tables,
-// hash indexes, and iterator-style operators (scan, select, project, hash
-// join, sort, aggregate).
+// flat equality indexes, and iterator-style operators (scan, select,
+// project, hash join, sort, aggregate).
 //
 // It is the substrate under the paper's "mass storage" Systems A–C, which
 // are "based on relational technology": the XML-to-relational mappings in
@@ -132,10 +132,11 @@ type column struct {
 	codes  []int32
 }
 
-// Table is a column-oriented relation with optional hash indexes. String
-// columns store dictionary codes; the dictionary may be private to the
-// table or shared across all tables of one store (NewTableShared), which
-// is what lets attribute values in different fragments compare by code.
+// Table is a column-oriented relation with optional equality indexes
+// (Index), built once over the finished columns. String columns store
+// dictionary codes; the dictionary may be private to the table or shared
+// across all tables of one store (NewTableShared), which is what lets
+// attribute values in different fragments compare by code.
 type Table struct {
 	Name   string
 	Schema Schema
@@ -143,7 +144,7 @@ type Table struct {
 	nrows   int
 	cols    []column
 	dict    *Dict
-	indexes map[int]*HashIndex
+	indexes map[int]*Index // by column position; nil until CreateIndex
 }
 
 // NewTable creates an empty table with its own private dictionary.
@@ -156,11 +157,10 @@ func NewTable(name string, schema Schema) *Table {
 // over the same dictionary (one dictionary per store).
 func NewTableShared(name string, schema Schema, dict *Dict) *Table {
 	return &Table{
-		Name:    name,
-		Schema:  schema,
-		cols:    make([]column, len(schema)),
-		dict:    dict,
-		indexes: make(map[int]*HashIndex),
+		Name:   name,
+		Schema: schema,
+		cols:   make([]column, len(schema)),
+		dict:   dict,
 	}
 }
 
@@ -170,11 +170,15 @@ func (t *Table) Dict() *Dict { return t.dict }
 // Len returns the row count.
 func (t *Table) Len() int { return t.nrows }
 
-// Append adds a row. It panics if the row width does not match the schema;
-// that is a programming error, not a data error.
+// Append adds a row. It panics if the row width does not match the schema,
+// or if an index has been built (indexes are immutable and would go stale);
+// both are programming errors, not data errors.
 func (t *Table) Append(row ...Value) int {
 	if len(row) != len(t.Schema) {
 		panic(fmt.Sprintf("relational: row width %d != schema width %d in %s", len(row), len(t.Schema), t.Name))
+	}
+	if t.indexes != nil {
+		panic(fmt.Sprintf("relational: Append to %s after an index was built", t.Name))
 	}
 	id := t.nrows
 	for c := range row {
@@ -188,9 +192,6 @@ func (t *Table) Append(row ...Value) int {
 		}
 	}
 	t.nrows++
-	for col, idx := range t.indexes {
-		idx.add(t, col, int32(id))
-	}
 	return id
 }
 
@@ -258,96 +259,6 @@ func (t *Table) SizeBytes() int64 {
 	}
 	for _, idx := range t.indexes {
 		n += idx.sizeBytes()
-	}
-	return n
-}
-
-// CreateIndex builds (or returns an existing) hash index over the column.
-func (t *Table) CreateIndex(col int) *HashIndex {
-	if idx, ok := t.indexes[col]; ok {
-		return idx
-	}
-	idx := newHashIndex(t.Schema[col].T, t.dict)
-	for i := 0; i < t.nrows; i++ {
-		idx.add(t, col, int32(i))
-	}
-	t.indexes[col] = idx
-	return idx
-}
-
-// Index returns the index on col, or nil.
-func (t *Table) Index(col int) *HashIndex { return t.indexes[col] }
-
-// HashIndex is an equality index from column value to row ids. String
-// columns are indexed by dictionary code, so a string lookup is one
-// dictionary probe plus one int map access, and the index stores no
-// string payloads at all.
-type HashIndex struct {
-	t     Type
-	dict  *Dict
-	ints  map[int64][]int32
-	codes map[int32][]int32
-}
-
-func newHashIndex(t Type, dict *Dict) *HashIndex {
-	idx := &HashIndex{t: t, dict: dict}
-	if t == String {
-		idx.codes = make(map[int32][]int32)
-	} else {
-		idx.ints = make(map[int64][]int32)
-	}
-	return idx
-}
-
-func (x *HashIndex) add(t *Table, col int, row int32) {
-	switch x.t {
-	case String:
-		c := t.Code(int(row), col)
-		x.codes[c] = append(x.codes[c], row)
-	case Float:
-		panic("relational: hash index on float column")
-	default:
-		v := t.Int(int(row), col)
-		x.ints[v] = append(x.ints[v], row)
-	}
-}
-
-// LookupInt returns the row ids whose indexed column equals v.
-func (x *HashIndex) LookupInt(v int64) []int32 { return x.ints[v] }
-
-// LookupString returns the row ids whose indexed column equals v. A value
-// absent from the dictionary equals no stored cell, so the lookup
-// short-circuits without hashing the string twice.
-func (x *HashIndex) LookupString(v string) []int32 {
-	c, ok := x.dict.Code(v)
-	if !ok {
-		return nil
-	}
-	return x.codes[c]
-}
-
-// LookupCode returns the row ids whose indexed column holds the given
-// dictionary code.
-func (x *HashIndex) LookupCode(c int32) []int32 { return x.codes[c] }
-
-// Lookup returns the row ids whose indexed column equals v.
-func (x *HashIndex) Lookup(v Value) []int32 {
-	if x.t == String {
-		return x.LookupString(v.S)
-	}
-	return x.ints[v.I]
-}
-
-func (x *HashIndex) sizeBytes() int64 {
-	var n int64
-	if x.codes != nil {
-		for _, rows := range x.codes {
-			n += 4 + 16 + int64(len(rows))*4
-		}
-		return n
-	}
-	for _, rows := range x.ints {
-		n += 8 + 16 + int64(len(rows))*4
 	}
 	return n
 }

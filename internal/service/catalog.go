@@ -153,6 +153,24 @@ func LoadDoc(docText []byte, card xmlgen.Cardinalities, factor float64, systems 
 // Systems returns the loaded system architectures in load order.
 func (c *Catalog) Systems() []xmark.System { return c.systems }
 
+// StoreSize is one loaded system's resident database size: the store's own
+// accounting (nodestore.Stats.SizeBytes, the paper's Table 1 column), which
+// leaves the text index to TextIndexStatus.
+type StoreSize struct {
+	System xmark.SystemID `json:"system"`
+	Bytes  int64          `json:"bytes"`
+}
+
+// StoreBytes reports the store size of every loaded system, in catalog
+// order.
+func (c *Catalog) StoreBytes() []StoreSize {
+	out := make([]StoreSize, 0, len(c.systems))
+	for _, sys := range c.systems {
+		out = append(out, StoreSize{sys.ID, c.instances[sys.ID].Stats.SizeBytes})
+	}
+	return out
+}
+
 // TextIndexStatus is one loaded system's inverted text index accounting,
 // surfaced by the service's health and stats endpoints. Built is false
 // for the architectures that run without the index (the plain-traversal

@@ -1,6 +1,7 @@
 package service
 
 import (
+	"fmt"
 	"io"
 	"strings"
 	"sync"
@@ -36,6 +37,34 @@ func TestWritePromFormat(t *testing.T) {
 	}
 	if n := strings.Count(out, "# TYPE xq_exec_seconds "); n != 1 {
 		t.Errorf("xq_exec_seconds declared %d times", n)
+	}
+}
+
+// TestCatalogPromStoreBytes pins the size gauge: one xq_store_bytes sample
+// per loaded system, in catalog order, carrying the store's own Stats.
+func TestCatalogPromStoreBytes(t *testing.T) {
+	c := testCat(t)
+	var b strings.Builder
+	c.WriteProm(&b)
+	out := b.String()
+	if n := strings.Count(out, "# TYPE xq_store_bytes gauge\n"); n != 1 {
+		t.Errorf("xq_store_bytes declared %d times", n)
+	}
+	at := 0
+	for _, sys := range c.Systems() {
+		inst, err := c.Instance(sys.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		line := fmt.Sprintf("xq_store_bytes{system=%q} %d\n", string(sys.ID), inst.Stats.SizeBytes)
+		i := strings.Index(out[at:], line)
+		if i < 0 {
+			t.Fatalf("scrape is missing %q after offset %d:\n%s", line, at, out)
+		}
+		at += i + len(line)
+	}
+	if at != len(out) {
+		t.Errorf("scrape has samples beyond the loaded systems:\n%s", out)
 	}
 }
 
