@@ -1,599 +1,142 @@
 // Command xmark runs the benchmark evaluation and regenerates the paper's
 // result artifacts: Table 1 (bulkload), Table 2 (compile/execute split),
 // Table 3 (query runtimes on Systems A-F), Figure 3 (generator scaling)
-// and Figure 4 (embedded System G at small scales). Beyond the paper, the
-// -clients mode measures multi-client throughput: closed-loop clients
-// over the shared query service, scaling 1→2→4→… clients per system.
+// and Figure 4 (embedded System G at small scales). Everything goes to
+// stdout; speed over time is measured by bench/ (see bench/README.md).
 //
 // Usage:
 //
 //	xmark -all                   # everything at the default factor
 //	xmark -table3 -factor 0.05   # one artifact at a chosen scale
-//	xmark -verify                # run all 20 queries on all 7 systems and
+//	xmark -verify                # run all 23 queries on all 7 systems and
 //	                             # check the results agree
-//	xmark -clients 8 -duration 2s -mix all -factor 0.01
-//	                             # throughput scaling curve, written to
-//	                             # BENCH_throughput.json
-//	xmark -parallel 8 -factor 0.1
-//	                             # intra-query parallelism speedup curve
-//	                             # (degrees 1,2,4,8 on the scan-heavy
-//	                             # queries), written to BENCH_parallel.json
-//	xmark -vectorbench -factor 0.05
-//	                             # tuple vs columnar-batch joins over the
-//	                             # Q8-Q12 join family, byte-verified at
-//	                             # widths {1,default} x degrees {1,8},
-//	                             # written to BENCH_vector.json
-//	xmark -serbench -factor 0.05
-//	                             # tuple vs vectorized result serialization
-//	                             # over the output-heavy family (Q1, Q10,
-//	                             # Q13, Q14, Q19), byte-verified at widths
-//	                             # {1,default} x degrees {1,8}, written to
-//	                             # BENCH_serialize.json
-//	xmark -analyze -factor 0.01 -gate 5
-//	                             # EXPLAIN ANALYZE cost + operator-time
-//	                             # breakdown per query x system, written to
-//	                             # BENCH_analyze.json; -gate fails the run
-//	                             # when the analyze-off path regresses vs
-//	                             # the tuple baseline
-//	xmark -shardbench 8 -factor 0.1
-//	                             # sharded scatter-gather scaling (shard
-//	                             # counts 1,2,4,8; every cell byte-verified
-//	                             # against the unsharded reference), written
-//	                             # to BENCH_shard.json
-//	xmark -ftbench -factor 0.1
-//	                             # inverted text index vs scan over the
-//	                             # keyword workload (Q14 across term
-//	                             # selectivities plus the hybrid Q21-Q23),
-//	                             # every cell byte-verified at widths
-//	                             # {1,default} x degrees {1,8}, written to
-//	                             # BENCH_fulltext.json
+//	xmark -scan                  # parser-only scan of the document
+//	xmark -inspect               # structural profile of the document
 package main
 
 import (
-	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
-	"strings"
-	"time"
 
-	"repro/internal/service"
-	"repro/internal/shard"
 	"repro/internal/xmark"
 )
 
-func main() {
-	factor := flag.Float64("factor", 0.05, "scaling factor for the table experiments")
-	all := flag.Bool("all", false, "run every artifact")
-	t1 := flag.Bool("table1", false, "bulkload times and database sizes (Systems A-F)")
-	t2 := flag.Bool("table2", false, "compile/execute breakdown of Q1, Q2 (Systems A-C)")
-	t3 := flag.Bool("table3", false, "query runtimes (Systems A-F)")
-	f3 := flag.Bool("figure3", false, "generator scaling table")
-	f4 := flag.Bool("figure4", false, "embedded System G at factors 0.001 and 0.01")
-	verify := flag.Bool("verify", false, "cross-check all 20 queries across all 7 systems")
-	scan := flag.Bool("scan", false, "parser-only scan time of the document (expat baseline)")
-	inspect := flag.Bool("inspect", false, "structural profile of the document (§4 characteristics)")
-	clients := flag.Int("clients", 0, "throughput mode: scale closed-loop clients 1,2,4,... up to N")
-	parallel := flag.Int("parallel", 0, "parallel mode: measure intra-query speedup at degrees 1,2,4,... up to N")
-	batchbench := flag.Bool("batchbench", false, "batch mode: tuple vs batch ns/op and allocs per query x system, written to BENCH_batch.json")
-	vectorbench := flag.Bool("vectorbench", false, "vector mode: tuple vs columnar-batch joins (Q8-Q12) per query x system, byte-verified at widths {1,default} x degrees {1,8}, written to BENCH_vector.json")
-	serbench := flag.Bool("serbench", false, "serialize mode: tuple vs vectorized result serialization (Q1,Q10,Q13,Q14,Q19) per query x system, byte-verified at widths {1,default} x degrees {1,8}, written to BENCH_serialize.json")
-	analyze := flag.Bool("analyze", false, "analyze mode: EXPLAIN ANALYZE cost and operator-time breakdown per query x system, written to BENCH_analyze.json")
-	gate := flag.Float64("gate", 0, "analyze mode: fail when per-cell analyze-off regressions vs the tuple baseline sum to more than this percent of the tuple total (0 = no gate); regression-only, so batch-join speedups cannot mask a leak")
-	shardbench := flag.Int("shardbench", 0, "shard mode: scatter-gather scaling at shard counts 1,2,4,... up to N, written to BENCH_shard.json")
-	ftbench := flag.Bool("ftbench", false, "fulltext mode: inverted text index vs scan over the keyword workload (Q14 across selectivities plus Q21-Q23), written to BENCH_fulltext.json")
-	ftfactors := flag.String("ftfactors", "", "fulltext mode: comma list of document factors (empty = the -factor value)")
-	duration := flag.Duration("duration", 2*time.Second, "throughput mode: measurement window per cell")
-	mix := flag.String("mix", "all", "throughput mode: query mix, e.g. all | Q1..Q20 | Q1,Q8,Q10")
-	systems := flag.String("systems", "", "throughput mode: systems to drive, e.g. DEF (empty = all seven)")
-	out := flag.String("out", "BENCH_throughput.json", "throughput mode: output artifact path")
-	flag.Parse()
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
-	outSet := false
-	flag.Visit(func(f *flag.Flag) {
-		if f.Name == "out" {
-			outSet = true
+// run is main with its arguments and streams passed in: it returns the
+// exit status — 0 on success, 1 when an artifact fails, 2 on a usage
+// error.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("xmark", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	factor := fs.Float64("factor", 0.05, "scaling factor for the table experiments")
+	all := fs.Bool("all", false, "run every artifact")
+	t1 := fs.Bool("table1", false, "bulkload times and database sizes (Systems A-F)")
+	t2 := fs.Bool("table2", false, "compile/execute breakdown of Q1, Q2 (Systems A-C)")
+	t3 := fs.Bool("table3", false, "query runtimes (Systems A-F)")
+	f3 := fs.Bool("figure3", false, "generator scaling table")
+	f4 := fs.Bool("figure4", false, "embedded System G at factors 0.001 and 0.01")
+	verify := fs.Bool("verify", false, "cross-check all 23 queries across all 7 systems")
+	scan := fs.Bool("scan", false, "parser-only scan time of the document (expat baseline)")
+	inspect := fs.Bool("inspect", false, "structural profile of the document (§4 characteristics)")
+	if err := fs.Parse(args); err != nil {
+		if errors.Is(err, flag.ErrHelp) {
+			return 0
 		}
-	})
-	if *clients > 0 {
-		runThroughput(*factor, *clients, *duration, *mix, *systems, *out)
-		return
+		return 2
 	}
-	if *parallel > 0 {
-		dest := *out
-		if !outSet {
-			dest = "BENCH_parallel.json"
-		}
-		runParallel(*factor, *parallel, *mix, *systems, dest)
-		return
-	}
-	if *batchbench {
-		dest := *out
-		if !outSet {
-			dest = "BENCH_batch.json"
-		}
-		runBatchBench(*factor, *mix, *systems, dest)
-		return
-	}
-	if *vectorbench {
-		dest := *out
-		if !outSet {
-			dest = "BENCH_vector.json"
-		}
-		runVectorBench(*factor, *mix, *systems, dest)
-		return
-	}
-	if *serbench {
-		dest := *out
-		if !outSet {
-			dest = "BENCH_serialize.json"
-		}
-		runSerializeBench(*factor, *mix, *systems, dest)
-		return
-	}
-	if *analyze {
-		dest := *out
-		if !outSet {
-			dest = "BENCH_analyze.json"
-		}
-		runAnalyzeBench(*factor, *mix, *systems, dest, *gate)
-		return
-	}
-	if *shardbench > 0 {
-		dest := *out
-		if !outSet {
-			dest = "BENCH_shard.json"
-		}
-		runShardBench(*factor, *shardbench, *mix, *systems, dest)
-		return
-	}
-	if *ftbench {
-		dest := *out
-		if !outSet {
-			dest = "BENCH_fulltext.json"
-		}
-		runFulltextBench(*factor, *ftfactors, *systems, dest)
-		return
-	}
+
 	if *all {
 		*t1, *t2, *t3, *f3, *f4, *verify, *scan = true, true, true, true, true, true, true
 	}
 	if !(*t1 || *t2 || *t3 || *f3 || *f4 || *verify || *scan || *inspect) {
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "xmark:", err)
+		return 1
 	}
 
 	var bench *xmark.Benchmark
 	need := func() *xmark.Benchmark {
 		if bench == nil {
-			fmt.Printf("generating document at factor %g...\n", *factor)
+			fmt.Fprintf(stdout, "generating document at factor %g...\n", *factor)
 			bench = xmark.NewBenchmark(*factor)
-			fmt.Printf("document: %.1f MB, generated in %v\n\n", float64(len(bench.DocText))/1e6, bench.GenTime)
+			fmt.Fprintf(stdout, "document: %.1f MB, generated in %v\n\n", float64(len(bench.DocText))/1e6, bench.GenTime)
 		}
 		return bench
 	}
 
 	if *f3 {
 		rows := xmark.RunFigure3([]float64{0.001, 0.005, 0.01, 0.05, 0.1})
-		xmark.RenderFigure3(os.Stdout, rows)
-		fmt.Println()
+		xmark.RenderFigure3(stdout, rows)
+		fmt.Fprintln(stdout)
 	}
 	if *scan {
 		b := need()
 		d, err := b.ScanTime()
-		check(err)
+		if err != nil {
+			return fail(err)
+		}
 		mbs := float64(len(b.DocText)) / 1e6 / d.Seconds()
-		fmt.Printf("Parser scan (expat baseline): %v for %.1f MB (%.1f MB/s)\n\n",
+		fmt.Fprintf(stdout, "Parser scan (expat baseline): %v for %.1f MB (%.1f MB/s)\n\n",
 			d, float64(len(b.DocText))/1e6, mbs)
 	}
 	if *t1 {
 		rows, err := need().RunTable1()
-		check(err)
-		xmark.RenderTable1(os.Stdout, rows)
-		fmt.Println()
+		if err != nil {
+			return fail(err)
+		}
+		xmark.RenderTable1(stdout, rows)
+		fmt.Fprintln(stdout)
 	}
 	if *t2 {
 		rows, err := need().RunTable2(3)
-		check(err)
-		xmark.RenderTable2(os.Stdout, rows)
-		fmt.Println()
+		if err != nil {
+			return fail(err)
+		}
+		xmark.RenderTable2(stdout, rows)
+		fmt.Fprintln(stdout)
 	}
 	if *t3 {
 		cells, err := need().RunTable3()
-		check(err)
-		xmark.RenderTable3(os.Stdout, cells)
-		// Persist the Table 3 trajectory: query x system ns/op and allocs
-		// as a machine-readable artifact CI uploads alongside the
-		// throughput curve.
-		data, err := json.MarshalIndent(struct {
-			Factor float64            `json:"factor"`
-			Cells  []xmark.Table3Cell `json:"cells"`
-		}{*factor, cells}, "", "  ")
-		check(err)
-		check(os.WriteFile("BENCH_table3.json", append(data, '\n'), 0o644))
-		fmt.Println("wrote BENCH_table3.json")
-		fmt.Println()
+		if err != nil {
+			return fail(err)
+		}
+		xmark.RenderTable3(stdout, cells)
+		fmt.Fprintln(stdout)
 	}
 	if *f4 {
 		points, err := xmark.RunFigure4([]float64{0.001, 0.01})
-		check(err)
-		xmark.RenderFigure4(os.Stdout, points)
-		fmt.Println()
+		if err != nil {
+			return fail(err)
+		}
+		xmark.RenderFigure4(stdout, points)
+		fmt.Fprintln(stdout)
 	}
 	if *inspect {
 		p, err := xmark.Profile(need().DocText)
-		check(err)
-		p.Render(os.Stdout, 20)
-		fmt.Println()
+		if err != nil {
+			return fail(err)
+		}
+		p.Render(stdout, 20)
+		fmt.Fprintln(stdout)
 	}
 	if *verify {
 		b := need()
-		fmt.Println("verifying: all 20 queries on all 7 systems...")
+		fmt.Fprintf(stdout, "verifying: all %d queries on all 7 systems...\n", len(xmark.AllQueries()))
 		instances, err := b.LoadAll(xmark.Systems())
-		check(err)
-		check(b.VerifyAll(instances))
-		fmt.Println("OK: every system returned identical results for every query")
-	}
-}
-
-// runThroughput drives the multi-client scaling experiment and writes
-// the BENCH_throughput.json artifact.
-func runThroughput(factor float64, maxClients int, duration time.Duration, mixSpec, systemsSpec, out string) {
-	queryIDs, err := parseMix(mixSpec)
-	check(err)
-	var sysIDs []xmark.SystemID
-	var load []xmark.System
-	for _, r := range systemsSpec {
-		sys, err := xmark.SystemByID(xmark.SystemID(r))
-		check(err)
-		sysIDs = append(sysIDs, sys.ID)
-		load = append(load, sys)
-	}
-
-	fmt.Printf("loading catalog at factor %g...\n", factor)
-	cat, err := service.Load(factor, load)
-	check(err)
-	fmt.Printf("catalog: %d systems, %.1f MB document, loaded in %v\n",
-		len(cat.Systems()), float64(cat.DocBytes)/1e6, cat.LoadTime)
-
-	steps := service.ClientSteps(maxClients)
-	fmt.Printf("throughput: clients %v, %v per cell, %d-query mix\n\n", steps, duration, len(queryIDs))
-	report, err := service.RunThroughput(cat, service.ThroughputOptions{
-		ClientSteps: steps,
-		Duration:    duration,
-		QueryIDs:    queryIDs,
-		Systems:     sysIDs,
-	})
-	check(err)
-
-	fmt.Printf("%-8s %8s %10s %10s %10s %10s\n", "system", "clients", "qps", "p50 ms", "p95 ms", "p99 ms")
-	for _, p := range report.Points {
-		fmt.Printf("%-8s %8d %10.1f %10.3f %10.3f %10.3f\n",
-			p.System, p.Clients, p.QPS, p.P50Ms, p.P95Ms, p.P99Ms)
-	}
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	check(err)
-	check(os.WriteFile(out, append(data, '\n'), 0o644))
-	fmt.Printf("\nwrote %s\n", out)
-}
-
-// runParallel drives the intra-query parallelism experiment: the
-// scan-heavy queries (or an explicit -mix) at degrees 1,2,4,... up to
-// maxDegree, written to the BENCH_parallel.json artifact. Every parallel
-// run is byte-verified against its sequential output before timing.
-func runParallel(factor float64, maxDegree int, mixSpec, systemsSpec, dest string) {
-	queryIDs := xmark.ParallelQueryIDs
-	if !strings.EqualFold(strings.TrimSpace(mixSpec), "all") && strings.TrimSpace(mixSpec) != "" {
-		var err error
-		queryIDs, err = parseMix(mixSpec)
-		check(err)
-	}
-	if systemsSpec == "" {
-		// The fragmenting mapping and the summarized main-memory store:
-		// the two architectures where every scan-heavy query partitions.
-		systemsSpec = "BD"
-	}
-	var load []xmark.System
-	for _, r := range systemsSpec {
-		sys, err := xmark.SystemByID(xmark.SystemID(r))
-		check(err)
-		load = append(load, sys)
-	}
-	degrees := service.ClientSteps(maxDegree)
-
-	fmt.Printf("generating document at factor %g...\n", factor)
-	bench := xmark.NewBenchmark(factor)
-	fmt.Printf("document: %.1f MB; degrees %v; queries %v; systems %s\n\n",
-		float64(len(bench.DocText))/1e6, degrees, queryIDs, systemsSpec)
-	report, err := bench.RunParallel(load, queryIDs, degrees, 3)
-	check(err)
-	report.Render(os.Stdout)
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	check(err)
-	check(os.WriteFile(dest, append(data, '\n'), 0o644))
-	fmt.Printf("\nwrote %s\n", dest)
-}
-
-// runBatchBench drives the batch-vs-tuple experiment: the Table 3 queries
-// (or an explicit -mix) serialized tuple-at-a-time and batch-at-a-time,
-// byte-verified identical, written to the BENCH_batch.json artifact.
-func runBatchBench(factor float64, mixSpec, systemsSpec, dest string) {
-	queryIDs := xmark.Table3QueryIDs
-	if !strings.EqualFold(strings.TrimSpace(mixSpec), "all") && strings.TrimSpace(mixSpec) != "" {
-		var err error
-		queryIDs, err = parseMix(mixSpec)
-		check(err)
-	}
-	load := xmark.MassStorageSystems()
-	if systemsSpec != "" {
-		load = nil
-		for _, r := range systemsSpec {
-			sys, err := xmark.SystemByID(xmark.SystemID(r))
-			check(err)
-			load = append(load, sys)
-		}
-	}
-
-	fmt.Printf("generating document at factor %g...\n", factor)
-	bench := xmark.NewBenchmark(factor)
-	fmt.Printf("document: %.1f MB; queries %v; %d systems\n\n",
-		float64(len(bench.DocText))/1e6, queryIDs, len(load))
-	report, err := bench.RunBatchBench(load, queryIDs, 5)
-	check(err)
-	report.Render(os.Stdout)
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	check(err)
-	check(os.WriteFile(dest, append(data, '\n'), 0o644))
-	fmt.Printf("\nwrote %s\n", dest)
-}
-
-// runVectorBench drives the join-vectorization experiment: the Q8-Q12
-// join family (or an explicit -mix) serialized tuple-at-a-time and
-// columnar-batch, byte-verified identical at widths {1, default} x
-// degrees {1, 8}, written to the BENCH_vector.json artifact.
-func runVectorBench(factor float64, mixSpec, systemsSpec, dest string) {
-	queryIDs := xmark.JoinQueryIDs
-	if !strings.EqualFold(strings.TrimSpace(mixSpec), "all") && strings.TrimSpace(mixSpec) != "" {
-		var err error
-		queryIDs, err = parseMix(mixSpec)
-		check(err)
-	}
-	load := xmark.MassStorageSystems()
-	if systemsSpec != "" {
-		load = nil
-		for _, r := range systemsSpec {
-			sys, err := xmark.SystemByID(xmark.SystemID(r))
-			check(err)
-			load = append(load, sys)
-		}
-	}
-
-	fmt.Printf("generating document at factor %g...\n", factor)
-	bench := xmark.NewBenchmark(factor)
-	fmt.Printf("document: %.1f MB; queries %v; %d systems\n\n",
-		float64(len(bench.DocText))/1e6, queryIDs, len(load))
-	report, err := bench.RunVectorBench(load, queryIDs, 5)
-	check(err)
-	report.Render(os.Stdout)
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	check(err)
-	check(os.WriteFile(dest, append(data, '\n'), 0o644))
-	fmt.Printf("\nwrote %s\n", dest)
-}
-
-// runSerializeBench drives the serialization experiment: the output-heavy
-// family (or an explicit -mix) drained through the tuple ItemWriter and
-// the vectorized batch writer, byte-verified identical at widths
-// {1, default} x degrees {1, 8}, written to the BENCH_serialize.json
-// artifact with per-cell MB/s emission rates.
-func runSerializeBench(factor float64, mixSpec, systemsSpec, dest string) {
-	queryIDs := xmark.SerializeQueryIDs
-	if !strings.EqualFold(strings.TrimSpace(mixSpec), "all") && strings.TrimSpace(mixSpec) != "" {
-		var err error
-		queryIDs, err = parseMix(mixSpec)
-		check(err)
-	}
-	load := xmark.MassStorageSystems()
-	if systemsSpec != "" {
-		load = nil
-		for _, r := range systemsSpec {
-			sys, err := xmark.SystemByID(xmark.SystemID(r))
-			check(err)
-			load = append(load, sys)
-		}
-	}
-
-	fmt.Printf("generating document at factor %g...\n", factor)
-	bench := xmark.NewBenchmark(factor)
-	fmt.Printf("document: %.1f MB; queries %v; %d systems\n\n",
-		float64(len(bench.DocText))/1e6, queryIDs, len(load))
-	report, err := bench.RunSerializeBench(load, queryIDs, 5)
-	check(err)
-	report.Render(os.Stdout)
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	check(err)
-	check(os.WriteFile(dest, append(data, '\n'), 0o644))
-	fmt.Printf("\nwrote %s\n", dest)
-}
-
-// runAnalyzeBench drives the instrumentation-cost experiment: every
-// benchmark query (or an explicit -mix) on every system (or -systems) run
-// tuple-at-a-time, batch analyze-off and under EXPLAIN ANALYZE, all three
-// byte-verified identical, written to the BENCH_analyze.json artifact
-// with each cell's hottest-first operator-time breakdown. With -gate P
-// the run exits non-zero when the per-cell analyze-off regressions vs the
-// tuple baseline sum to more than P% of the tuple total — the CI tripwire
-// that keeps the instrumentation hooks off the normal path. The gate is
-// regression-only: the join family's batch speedups (Q8-Q12 run up to
-// ~20x faster at the default width) may not offset a leak elsewhere.
-func runAnalyzeBench(factor float64, mixSpec, systemsSpec, dest string, gatePct float64) {
-	var queryIDs []int
-	if !strings.EqualFold(strings.TrimSpace(mixSpec), "all") && strings.TrimSpace(mixSpec) != "" {
-		var err error
-		queryIDs, err = parseMix(mixSpec)
-		check(err)
-	}
-	load := xmark.Systems()
-	if systemsSpec != "" {
-		load = nil
-		for _, r := range systemsSpec {
-			sys, err := xmark.SystemByID(xmark.SystemID(r))
-			check(err)
-			load = append(load, sys)
-		}
-	}
-
-	fmt.Printf("generating document at factor %g...\n", factor)
-	bench := xmark.NewBenchmark(factor)
-	fmt.Printf("document: %.1f MB; %d systems\n\n",
-		float64(len(bench.DocText))/1e6, len(load))
-	report, err := bench.RunAnalyzeBench(load, queryIDs, 3)
-	check(err)
-	report.Render(os.Stdout)
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	check(err)
-	check(os.WriteFile(dest, append(data, '\n'), 0o644))
-	fmt.Printf("\nwrote %s\n", dest)
-	if gatePct > 0 && report.OffRegressionPct > gatePct {
-		fmt.Fprintf(os.Stderr, "xmark: analyze-off cell regressions sum to %.1f%% of the tuple baseline (gate %.1f%%)\n",
-			report.OffRegressionPct, gatePct)
-		os.Exit(1)
-	}
-}
-
-// runShardBench drives the sharded scale-out experiment: the shardable
-// query mix (or an explicit -mix) through the scatter-gather coordinator
-// at shard counts 1,2,4,... up to maxShards, every cell byte-verified
-// against the unsharded reference, written to the BENCH_shard.json
-// artifact.
-func runShardBench(factor float64, maxShards int, mixSpec, systemsSpec, dest string) {
-	queryIDs := shard.ShardBenchQueryIDs
-	if !strings.EqualFold(strings.TrimSpace(mixSpec), "all") && strings.TrimSpace(mixSpec) != "" {
-		var err error
-		queryIDs, err = parseMix(mixSpec)
-		check(err)
-	}
-	if systemsSpec == "" {
-		// Same pair as the parallel experiment: the fragmenting mapping and
-		// the summarized main-memory store.
-		systemsSpec = "BD"
-	}
-	var load []xmark.System
-	for _, r := range systemsSpec {
-		sys, err := xmark.SystemByID(xmark.SystemID(r))
-		check(err)
-		load = append(load, sys)
-	}
-
-	fmt.Printf("shard scaling at factor %g: shard counts %v; queries %v; systems %s\n\n",
-		factor, shard.ShardSteps(maxShards), queryIDs, systemsSpec)
-	report, err := shard.RunShardBench(factor, maxShards, load, queryIDs, 3)
-	check(err)
-	report.Render(os.Stdout)
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	check(err)
-	check(os.WriteFile(dest, append(data, '\n'), 0o644))
-	fmt.Printf("\nwrote %s\n", dest)
-}
-
-// runFulltextBench drives the full-text experiment: the keyword workload
-// (Q14 across the term-selectivity axis plus the hybrid keyword+structure
-// queries Q21-Q23) executed through the scan plan and the inverted-index
-// plan over the same loaded stores, every cell byte-verified at widths
-// {1, default} x degrees {1, 8} against the scan reference, written to
-// the BENCH_fulltext.json artifact with per-system index build cost and
-// resident size.
-func runFulltextBench(factor float64, factorsSpec, systemsSpec, dest string) {
-	factors := []float64{factor}
-	if strings.TrimSpace(factorsSpec) != "" {
-		factors = nil
-		for _, part := range strings.Split(factorsSpec, ",") {
-			f, err := strconv.ParseFloat(strings.TrimSpace(part), 64)
-			check(err)
-			factors = append(factors, f)
-		}
-	}
-	load := xmark.Systems()
-	if systemsSpec != "" {
-		load = nil
-		for _, r := range systemsSpec {
-			sys, err := xmark.SystemByID(xmark.SystemID(r))
-			check(err)
-			load = append(load, sys)
-		}
-	}
-
-	fmt.Printf("fulltext: factors %v; queries %v; %d systems\n\n",
-		factors, xmark.FulltextQueryIDs, len(load))
-	report, err := xmark.RunFulltextBench(factors, load, 3)
-	check(err)
-	report.Render(os.Stdout)
-
-	data, err := json.MarshalIndent(report, "", "  ")
-	check(err)
-	check(os.WriteFile(dest, append(data, '\n'), 0o644))
-	fmt.Printf("\nwrote %s\n", dest)
-}
-
-// parseMix parses the -mix flag: "all", a comma list of query names
-// ("Q1,Q8,10"), or a range ("Q1..Q20").
-func parseMix(spec string) ([]int, error) {
-	spec = strings.TrimSpace(spec)
-	if spec == "" || strings.EqualFold(spec, "all") {
-		ids := make([]int, 20)
-		for i := range ids {
-			ids[i] = i + 1
-		}
-		return ids, nil
-	}
-	parseQ := func(s string) (int, error) {
-		s = strings.TrimPrefix(strings.TrimSpace(strings.ToUpper(s)), "Q")
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 1 || n > 20 {
-			return 0, fmt.Errorf("bad query %q in -mix (want Q1..Q20)", s)
-		}
-		return n, nil
-	}
-	if lo, hi, ok := strings.Cut(spec, ".."); ok {
-		a, err := parseQ(lo)
 		if err != nil {
-			return nil, err
+			return fail(err)
 		}
-		b, err := parseQ(hi)
-		if err != nil {
-			return nil, err
+		if err := b.VerifyAll(instances); err != nil {
+			return fail(err)
 		}
-		if b < a {
-			a, b = b, a
-		}
-		var ids []int
-		for q := a; q <= b; q++ {
-			ids = append(ids, q)
-		}
-		return ids, nil
+		fmt.Fprintln(stdout, "OK: every system returned identical results for every query")
 	}
-	var ids []int
-	for _, part := range strings.Split(spec, ",") {
-		q, err := parseQ(part)
-		if err != nil {
-			return nil, err
-		}
-		ids = append(ids, q)
-	}
-	return ids, nil
-}
-
-func check(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "xmark:", err)
-		os.Exit(1)
-	}
+	return 0
 }

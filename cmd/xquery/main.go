@@ -31,7 +31,7 @@ func main() {
 	system := flag.String("system", "D", "system architecture A-G")
 	queryFile := flag.String("q", "", "read the query from a file ('-' for stdin)")
 	queryFileF := flag.String("f", "", "read the query from a file ('-' for stdin); alias of -q")
-	benchQuery := flag.Int("n", 0, "run benchmark query number 1-20 instead of an inline query")
+	benchQuery := flag.Int("n", 0, "run benchmark query number 1-23 instead of an inline query")
 	explain := flag.Bool("explain", false, "print the optimized plan and fired rules instead of executing")
 	analyze := flag.Bool("analyze", false, "EXPLAIN ANALYZE: execute once and print the plan annotated with per-operator runtime counters")
 	timing := flag.Bool("time", false, "print load, compile and execution times")
@@ -56,8 +56,13 @@ func main() {
 
 	var src string
 	switch {
-	case *benchQuery >= 1 && *benchQuery <= 20:
-		src = xmark.Query(*benchQuery).Text(card)
+	case *benchQuery != 0:
+		var err error
+		src, err = benchQueryText(*benchQuery, card)
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "xquery:", err)
+			os.Exit(2)
+		}
 	case *queryFile != "":
 		src = readQuery(*queryFile)
 	case flag.NArg() == 1:
@@ -114,6 +119,17 @@ func main() {
 		fmt.Fprintf(os.Stderr, "system %s: load %v, compile %v, execute %v, %d result bytes\n",
 			sys.ID, inst.LoadTime, res.Compile, res.Execute, len(res.Output))
 	}
+}
+
+// benchQueryText resolves -n to the source of benchmark query n for a
+// document with the given cardinalities. A number outside the catalog is
+// an error, so a mistyped -n can neither fall through to another query
+// source nor be silently ignored.
+func benchQueryText(n int, card xmlgen.Cardinalities) (string, error) {
+	if last := len(xmark.AllQueries()); n < 1 || n > last {
+		return "", fmt.Errorf("-n %d: benchmark queries are numbered 1-%d", n, last)
+	}
+	return xmark.Query(n).Text(card), nil
 }
 
 // readQuery loads the query text from a file, or from stdin when path is

@@ -240,7 +240,7 @@ func fmtNs(ns int64) string {
 
 // Analysis is the outcome of one instrumented execution: the EXPLAIN tree
 // annotated with runtime counters, plus a flat hottest-first breakdown for
-// callers (xmark -analyze) that aggregate across queries.
+// callers that aggregate across queries.
 type Analysis struct {
 	// Report is the annotated EXPLAIN tree: the plan rendering with a
 	// {rows=…, time=…} counter block appended to every operator that ran.

@@ -172,35 +172,6 @@ func SerializeString(store nodestore.Store, s Seq) string {
 	return b.String()
 }
 
-// SerializeItems serializes a materialized result sequence through one of
-// the two emission strategies: vectorized=false drains the tuple
-// ItemWriter (recursive per-node navigation, per-call escape), while
-// vectorized=true drains the batch writer (append-only buffer, interned
-// name bytes, subtree-batch emission, session-recycled buffers). The two
-// modes are byte-identical by contract; the function exists so benchmarks
-// and tests can compare the serialization stage in isolation from query
-// execution. sess supplies the batch writer's recycled buffers and may be
-// shared across calls; the tuple mode ignores it.
-func SerializeItems(w io.Writer, store nodestore.Store, sess *Session, items []Item, vectorized bool) error {
-	if vectorized {
-		bw := newBatchItemWriter(w, store, sess)
-		for _, it := range items {
-			if err := bw.WriteItem(it); err != nil {
-				bw.release()
-				return err
-			}
-		}
-		return bw.Flush()
-	}
-	iw := NewItemWriter(w, store)
-	for _, it := range items {
-		if err := iw.WriteItem(it); err != nil {
-			return err
-		}
-	}
-	return iw.Err()
-}
-
 // batchFlushThreshold is the buffered byte count at which the batch writer
 // flushes to the underlying writer: large enough that flushes amortize to
 // nothing, small enough that a streaming consumer sees output in chunks.

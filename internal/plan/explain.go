@@ -51,8 +51,8 @@ func annotatedBelow(n *Node, annot func(*Node) string) bool {
 }
 
 // NodeLabel names a node the way the EXPLAIN tree renders its primary
-// line, for flat per-operator breakdowns (xmark -analyze) that cannot
-// carry tree context.
+// line, for flat per-operator breakdowns (engine.Analysis.Ops) that
+// cannot carry tree context.
 func NodeLabel(n *Node) string {
 	switch n.Op {
 	case OpPathScan:

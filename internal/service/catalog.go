@@ -97,10 +97,8 @@ func LoadDoc(docText []byte, card xmlgen.Cardinalities, factor float64, systems 
 		prepared:  make(map[prepKey]*engine.Prepared),
 		queryText: make(map[int]string),
 	}
-	for _, qs := range [][]xmark.QuerySpec{xmark.Queries(), xmark.HybridQueries()} {
-		for _, q := range qs {
-			c.queryText[q.ID] = q.Text(card)
-		}
+	for _, q := range xmark.AllQueries() {
+		c.queryText[q.ID] = q.Text(card)
 	}
 
 	type loaded struct {

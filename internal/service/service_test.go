@@ -53,6 +53,22 @@ func sequentialReference(t *testing.T, c *Catalog) map[prepKey]string {
 	return ref
 }
 
+// TestCatalogServesAllQueries pins that the catalog's numbered queries
+// are exactly xmark.AllQueries, the list VerifyAll cross-checks, so no
+// served query escapes the cross-system agreement test.
+func TestCatalogServesAllQueries(t *testing.T) {
+	ids := testCat(t).QueryIDs()
+	all := xmark.AllQueries()
+	if len(ids) != len(all) {
+		t.Fatalf("catalog serves %d queries, VerifyAll checks %d", len(ids), len(all))
+	}
+	for i, q := range all {
+		if ids[i] != q.ID {
+			t.Fatalf("catalog query %d is Q%d, AllQueries has Q%d", i, ids[i], q.ID)
+		}
+	}
+}
+
 // TestConcurrentAllQueriesAllSystems is the acceptance net of the service
 // layer: 8 goroutines concurrently execute every benchmark query on every
 // system through one shared Executor, and every result must be
@@ -291,71 +307,6 @@ func TestAdHocQueryText(t *testing.T) {
 	if ex.Metrics().Snapshot().Failed != 3 {
 		t.Fatalf("failed counter = %d, want 3", ex.Metrics().Snapshot().Failed)
 	}
-}
-
-// TestThroughputSmoke runs a miniature scaling curve end to end and
-// sanity-checks the report shape.
-func TestThroughputSmoke(t *testing.T) {
-	c := testCat(t)
-	report, err := RunThroughput(c, ThroughputOptions{
-		ClientSteps: []int{1, 2},
-		Duration:    50 * time.Millisecond,
-		QueryIDs:    []int{1, 2, 3},
-		Systems:     []xmark.SystemID{xmark.SystemD},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Points) != 2 {
-		t.Fatalf("want 2 points, got %d", len(report.Points))
-	}
-	for _, p := range report.Points {
-		if p.System != "D" || p.Requests == 0 || p.QPS <= 0 {
-			t.Fatalf("bad point: %+v", p)
-		}
-		if p.Errors != 0 {
-			t.Fatalf("errors in scaling cell: %+v", p)
-		}
-	}
-}
-
-func TestClientSteps(t *testing.T) {
-	for _, tc := range []struct {
-		max  int
-		want string
-	}{
-		{1, "[1]"},
-		{4, "[1 2 4]"},
-		{6, "[1 2 4 6]"},
-		{16, "[1 2 4 8 16]"},
-	} {
-		got := ClientSteps(tc.max)
-		s := "["
-		for i, v := range got {
-			if i > 0 {
-				s += " "
-			}
-			s += itoa(v)
-		}
-		s += "]"
-		if s != tc.want {
-			t.Errorf("ClientSteps(%d) = %s, want %s", tc.max, s, tc.want)
-		}
-	}
-}
-
-func itoa(v int) string {
-	if v == 0 {
-		return "0"
-	}
-	var b [8]byte
-	i := len(b)
-	for v > 0 {
-		i--
-		b[i] = byte('0' + v%10)
-		v /= 10
-	}
-	return string(b[i:])
 }
 
 // TestConcurrentParallelDegreePool runs the executor with a large shared

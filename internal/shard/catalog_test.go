@@ -64,19 +64,3 @@ func TestCoordinatorStatus(t *testing.T) {
 		}
 	}
 }
-
-func TestShardStepsDoubling(t *testing.T) {
-	got := ShardSteps(8)
-	want := []int{1, 2, 4, 8}
-	if len(got) != len(want) {
-		t.Fatalf("ShardSteps(8) = %v, want %v", got, want)
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("ShardSteps(8) = %v, want %v", got, want)
-		}
-	}
-	if s := ShardSteps(0); len(s) != 1 || s[0] != 1 {
-		t.Fatalf("ShardSteps(0) = %v, want [1]", s)
-	}
-}

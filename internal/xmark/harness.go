@@ -70,12 +70,12 @@ func (b *Benchmark) RunQuery(inst *Instance, id int) (QueryResult, error) {
 	return inst.Run(id, b.QueryText(id))
 }
 
-// VerifyAll runs every query on every instance and checks that all
-// architectures return identical serialized results. This is the
-// benchmark-as-verifier use of the paper (§1: the query set can "aid in
-// the verification of query processors").
+// VerifyAll runs every numbered query (AllQueries, Q1-Q23) on every
+// instance and checks that all architectures return identical serialized
+// results. This is the benchmark-as-verifier use of the paper (§1: the
+// query set can "aid in the verification of query processors").
 func (b *Benchmark) VerifyAll(instances []*Instance) error {
-	for _, q := range Queries() {
+	for _, q := range AllQueries() {
 		var ref QueryResult
 		for i, inst := range instances {
 			res, err := b.RunQuery(inst, q.ID)
@@ -196,18 +196,15 @@ func (b *Benchmark) RunTable2(reps int) ([]Table2Row, error) {
 // Table 3.
 var Table3QueryIDs = []int{1, 2, 3, 5, 6, 7, 8, 9, 10, 11, 12, 17, 20}
 
-// Table3Cell is one measurement of Table 3. The JSON tags shape the
-// machine-readable BENCH_table3.json artifact `xmark -table3` emits
-// alongside the pretty-printed table, so the bench trajectory of query ×
-// system runtimes persists across runs instead of scrolling away.
+// Table3Cell is one measurement of Table 3.
 type Table3Cell struct {
-	QueryID int           `json:"query"`
-	System  SystemID      `json:"system"`
-	Time    time.Duration `json:"ns_op"`
-	OutSize int           `json:"out_bytes"`
+	QueryID int
+	System  SystemID
+	Time    time.Duration
+	OutSize int
 	// Allocs is the heap allocation count of the best run (compile plus
 	// streamed execution), measured from runtime.MemStats deltas.
-	Allocs uint64 `json:"allocs"`
+	Allocs uint64
 }
 
 // RunTable3 reproduces Table 3: runtimes of the reported queries on the

@@ -45,30 +45,3 @@ func TestParallelByteIdentical(t *testing.T) {
 		}
 	}
 }
-
-// TestParallelReportCurve smoke-tests the speedup-curve harness at a tiny
-// factor: every requested cell is present, byte-verified, and the
-// scan-heavy queries actually compile to Gather plans on a splittable
-// system.
-func TestParallelReportCurve(t *testing.T) {
-	b := bench(t, 0.005)
-	sysD, err := SystemByID(SystemD)
-	if err != nil {
-		t.Fatal(err)
-	}
-	report, err := b.RunParallel([]System{sysD}, []int{5, 14, 20}, []int{1, 2}, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(report.Points) != 6 {
-		t.Fatalf("point count = %d, want 6", len(report.Points))
-	}
-	for _, p := range report.Points {
-		if !p.Parallel {
-			t.Errorf("Q%d on system %s compiled without a Gather", p.QueryID, p.System)
-		}
-		if p.NsOp <= 0 {
-			t.Errorf("Q%d degree %d: no time recorded", p.QueryID, p.Degree)
-		}
-	}
-}

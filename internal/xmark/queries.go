@@ -13,7 +13,8 @@ import (
 
 // QuerySpec describes one benchmark query.
 type QuerySpec struct {
-	// ID is the query number, 1 through 20.
+	// ID is the query number: 1 through 20 are the paper's, 21+ the
+	// hybrid extensions.
 	ID int
 	// Concept is the section heading the paper groups the query under.
 	Concept string
@@ -53,12 +54,7 @@ func Queries() []QuerySpec { return querySpecs }
 
 // Query returns the query with the given 1-based ID: 1-20 are the paper's
 // queries, 21+ the hybrid keyword+structure extensions.
-func Query(id int) QuerySpec {
-	if id > len(querySpecs) {
-		return hybridSpecs[id-len(querySpecs)-1]
-	}
-	return querySpecs[id-1]
-}
+func Query(id int) QuerySpec { return allSpecs[id-1] }
 
 // HybridQueries returns the keyword+structure extension queries (IDs
 // 21+): the Q14 full-text concept crossed with structural navigation,
@@ -66,6 +62,25 @@ func Query(id int) QuerySpec {
 // plain XQuery the scan path answers identically — the index changes
 // plans, never bytes.
 func HybridQueries() []QuerySpec { return hybridSpecs }
+
+// AllQueries returns every numbered query in ID order: the paper's
+// twenty followed by the hybrid extensions, the set the service catalog
+// serves and VerifyAll cross-checks.
+func AllQueries() []QuerySpec { return allSpecs }
+
+var allSpecs = append(append([]QuerySpec(nil), querySpecs...), hybridSpecs...)
+
+// ParallelQueryIDs are the scan-heavy queries the (degree, width)
+// identity sweep composes morsel parallelism with vectorization on. Q1
+// stays an attribute-index lookup on every indexed system (there is
+// nothing left to parallelize) and Q19's order by is a pipeline breaker,
+// so both document the sequential boundary of the morsel model; Q5, Q14
+// and Q20 are the big extent scans that partition.
+var ParallelQueryIDs = []int{1, 5, 14, 19, 20}
+
+// FulltextQueryIDs are the keyword-workload family: Q14 (the paper's
+// full-text query) and the hybrid keyword+structure extensions Q21-Q23.
+var FulltextQueryIDs = []int{14, 21, 22, 23}
 
 var hybridSpecs = []QuerySpec{
 	{

@@ -35,6 +35,21 @@ func TestTwentyQueries(t *testing.T) {
 	}
 }
 
+// TestAllQueriesInIDOrder pins the one list the catalog serves and
+// VerifyAll checks: the paper's twenty followed by the hybrid extensions,
+// IDs 1..23 with no gap, each the query Query(id) resolves.
+func TestAllQueriesInIDOrder(t *testing.T) {
+	all := AllQueries()
+	if want := len(Queries()) + len(HybridQueries()); len(all) != want || want != 23 {
+		t.Fatalf("AllQueries has %d queries, want %d (= 23)", len(all), want)
+	}
+	for i, q := range all {
+		if q.ID != i+1 || Query(q.ID).text != q.text {
+			t.Fatalf("AllQueries()[%d] is Q%d, or differs from Query(%d)", i, q.ID, q.ID)
+		}
+	}
+}
+
 func TestQ4Parameterization(t *testing.T) {
 	b := bench(t, 0.002)
 	text := b.QueryText(4)
@@ -96,7 +111,7 @@ func TestTypoDiagnosticsAllSystems(t *testing.T) {
 }
 
 // TestAllQueriesAllSystemsAgree is the central correctness test of the
-// reproduction: every one of the twenty queries returns the identical
+// reproduction: every numbered query, Q1-Q23, returns the identical
 // serialized result on all seven architectures.
 func TestAllQueriesAllSystemsAgree(t *testing.T) {
 	b := bench(t, 0.004)
