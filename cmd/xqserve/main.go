@@ -235,8 +235,8 @@ func main() {
 			}
 			s.cat = scat.Global
 			s.ex = s.co.Global()
-			fmt.Printf("xqserve: ready — %d shards, %d systems, %.1f MB document, loaded in %v\n",
-				s.co.Shards(), len(scat.Global.Systems()), float64(scat.Global.DocBytes)/1e6, scat.LoadTime)
+			fmt.Printf("xqserve: ready — %d shards, %d systems, %.1f MB document, loaded in %v (global replica: %s)\n",
+				s.co.Shards(), len(scat.Global.Systems()), float64(scat.Global.DocBytes)/1e6, scat.LoadTime, loadPhases(scat.Global))
 			return
 		}
 		cat, err := service.Load(*factor, loaded)
@@ -249,8 +249,8 @@ func main() {
 		}
 		s.cat = cat
 		s.ex = service.NewExecutor(cat, exec)
-		fmt.Printf("xqserve: ready — %d systems, %.1f MB document, loaded in %v\n",
-			len(cat.Systems()), float64(cat.DocBytes)/1e6, cat.LoadTime)
+		fmt.Printf("xqserve: ready — %d systems, %.1f MB document, loaded in %v (%s)\n",
+			len(cat.Systems()), float64(cat.DocBytes)/1e6, cat.LoadTime, loadPhases(cat))
 	}()
 
 	stop := make(chan os.Signal, 1)
@@ -271,6 +271,16 @@ func main() {
 	}
 }
 
+// loadPhases splits a catalog's load time by layer: generation, the one
+// parse, the store builds with plan compilation, and the shared text
+// index, which is built alongside the stores and so is part of their time.
+func loadPhases(cat *service.Catalog) string {
+	stores := cat.LoadTime - cat.GenerateTime - cat.ParseTime
+	return fmt.Sprintf("generate %v, parse %v, stores %v, text index %v",
+		cat.GenerateTime.Round(time.Millisecond), cat.ParseTime.Round(time.Millisecond),
+		stores.Round(time.Millisecond), cat.TextIndexTime.Round(time.Millisecond))
+}
+
 // handleHealthz reports readiness and catalog load status: 200 with
 // {"status":"ready"} once the catalog is loaded, 503 while loading, 500
 // when the load failed. Drivers poll this instead of sleeping.
@@ -286,7 +296,7 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Shards    int      `json:"shards,omitempty"`
 		Systems   []string `json:"systems,omitempty"`
 		LoadMs    float64  `json:"load_ms,omitempty"`
-		// StoreBytes reports the resident size of each system's store.
+		// StoreBytes reports the attributed size of each system's store.
 		StoreBytes []service.StoreSize `json:"store_bytes,omitempty"`
 		// TextIndexes reports per-system inverted text index status: built
 		// or scan-only, and the resident bytes the index costs.

@@ -99,9 +99,20 @@ type tagExtent struct {
 	nested bool
 }
 
-// Index is the built inverted index of one store. All fields are read-only
-// after Build; the candidate cache has its own lock, so concurrent
-// sessions and partition workers probe safely.
+// cacheBudget bounds the candidate cache's bytes: its keys come from query
+// text, so unbounded it would keep every needle a server was ever sent.
+// The benchmark's keyword pool (about 200 probes of at most 9 KB at
+// factor 0.1) stays well inside it. cacheEntryOverhead approximates one
+// entry's map slot and slice header.
+const (
+	cacheBudget        = 8 << 20
+	cacheEntryOverhead = 64
+)
+
+// Index is the built inverted index of a document's text nodes. All fields
+// are read-only after Build; the candidate cache has its own lock, so
+// concurrent sessions, partition workers and every store sharing the index
+// probe safely.
 type Index struct {
 	store nodestore.Store
 	// dict interns term spellings; postings[code] is the ascending,
@@ -114,8 +125,10 @@ type Index struct {
 	bytes     int64
 	buildTime time.Duration
 
-	mu    sync.RWMutex
-	cache map[string][]tree.NodeID
+	mu         sync.RWMutex
+	cache      map[string][]tree.NodeID
+	cacheBytes int64 // key and vector bytes held by cache
+	budget     int64 // cacheBudget, lowered by tests
 }
 
 // Build constructs the index over every text node of the store in one
@@ -127,10 +140,11 @@ func Build(store nodestore.Store) *Index {
 	b := &builder{
 		store: store,
 		idx: &Index{
-			store: store,
-			dict:  relational.NewDict(),
-			tags:  make(map[string]*tagExtent),
-			cache: make(map[string][]tree.NodeID),
+			store:  store,
+			dict:   relational.NewDict(),
+			tags:   make(map[string]*tagExtent),
+			cache:  make(map[string][]tree.NodeID),
+			budget: cacheBudget,
 		},
 		open: make(map[string]int),
 	}
@@ -305,8 +319,19 @@ func (x *Index) probe(tag string, p nodestore.TextProbe) []tree.NodeID {
 		return cand
 	}
 	cand = x.resolve(tag, p)
+	size := int64(len(key)) + int64(cap(cand))*4 + cacheEntryOverhead
 	x.mu.Lock()
-	x.cache[key] = cand
+	if _, dup := x.cache[key]; !dup && size <= x.budget {
+		if x.cacheBytes+size > x.budget {
+			// Clearing is cheaper to reason about than an eviction order:
+			// a vector handed out earlier stays valid, and the hot probes
+			// refill the cache on their next miss.
+			x.cache = make(map[string][]tree.NodeID)
+			x.cacheBytes = 0
+		}
+		x.cache[key] = cand
+		x.cacheBytes += size
+	}
 	x.mu.Unlock()
 	return cand
 }

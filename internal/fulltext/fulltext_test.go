@@ -1,9 +1,11 @@
 package fulltext
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"repro/internal/nodestore"
@@ -181,6 +183,66 @@ func TestIndexInfo(t *testing.T) {
 	info := Build(store).Info()
 	if info.Terms == 0 || info.Postings == 0 || info.Bytes <= 0 {
 		t.Fatalf("implausible index info: %+v", info)
+	}
+}
+
+// TestFulltextCacheBounded feeds 10k distinct needles through one index
+// from four goroutines, the way query text reaches a server, with the
+// cache budget lowered to a handful of entries: the cache must stay within
+// its budget, clear when full, and never change an answer.
+func TestFulltextCacheBounded(t *testing.T) {
+	var doc strings.Builder
+	doc.WriteString("<site>")
+	for i := 0; i < 200; i++ {
+		fmt.Fprintf(&doc, "<item><name>n%d </name><description>gold w%d ring%d </description></item>", i, i%7, i%13)
+	}
+	doc.WriteString("</site>")
+	idx := Build(domOf(t, doc.String()))
+	if idx.budget != cacheBudget {
+		t.Fatalf("Build set budget %d, want %d", idx.budget, cacheBudget)
+	}
+	idx.budget = 16 << 10
+
+	const needles, workers = 10000, 4
+	runs := []string{"gold", "ring", "ring1", "w3", "n19", "ld", "zzz"}
+	subs := [][]string{nil, {"description"}, {"name"}}
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := w; i < needles; i += workers {
+				// Separator padding makes every needle distinct while its
+				// longest run, and so its answer, repeats.
+				p := nodestore.TextProbe{
+					Sub:    subs[i%len(subs)],
+					Needle: runs[i%len(runs)] + strings.Repeat("-", i/len(runs)),
+				}
+				got, ok := idx.Candidates("item", []nodestore.TextProbe{p})
+				if want := idx.resolve("item", p); !ok || !reflect.DeepEqual(got, want) {
+					t.Errorf("needle %q: cached answer %v (ok=%v), want %v", p.Needle, got, ok, want)
+					return
+				}
+				idx.mu.RLock()
+				held := idx.cacheBytes
+				idx.mu.RUnlock()
+				if held > idx.budget {
+					t.Errorf("the cache holds %d bytes, budget %d", held, idx.budget)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if n := len(idx.cache); n == 0 || n >= needles {
+		t.Fatalf("%d of %d distinct needles cached; want some, not all", n, needles)
+	}
+	var held int64
+	for key, cand := range idx.cache {
+		held += int64(len(key)) + int64(cap(cand))*4 + cacheEntryOverhead
+	}
+	if held != idx.cacheBytes {
+		t.Fatalf("cache accounts %d bytes, entries hold %d", idx.cacheBytes, held)
 	}
 }
 

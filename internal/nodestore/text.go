@@ -78,6 +78,10 @@ type TextIndexHolder struct {
 // time, before the store is published to concurrent readers.
 func (h *TextIndexHolder) AttachTextIndex(idx TextIndex) { h.textIdx = idx }
 
+// TextIndex returns the attached index, nil when none is. Stores built
+// from one document may share one index.
+func (h *TextIndexHolder) TextIndex() TextIndex { return h.textIdx }
+
 // TextCandidates implements TextSearcher.
 func (h *TextIndexHolder) TextCandidates(tag string, probes []TextProbe) ([]tree.NodeID, bool) {
 	if h.textIdx == nil {

@@ -66,11 +66,12 @@ func (m *Metrics) WriteProm(w io.Writer) {
 	}
 }
 
-// WriteProm renders the catalog's size gauges: the resident bytes of each
-// loaded system's store. The catalog is immutable, so the values are fixed
+// WriteProm renders the catalog's size gauges: the attributed bytes of
+// each loaded system's store (stores of one catalog share the document's
+// text heap, which each one counts). The catalog is immutable, so the values are fixed
 // at load.
 func (c *Catalog) WriteProm(w io.Writer) {
-	fmt.Fprintf(w, "# HELP xq_store_bytes Resident size of each loaded system's store, text index excluded.\n# TYPE xq_store_bytes gauge\n")
+	fmt.Fprintf(w, "# HELP xq_store_bytes Attributed size of each loaded system's store, text index excluded.\n# TYPE xq_store_bytes gauge\n")
 	for _, s := range c.StoreBytes() {
 		fmt.Fprintf(w, "xq_store_bytes{system=%q} %d\n", string(s.System), s.Bytes)
 	}

@@ -119,13 +119,19 @@ var systems = []System{
 	},
 }
 
+// Options returns the engine optimizations of the system's profile.
+func (s System) Options() engine.Options { return s.opts }
+
 // Instance is a loaded system: a store built from a document plus its
 // query engine.
 type Instance struct {
 	System System
 	Engine *engine.Engine
-	// LoadTime is the bulkload wall time (document parse + store build),
-	// the Table 1 measurement.
+	// LoadTime is the bulkload wall time, the Table 1 measurement. From
+	// Load it covers document parse, store build and, on A-E, the text
+	// index. Inside a service catalog the parse and the text index are
+	// shared by every system and timed on the catalog, so there it covers
+	// the store build alone.
 	LoadTime time.Duration
 	// Stats is the loaded database's size accounting.
 	Stats nodestore.Stats
@@ -136,33 +142,47 @@ type Instance struct {
 	raw []byte
 }
 
-// Load bulkloads the document text into the system, timing parse plus
-// store construction as one completed transaction (paper §7, Table 1).
+// Load bulkloads the document text into the system, timing parse, store
+// construction and the text index as one completed transaction (paper §7,
+// Table 1). It is the standalone path: a caller serving several systems
+// over one document parses once and calls Build for each.
 func (s System) Load(docText []byte) (*Instance, error) {
 	start := time.Now()
 	doc, err := tree.Parse(docText)
 	if err != nil {
 		return nil, err
 	}
+	inst := s.Build(docText, doc, nil)
+	inst.LoadTime = time.Since(start)
+	return inst, nil
+}
+
+// Build constructs the system's store over doc, the parse of docText. The
+// store only reads doc, so many systems may build from one doc at once;
+// System G also keeps docText for its per-query re-parse. textIndex, called
+// once the store is built, supplies the text index of the systems that use
+// one: any index over doc serves every store of it, since every mapping
+// keeps the document's pre-order NodeIDs. A nil textIndex builds the
+// store's own, and LoadTime then includes it.
+func (s System) Build(docText []byte, doc *tree.Doc, textIndex func() nodestore.TextIndex) *Instance {
+	start := time.Now()
 	store := s.build(doc)
-	if s.opts.FulltextIndex {
-		// The second slow phase of a load: the inverted text index. Built
-		// here — before the store is published — it rides along wherever
+	inst := &Instance{System: s, LoadTime: time.Since(start), Stats: store.Stats()}
+	if at, ok := store.(nodestore.TextIndexAttacher); ok && s.opts.FulltextIndex {
+		// Attached before the store is published: it rides along wherever
 		// the store goes (the service catalog, every shard's territory).
-		if at, ok := store.(nodestore.TextIndexAttacher); ok {
+		if textIndex != nil {
+			at.AttachTextIndex(textIndex())
+		} else {
 			at.AttachTextIndex(fulltext.Build(store))
+			inst.LoadTime = time.Since(start)
 		}
 	}
-	inst := &Instance{
-		System:   s,
-		Engine:   engine.New(store, s.opts),
-		LoadTime: time.Since(start),
-		Stats:    store.Stats(),
-	}
+	inst.Engine = engine.New(store, s.opts)
 	if s.ID == SystemG {
 		inst.raw = docText
 	}
-	return inst, nil
+	return inst
 }
 
 // QueryResult is one timed query execution.
