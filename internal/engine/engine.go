@@ -135,8 +135,8 @@ func (p *Prepared) StreamSession(sess *Session, fn func(Item) bool) error {
 }
 
 // Serialize executes the prepared query and writes the serialized result
-// to w item by item, interleaving evaluation with output instead of
-// materializing the result sequence first.
+// to w item by item through an ItemWriter, interleaving evaluation with
+// output instead of materializing the result sequence first.
 func (p *Prepared) Serialize(w io.Writer) error {
 	return p.SerializeSession(w, nil)
 }
@@ -145,9 +145,8 @@ func (p *Prepared) Serialize(w io.Writer) error {
 // warm evaluation scratch, the Session carries the execution's intra-query
 // parallelism budget (Session.Degree): a degree above one lets the plan's
 // Gather operators fan partitioned scans out across workers, with output
-// guaranteed byte-identical to sequential execution. Plans whose root the
-// vectorize rule marked serialize through the batch writer (subtree-batch
-// emission into session-recycled buffers); output is byte-identical at
+// guaranteed byte-identical to sequential execution. Every execution
+// serializes through the one ItemWriter, so output is byte-identical at
 // every batch size.
 func (p *Prepared) SerializeSession(w io.Writer, sess *Session) error {
 	return p.execute(sess, func(ev *evaluator, it Iterator) error {

@@ -9,11 +9,11 @@ import (
 	"repro/internal/tree"
 )
 
-// allocWriterFixture builds a warm batch writer over a small DOM store,
+// allocWriterFixture builds a warm writer over a small DOM store,
 // returning the writer plus one clean text node and one small element
-// subtree to serialize. The writer is driven past one flush so its buffer
-// holds steady-state capacity before any measurement.
-func allocWriterFixture(tb testing.TB) (*batchItemWriter, NodeItem, NodeItem) {
+// subtree to serialize. The writer serializes the element once so its
+// buffer holds steady-state capacity before any measurement.
+func allocWriterFixture(tb testing.TB) (*ItemWriter, NodeItem, NodeItem) {
 	tb.Helper()
 	doc, err := tree.Parse([]byte(`<site><t>` +
 		strings.Repeat("plain auction description words ", 4) +
@@ -31,16 +31,16 @@ func allocWriterFixture(tb testing.TB) (*batchItemWriter, NodeItem, NodeItem) {
 			elem = n
 		}
 	}
-	bw := newBatchItemWriter(io.Discard, store, NewSession())
-	for i := 0; i < 2*batchFlushThreshold/128; i++ {
-		if err := bw.WriteItem(NodeItem{ID: txt}); err != nil {
+	bw := NewItemWriter(io.Discard, store)
+	for _, n := range []tree.NodeID{txt, elem} {
+		if err := bw.WriteItem(NodeItem{ID: n}); err != nil {
 			tb.Fatal(err)
 		}
 	}
 	return bw, NodeItem{ID: txt}, NodeItem{ID: elem}
 }
 
-// TestCleanTextWriterZeroAlloc pins the vectorized serializer's fast-path
+// TestCleanTextWriterZeroAlloc pins the serializer's fast-path
 // contract: once the output buffer is warm, a clean text node costs zero
 // allocations per item, and a stored element subtree emits through the
 // interned-bytes range walk without allocating either.
@@ -51,20 +51,20 @@ func TestCleanTextWriterZeroAlloc(t *testing.T) {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("batch writer allocates %.1f per clean text node", avg)
+		t.Errorf("writer allocates %.1f per clean text node", avg)
 	}
 	if avg := testing.AllocsPerRun(500, func() {
 		if err := bw.WriteItem(elem); err != nil {
 			t.Fatal(err)
 		}
 	}); avg != 0 {
-		t.Errorf("batch writer allocates %.1f per stored subtree", avg)
+		t.Errorf("writer allocates %.1f per stored subtree", avg)
 	}
 }
 
-// BenchmarkBatchWriterText shows the per-item cost of the two emission
+// BenchmarkItemWriterText shows the per-item cost of the two emission
 // paths (run with -benchmem: both report 0 allocs/op).
-func BenchmarkBatchWriterText(b *testing.B) {
+func BenchmarkItemWriterText(b *testing.B) {
 	bw, txt, elem := allocWriterFixture(b)
 	b.Run("text", func(b *testing.B) {
 		b.ReportAllocs()

@@ -62,11 +62,6 @@ type Session struct {
 	// batchFree recycles the NodeID vectors of exhausted batch operators,
 	// so steady-state vectorized execution allocates no batch buffers.
 	batchFree [][]tree.NodeID
-	// serFree recycles the batch serializer's output buffers. Unlike the
-	// free lists above, these are released by Reset: a buffer grows to the
-	// size of the largest response the worker has served, and that is
-	// per-request state, not bounded scratch.
-	serFree [][]byte
 	// joinCache memoizes hash-join indexes keyed by the join's plan node,
 	// so correlated inner FLWORs (Q10) build the index once per session.
 	joinCache map[*plan.Node]*joinIndex
@@ -92,7 +87,6 @@ func (s *Session) Reset() {
 	s.thetaCache = nil
 	s.LastAnalysis = nil
 	s.Trace = nil
-	s.serFree = nil
 }
 
 // CachedJoins reports how many join indexes the session currently
@@ -112,30 +106,6 @@ func (s *Session) getBatchBuf(n int) []tree.NodeID {
 		// batch size earlier); drop it and allocate at the new width.
 	}
 	return make([]tree.NodeID, n)
-}
-
-// serBufStart is the initial capacity of a fresh serializer buffer: big
-// enough that small results never regrow it, small enough to be free.
-const serBufStart = 4 << 10
-
-// getSerBuf takes a recycled serializer output buffer from the free list,
-// or allocates a fresh one. The returned slice has length 0.
-func (s *Session) getSerBuf() []byte {
-	if k := len(s.serFree); k > 0 {
-		b := s.serFree[k-1]
-		s.serFree = s.serFree[:k-1]
-		return b[:0]
-	}
-	return make([]byte, 0, serBufStart)
-}
-
-// putSerBuf returns a serializer buffer (with its grown capacity) to the
-// free list for the next execution on this session.
-func (s *Session) putSerBuf(b []byte) {
-	if cap(b) == 0 {
-		return
-	}
-	s.serFree = append(s.serFree, b)
 }
 
 // putBatchBuf returns an exhausted batch operator's vector to the free

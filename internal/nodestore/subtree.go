@@ -11,8 +11,8 @@ import (
 // byte-identical to the recursive serialization (open tag, attributes in
 // document order, children, close tag; `/>` for childless elements;
 // text/attribute values escaped like tree.AppendEscapedText/Attr). The
-// batch serializer probes for this interface and falls back to recursion
-// when a store does not provide it.
+// engine's serializer probes for this interface and falls back to
+// AppendSubtreeRange when a store does not provide it.
 type SubtreeAppender interface {
 	AppendSubtree(dst []byte, n tree.NodeID) []byte
 }

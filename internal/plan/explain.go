@@ -89,11 +89,6 @@ func NodeLabel(n *Node) string {
 		return "Call " + n.Expr.(*xquery.Call).Name
 	case OpCtor:
 		return ctorLabel(n)
-	case OpSerialize:
-		if n.Vectorized {
-			return "BatchSerialize"
-		}
-		return "Serialize"
 	default:
 		return n.Op.String()
 	}
@@ -171,13 +166,7 @@ func renderNode(b *strings.Builder, n *Node, depth int, label string, annot func
 	}
 	switch n.Op {
 	case OpSerialize:
-		if n.Vectorized {
-			// The batch serializer: append-only buffer, subtree-batch
-			// emission through the store's range walk.
-			self("BatchSerialize")
-		} else {
-			self("Serialize")
-		}
+		self("Serialize")
 		kid(n.Input, "")
 	case OpProject:
 		self("Project")

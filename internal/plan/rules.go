@@ -289,6 +289,7 @@ func rulePushdownExtent(p *Plan, store nodestore.Store) {
 // upgraded to a HashJoin when the system's options allow hash joins. This
 // is the planning that used to live in the engine's analyze step.
 func ruleJoins(p *Plan, opts Options) {
+	var binds *varBindings
 	p.walk(func(n *Node) {
 		if n.Op != OpProject {
 			return
@@ -326,6 +327,9 @@ func ruleJoins(p *Plan, opts Options) {
 		}
 		used := make([]bool, len(wheres))
 		bound := map[string]bool{}
+		if opts.HashJoins && binds == nil {
+			binds = newVarBindings(p)
+		}
 		for _, cl := range chain {
 			switch cl.Op {
 			case OpLet:
@@ -349,7 +353,11 @@ func ruleJoins(p *Plan, opts Options) {
 					unlinkTupleOp(n, w)
 					used[ci] = true
 					p.fire("nested-loop-join", cl)
-					if opts.HashJoins {
+					// The hash index keys by string, which answers the
+					// general comparison only when neither side holds a
+					// number: a number compares numerically, so "7.0"
+					// equals 7 but not the key "7".
+					if opts.HashJoins && !binds.mayBeNumeric(probe, nil) && !binds.mayBeNumeric(build, nil) {
 						cl.Op = OpHashJoin
 						p.fire("hash-join", cl)
 					}
@@ -376,6 +384,90 @@ func ruleJoins(p *Plan, opts Options) {
 			bound[cl.Var] = true
 		}
 	})
+}
+
+// varBindings maps each variable name to the sequences every clause that
+// binds it ranges over (for, let, some/every), anywhere in the plan. A
+// function parameter binds a nil sequence: its arguments are unknown.
+type varBindings struct {
+	seqs  map[string][]*Node
+	funcs map[string]*FuncPlan
+}
+
+func newVarBindings(p *Plan) *varBindings {
+	b := &varBindings{seqs: map[string][]*Node{}, funcs: p.Funcs}
+	for _, name := range p.FuncNames {
+		for _, param := range p.Funcs[name].Params {
+			b.seqs[param] = append(b.seqs[param], nil)
+		}
+	}
+	p.walk(func(n *Node) {
+		switch n.Op {
+		case OpFor, OpLet, OpNLJoin, OpHashJoin:
+			b.seqs[n.Var] = append(b.seqs[n.Var], n.Seq)
+		case OpQuantified:
+			for i, v := range n.Expr.(*xquery.Quantified).Vars {
+				b.seqs[v] = append(b.seqs[v], n.Kids[i])
+			}
+		}
+	})
+	return b
+}
+
+// mayBeNumeric reports whether n can evaluate to a number. Deliberately
+// shallow, like vectorizer.numeric: only the forms join keys are written
+// in — node-producing paths, string literals and functions, constructed
+// elements and the variables bound to them — are known not to, and
+// anything else may. A variable counts as numeric if any clause binding
+// its name might bind a number, since the name alone does not say which
+// clause is in scope; visiting breaks the cycle of a name rebound over
+// itself.
+func (b *varBindings) mayBeNumeric(n *Node, visiting map[string]bool) bool {
+	if n == nil {
+		return true
+	}
+	switch n.Op {
+	case OpLiteral:
+		_, str := n.Expr.(*xquery.StringLit)
+		return !str
+	case OpPathScan, OpPartitionedScan, OpRoot, OpCtor:
+		return false
+	case OpNavigate:
+		if len(n.Steps) > 0 {
+			return false
+		}
+		return b.mayBeNumeric(n.Input, visiting)
+	case OpSelect, OpIndexProbe:
+		return b.mayBeNumeric(n.Input, visiting)
+	case OpVar:
+		seqs, ok := b.seqs[n.Var]
+		if !ok || visiting[n.Var] {
+			return true
+		}
+		if visiting == nil {
+			visiting = map[string]bool{}
+		}
+		visiting[n.Var] = true
+		defer delete(visiting, n.Var)
+		for _, s := range seqs {
+			if b.mayBeNumeric(s, visiting) {
+				return true
+			}
+		}
+		return false
+	case OpCall:
+		name := n.Expr.(*xquery.Call).Name
+		if _, user := b.funcs[name]; user {
+			return true
+		}
+		switch name {
+		case "string", "concat", "string-join", "name":
+			return false
+		case "distinct-values", "zero-or-one", "exactly-one":
+			return len(n.Kids) != 1 || b.mayBeNumeric(n.Kids[0], visiting)
+		}
+	}
+	return true
 }
 
 // findJoinConjunct looks for a comparison conjunct with one side depending

@@ -61,17 +61,6 @@ func ruleVectorize(p *Plan, opts Options, store nodestore.Store) {
 	}
 	vz := &vectorizer{p: p, store: store}
 	p.walk(func(n *Node) { vz.batched(n) })
-	// The serialization sink always batches when batching is on: the root
-	// drains into an append-only buffer and emits stored subtrees through
-	// the store's subtree-batch capability instead of recursive per-node
-	// navigation. Unlike the scan/join/bind marks it needs no extent
-	// gate — the batch writer has no per-tuple setup, it simply replaces
-	// the emission strategy. Like every mark, purely an execution
-	// strategy — output is byte-identical at every batch size.
-	if p.Root != nil && p.Root.Op == OpSerialize {
-		p.Root.Vectorized = true
-		p.fire("vectorize-serialize", p.Root)
-	}
 }
 
 // minBatchExtent is the smallest scan extent worth vectorizing.

@@ -31,7 +31,7 @@ func (randTree) Generate(r *rand.Rand, size int) reflect.Value {
 			b.WriteByte(' ')
 			b.WriteString(rtAttrs[i])
 			b.WriteString(`="`)
-			b.WriteString(escapeAttr(rtTexts[r.Intn(len(rtTexts))]))
+			b.WriteString(naiveEscapeAttr(rtTexts[r.Intn(len(rtTexts))]))
 			b.WriteByte('"')
 		}
 		kids := r.Intn(4)
@@ -45,7 +45,7 @@ func (randTree) Generate(r *rand.Rand, size int) reflect.Value {
 		b.WriteByte('>')
 		for i := 0; i < kids; i++ {
 			if r.Intn(2) == 0 {
-				b.WriteString(escapeText(rtTexts[r.Intn(len(rtTexts))]))
+				b.WriteString(naiveEscapeText(rtTexts[r.Intn(len(rtTexts))]))
 			}
 			emit(depth + 1)
 		}

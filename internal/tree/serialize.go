@@ -1,9 +1,6 @@
 package tree
 
-import (
-	"io"
-	"strings"
-)
+import "io"
 
 // Serialize writes the subtree rooted at n as XML to w. It is the
 // reconstruction primitive of query Q13: regenerating original document
@@ -17,22 +14,4 @@ func (d *Doc) Serialize(w io.Writer, n NodeID) error {
 // SerializeString returns the subtree rooted at n as an XML string.
 func (d *Doc) SerializeString(n NodeID) string {
 	return string(d.AppendSubtree(nil, n))
-}
-
-// escapeText returns s with text-content escaping applied. Clean strings
-// (no escapable byte) are returned verbatim with zero allocations; dirty
-// strings build the escaped copy through the append-based span escaper.
-func escapeText(s string) string {
-	if !strings.ContainsAny(s, "&<>") {
-		return s
-	}
-	return string(appendEscaped(nil, s, false))
-}
-
-// escapeAttr is escapeText plus `"` escaping for double-quoted values.
-func escapeAttr(s string) string {
-	if !strings.ContainsAny(s, `&<>"`) {
-		return s
-	}
-	return string(appendEscaped(nil, s, true))
 }
