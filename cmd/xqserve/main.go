@@ -68,6 +68,7 @@ import (
 	"strings"
 	"sync"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -375,13 +376,18 @@ func parseRequest(r *http.Request, cat *service.Catalog) (service.Request, error
 }
 
 // queryLabel names a request for logs and the slow-query log: "Q8" for a
-// benchmark query, the (truncated) text for an ad-hoc one.
+// benchmark query, the text for an ad-hoc one, truncated on a rune
+// boundary to at most 57 bytes plus "..." when longer than 60.
 func queryLabel(req service.Request) string {
 	if req.QueryID != 0 {
 		return fmt.Sprintf("Q%d", req.QueryID)
 	}
 	if len(req.Text) > 60 {
-		return req.Text[:57] + "..."
+		cut := 57
+		for cut > 0 && !utf8.RuneStart(req.Text[cut]) {
+			cut--
+		}
+		return req.Text[:cut] + "..."
 	}
 	return req.Text
 }

@@ -12,6 +12,7 @@ import (
 	"strings"
 	"testing"
 	"time"
+	"unicode/utf8"
 
 	"repro/internal/obs"
 	"repro/internal/service"
@@ -300,5 +301,32 @@ func TestInternalErrorIs500(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "r1") {
 		t.Errorf("body %q does not name the request", rec.Body.String())
+	}
+}
+
+// TestQueryLabelCutsOnRuneBoundary pins the truncation of ad-hoc query
+// labels (access log, span attribute, slowlog, /explain): a multi-byte
+// rune straddling the 57-byte cut is dropped whole, never split.
+func TestQueryLabelCutsOnRuneBoundary(t *testing.T) {
+	pad := strings.Repeat("x", 56)
+	for _, c := range []struct {
+		name, text, want string
+	}{
+		{"ascii", strings.Repeat("a", 70), strings.Repeat("a", 57) + "..."},
+		{"two-byte rune straddles the cut", pad + "é" + strings.Repeat("y", 10), pad + "..."},
+		{"four-byte rune straddles the cut", pad[:55] + "😀" + strings.Repeat("y", 10), pad[:55] + "..."},
+		{"rune ends at the cut", pad[:55] + "é" + strings.Repeat("y", 10), pad[:55] + "é..."},
+		{"short text kept whole", "count(//item[contains(., \"größe\")])", "count(//item[contains(., \"größe\")])"},
+	} {
+		got := queryLabel(service.Request{Text: c.text})
+		if !utf8.ValidString(got) {
+			t.Errorf("%s: label %q is not valid UTF-8", c.name, got)
+		}
+		if got != c.want {
+			t.Errorf("%s: label %q, want %q", c.name, got, c.want)
+		}
+		if len(c.text) > 60 && !strings.HasSuffix(got, "...") {
+			t.Errorf("%s: truncated label %q lacks the ... suffix", c.name, got)
+		}
 	}
 }

@@ -13,9 +13,8 @@ import (
 
 // This file is EXPLAIN ANALYZE: per-operator runtime counters collected by
 // instrumentation wrappers the evaluator splices into the pipeline only
-// when a profile is present — either because the engine's Options.Analyze
-// profile flag is set or because the caller asked for one execution's
-// counters through Prepared.ExplainAnalyze. The normal path carries a nil
+// when a profile is present: the caller asked for one execution's counters
+// through Prepared.ExplainAnalyze. The normal path carries a nil
 // profile and pays exactly one pointer check per operator *construction*
 // (never per Next call), so instrumentation-off execution is unchanged.
 //
@@ -292,14 +291,14 @@ func (pr *profile) analysis(pl *plan.Plan) Analysis {
 }
 
 // ExplainAnalyze executes the prepared query with per-operator
-// instrumentation — regardless of the engine's Options.Analyze setting —
-// writing the serialized result to w, and returns the annotated report.
-// The serialized output is byte-identical to SerializeSession: the
-// wrappers observe the pipeline, they never change it.
+// instrumentation, writing the serialized result to w, and returns the
+// annotated report. The serialized output is byte-identical to
+// SerializeSession: the wrappers observe the pipeline, they never change
+// it.
 func (p *Prepared) ExplainAnalyze(w io.Writer, sess *Session) (Analysis, error) {
 	prof := newProfile()
 	start := time.Now()
-	err := p.executeProfiled(sess, prof, func(ev *evaluator, it Iterator) error {
+	err := p.execute(sess, prof, func(ev *evaluator, it Iterator) error {
 		return ev.serializeResult(w, p.plan.Root, it)
 	})
 	exec := time.Since(start)

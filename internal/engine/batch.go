@@ -147,7 +147,7 @@ func (b *batchStepIter) expand(id tree.NodeID) {
 		case st.Name == "*":
 			b.appendKind(id, tree.Element)
 		case len(st.Filters) > 0:
-			if cur, ok := nodestore.ChildrenByTagFiltered(s, id, st.Name, st.Filters); ok {
+			if cur, ok := s.ChildrenByTagFilteredCursor(id, st.Name, st.Filters); ok {
 				b.out = drainCursor(cur, b.out)
 			} else {
 				// The store lost the capability the planner probed for
@@ -164,7 +164,7 @@ func (b *batchStepIter) expand(id tree.NodeID) {
 	case xquery.AxisText:
 		b.appendKind(id, tree.Text)
 	case xquery.AxisDescendant:
-		b.out = drainCursor(nodestore.Descendants(s, id, st.Name), b.out)
+		b.out = drainCursor(s.DescendantsCursor(id, st.Name), b.out)
 	}
 }
 
@@ -497,7 +497,7 @@ func (ev *evaluator) batchOfNode(n *plan.Node, env *bindings) batchIterator {
 		if in == nil {
 			return nil
 		}
-		ids, ok := nodestore.TextCandidates(ev.store, n.Tag, n.FT)
+		ids, ok := ev.store.TextCandidates(n.Tag, n.FT)
 		if !ok {
 			return in
 		}

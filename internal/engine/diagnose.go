@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"repro/internal/nodestore"
 	"repro/internal/xquery"
 )
 
@@ -32,7 +31,7 @@ func (p *Prepared) diagnose() {
 			return
 		}
 		seenTag[tag] = true
-		if n, ok := nodestore.TagCount(store, tag); ok && n == 0 {
+		if n, ok := store.TagCard(tag); ok && n == 0 {
 			warn("tag <%s> occurs nowhere in the database instance", tag)
 		}
 	}
@@ -43,7 +42,7 @@ func (p *Prepared) diagnose() {
 		}
 		prefix := pathPrefix(path)
 		for i := 1; i <= len(prefix); i++ {
-			n, ok := nodestore.PathCount(store, prefix[:i])
+			n, ok := store.PathCard(prefix[:i])
 			if !ok {
 				return
 			}

@@ -127,10 +127,9 @@ func (c *extentCounter) PathExtent(path []string, buf []tree.NodeID) ([]tree.Nod
 	return c.Path.PathExtent(path, buf)
 }
 
-// TestDiagnoseReadsCatalogNotExtents: on a store with a cardinality
-// catalog, compiling Q14 — and diagnosing typos — materializes no extent;
-// the same store with its catalog hidden falls back to extents and says
-// the same thing.
+// TestDiagnoseReadsCatalogNotExtents: compiling Q14 — and diagnosing
+// typos — reads the store's cardinality catalog (TagCard/PathCard) and
+// materializes no extent.
 func TestDiagnoseReadsCatalogNotExtents(t *testing.T) {
 	doc, err := tree.Parse([]byte(sampleDoc))
 	if err != nil {
@@ -153,7 +152,6 @@ return $i/name/text()`
 		noExtents bool
 	}{
 		{st, true},
-		{struct{ nodestore.Store }{st}, false}, // interface embedding hides Cardinalities
 	} {
 		e := New(c.store, opts)
 		st.materialized = 0

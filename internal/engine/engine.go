@@ -96,7 +96,7 @@ func (p *Prepared) Plan() *plan.Plan { return p.plan }
 
 // Run executes the prepared query and materializes the result sequence.
 func (p *Prepared) Run() (result Seq, err error) {
-	err = p.execute(nil, func(_ *evaluator, it Iterator) error {
+	err = p.execute(nil, nil, func(_ *evaluator, it Iterator) error {
 		result = materialize(it)
 		return nil
 	})
@@ -121,7 +121,7 @@ func (p *Prepared) Stream(fn func(Item) bool) error {
 // Session must not be shared between goroutines. A nil sess behaves like
 // Stream.
 func (p *Prepared) StreamSession(sess *Session, fn func(Item) bool) error {
-	return p.execute(sess, func(_ *evaluator, it Iterator) error {
+	return p.execute(sess, nil, func(_ *evaluator, it Iterator) error {
 		for {
 			v, ok := it.Next()
 			if !ok {
@@ -149,7 +149,7 @@ func (p *Prepared) Serialize(w io.Writer) error {
 // serializes through the one ItemWriter, so output is byte-identical at
 // every batch size.
 func (p *Prepared) SerializeSession(w io.Writer, sess *Session) error {
-	return p.execute(sess, func(ev *evaluator, it Iterator) error {
+	return p.execute(sess, nil, func(ev *evaluator, it Iterator) error {
 		return ev.serializeResult(w, p.plan.Root, it)
 	})
 }
@@ -158,28 +158,10 @@ func (p *Prepared) SerializeSession(w io.Writer, sess *Session) error {
 // consume, converting evaluation panics into error returns. The evaluator
 // reads the immutable plan through the Prepared and keeps all mutable
 // scratch in the Session, so concurrent executions of one Prepared never
-// share writable state.
-func (p *Prepared) execute(sess *Session, consume func(*evaluator, Iterator) error) error {
-	// The engine-level Analyze profile installs the EXPLAIN ANALYZE
-	// counter wrappers on every execution and leaves the report on the
-	// Session (LastAnalysis); ExplainAnalyze passes its own profile to
-	// instrument a single run on an unflagged engine.
-	if !p.engine.opts.Analyze {
-		return p.executeProfiled(sess, nil, consume)
-	}
-	if sess == nil {
-		sess = NewSession()
-	}
-	prof := newProfile()
-	err := p.executeProfiled(sess, prof, consume)
-	if err == nil {
-		a := prof.analysis(p.plan)
-		sess.LastAnalysis = &a
-	}
-	return err
-}
-
-func (p *Prepared) executeProfiled(sess *Session, prof *profile, consume func(*evaluator, Iterator) error) (err error) {
+// share writable state. A non-nil prof installs the EXPLAIN ANALYZE
+// counter wrappers (Prepared.ExplainAnalyze); every other execution
+// passes nil and runs uninstrumented.
+func (p *Prepared) execute(sess *Session, prof *profile, consume func(*evaluator, Iterator) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ee, ok := r.(*evalError); ok {

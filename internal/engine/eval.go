@@ -231,10 +231,10 @@ func (ev *evaluator) dispatch(n *plan.Node, env *bindings) Iterator {
 // the batch scan operators pull from it.
 func (ev *evaluator) pathScanCursor(n *plan.Node) nodestore.Cursor {
 	if len(n.Filters) > 0 {
-		if cur, ok := nodestore.PathExtentFiltered(ev.store, n.Path, n.Filters); ok {
+		if cur, ok := ev.store.PathExtentFilteredCursor(n.Path, n.Filters); ok {
 			return cur
 		}
-	} else if cur, ok := nodestore.PathExtent(ev.store, n.Path); ok {
+	} else if cur, ok := ev.store.PathExtentCursor(n.Path); ok {
 		return cur
 	}
 	// Unreachable for planned scans: the planner probed the catalog.
@@ -452,7 +452,7 @@ func (d *stepIter) expand(ctx Item) {
 			d.buf = s.Children(n.ID, d.buf[:0])
 			d.filterKind(tree.Element)
 		case len(st.Filters) > 0:
-			if cur, ok := nodestore.ChildrenByTagFiltered(s, n.ID, st.Name, st.Filters); ok {
+			if cur, ok := s.ChildrenByTagFilteredCursor(n.ID, st.Name, st.Filters); ok {
 				d.buf = drainCursor(cur, d.buf[:0])
 				d.bn = len(d.buf)
 			} else {
@@ -668,14 +668,14 @@ func (ev *evaluator) storedCandidates(n NodeItem, sp *plan.StepPlan) Iterator {
 	switch sp.Axis {
 	case xquery.AxisChild:
 		if sp.Name == "*" {
-			return &kindFilterIter{store: s, cur: nodestore.Children(s, n.ID), kind: tree.Element}
+			return &kindFilterIter{store: s, cur: s.ChildrenCursor(n.ID), kind: tree.Element}
 		}
-		return &nodeCursorIter{cur: nodestore.ChildrenByTag(s, n.ID, sp.Name)}
+		return &nodeCursorIter{cur: s.ChildrenByTagCursor(n.ID, sp.Name)}
 	case xquery.AxisDescendant:
 		if sp.Name == "*" {
 			return ev.wildcardDescendants(n).Iter()
 		}
-		return &nodeCursorIter{cur: nodestore.Descendants(s, n.ID, sp.Name)}
+		return &nodeCursorIter{cur: s.DescendantsCursor(n.ID, sp.Name)}
 	case xquery.AxisAttribute:
 		if v, ok := s.Attr(n.ID, sp.Name); ok {
 			if ev.opts.NaiveStrings {
@@ -685,7 +685,7 @@ func (ev *evaluator) storedCandidates(n NodeItem, sp *plan.StepPlan) Iterator {
 		}
 		return emptyIter{}
 	case xquery.AxisText:
-		return &kindFilterIter{store: s, cur: nodestore.Children(s, n.ID), kind: tree.Text}
+		return &kindFilterIter{store: s, cur: s.ChildrenCursor(n.ID), kind: tree.Text}
 	}
 	return emptyIter{}
 }
@@ -718,7 +718,7 @@ func (ev *evaluator) wildcardDescendants(n NodeItem) Seq {
 	var out Seq
 	var walk func(id tree.NodeID)
 	walk = func(id tree.NodeID) {
-		cur := nodestore.Children(s, id)
+		cur := s.ChildrenCursor(id)
 		for {
 			c, ok := cur.Next()
 			if !ok {

@@ -3,7 +3,6 @@ package engine
 import (
 	"sort"
 
-	"repro/internal/nodestore"
 	"repro/internal/plan"
 	"repro/internal/tree"
 )
@@ -45,7 +44,7 @@ func (ev *evaluator) stepFT(sp *plan.StepPlan) ([]tree.NodeID, bool) {
 	if len(sp.FT) == 0 {
 		return nil, false
 	}
-	return nodestore.TextCandidates(ev.store, sp.Name, sp.FT)
+	return ev.store.TextCandidates(sp.Name, sp.FT)
 }
 
 // iterIndexProbe builds the item pipeline of an OpIndexProbe.
@@ -54,7 +53,7 @@ func (ev *evaluator) iterIndexProbe(n *plan.Node, env *bindings) Iterator {
 		return &fromBatchIter{in: bi}
 	}
 	in := ev.iter(n.Input, env)
-	ids, ok := nodestore.TextCandidates(ev.store, n.Tag, n.FT)
+	ids, ok := ev.store.TextCandidates(n.Tag, n.FT)
 	if !ok {
 		return in
 	}

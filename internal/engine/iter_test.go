@@ -9,13 +9,28 @@ import (
 	"repro/internal/tree"
 )
 
-// countingStore wraps a Store and counts navigation calls. It deliberately
-// does not implement nodestore.CursorStore, so the engine takes the
-// slice-returning fallback paths and every navigation passes through the
-// counters.
+// countingStore wraps a Store and counts navigation calls: both the
+// slice methods and the cursor methods the streaming pipeline opens, so
+// every navigation passes through the counters whichever form the engine
+// picks.
 type countingStore struct {
 	nodestore.Store
 	ops int
+}
+
+func (c *countingStore) ChildrenCursor(n tree.NodeID) nodestore.Cursor {
+	c.ops++
+	return c.Store.ChildrenCursor(n)
+}
+
+func (c *countingStore) ChildrenByTagCursor(n tree.NodeID, tag string) nodestore.Cursor {
+	c.ops++
+	return c.Store.ChildrenByTagCursor(n, tag)
+}
+
+func (c *countingStore) DescendantsCursor(n tree.NodeID, tag string) nodestore.Cursor {
+	c.ops++
+	return c.Store.DescendantsCursor(n, tag)
 }
 
 func (c *countingStore) Children(n tree.NodeID, buf []tree.NodeID) []tree.NodeID {

@@ -13,7 +13,7 @@ import (
 
 // This file is the physical side of the planner's parallelize rule:
 // morsel-style intra-query parallelism. A Gather node partitions its
-// PartitionedScan leaf through the store's SplittableStore capability and
+// PartitionedScan leaf through the store's *Partitions methods and
 // runs one copy of the compiled sub-pipeline per partition, each on its
 // own goroutine with a private Session (all evaluator scratch stays
 // strictly per worker, the same contract the concurrent service relies
@@ -79,11 +79,11 @@ func (ev *evaluator) partitions(scan *plan.Node, k int) ([]nodestore.Cursor, boo
 	var ok bool
 	switch {
 	case scan.Tag != "":
-		parts, ok = nodestore.TagExtentPartitions(ev.store, scan.Tag, k)
+		parts, ok = ev.store.TagExtentPartitions(scan.Tag, k)
 	case len(scan.Filters) > 0:
-		parts, ok = nodestore.PathExtentFilteredPartitions(ev.store, scan.Path, scan.Filters, k)
+		parts, ok = ev.store.PathExtentFilteredPartitions(scan.Path, scan.Filters, k)
 	default:
-		parts, ok = nodestore.PathExtentPartitions(ev.store, scan.Path, k)
+		parts, ok = ev.store.PathExtentPartitions(scan.Path, k)
 	}
 	if !ok || len(parts) <= 1 {
 		return nil, false
@@ -290,13 +290,13 @@ func (ev *evaluator) partScanCursor(n *plan.Node) nodestore.Cursor {
 		return cur
 	}
 	if n.Tag != "" {
-		return nodestore.Descendants(ev.store, ev.store.Root(), n.Tag)
+		return ev.store.DescendantsCursor(ev.store.Root(), n.Tag)
 	}
 	if len(n.Filters) > 0 {
-		if cur, ok := nodestore.PathExtentFiltered(ev.store, n.Path, n.Filters); ok {
+		if cur, ok := ev.store.PathExtentFilteredCursor(n.Path, n.Filters); ok {
 			return cur
 		}
-	} else if cur, ok := nodestore.PathExtent(ev.store, n.Path); ok {
+	} else if cur, ok := ev.store.PathExtentCursor(n.Path); ok {
 		return cur
 	}
 	// Unreachable for planned scans: the planner probed the catalog.

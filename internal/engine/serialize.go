@@ -36,19 +36,15 @@ func (ev *evaluator) serializeResult(w io.Writer, root *plan.Node, it Iterator) 
 // appended into one buffer the writer owns and reuses, and handed to the
 // underlying writer before WriteItem returns, so a caller that reads w
 // after any WriteItem sees every byte written so far. Stored elements emit
-// whole subtrees through the store's subtree-batch capability
-// (nodestore.SubtreeAppender — one pre-order range walk, interned
-// tag/attribute bytes, escaping only on dirty spans), falling back to the
-// generic range walk. Keeping the separator state between calls lets a
+// whole subtrees through the store's AppendSubtree (one pre-order range
+// walk, interned tag/attribute bytes, escaping only on dirty spans).
+// Keeping the separator state between calls lets a
 // caller interleave its own logic — cancellation checks, flow control —
 // with serialization, e.g. a service worker streaming a result while
 // watching its request context.
 type ItemWriter struct {
-	w     io.Writer
-	store nodestore.Store
-	// sub is the store's native subtree-batch capability, probed once per
-	// writer; nil falls back to nodestore.AppendSubtreeRange.
-	sub        nodestore.SubtreeAppender
+	w          io.Writer
+	store      nodestore.Store
 	buf        []byte
 	err        error
 	prevAtomic bool
@@ -61,8 +57,7 @@ type ItemWriter struct {
 
 // NewItemWriter returns an ItemWriter over w for results of store.
 func NewItemWriter(w io.Writer, store nodestore.Store) *ItemWriter {
-	sub, _ := store.(nodestore.SubtreeAppender)
-	return &ItemWriter{w: w, store: store, sub: sub}
+	return &ItemWriter{w: w, store: store}
 }
 
 // WriteItem serializes one result item. After a write error every further
@@ -88,10 +83,10 @@ func (iw *ItemWriter) WriteItem(it Item) error {
 			iw.appendAtomic(iw.store.Text(v.ID))
 			break
 		}
-		iw.appendStored(v.ID)
+		iw.buf = iw.store.AppendSubtree(iw.buf, v.ID)
 		iw.prevAtomic = false
 	case DocItem:
-		iw.appendStored(iw.store.Root())
+		iw.buf = iw.store.AppendSubtree(iw.buf, iw.store.Root())
 		iw.prevAtomic = false
 	case *Constructed:
 		iw.appendConstructed(v)
@@ -117,15 +112,6 @@ func (iw *ItemWriter) appendAtomic(s string) {
 	}
 	iw.buf = tree.AppendEscapedText(iw.buf, s)
 	iw.prevAtomic = true
-}
-
-// appendStored emits a stored node's whole subtree as one batch.
-func (iw *ItemWriter) appendStored(n tree.NodeID) {
-	if iw.sub != nil {
-		iw.buf = iw.sub.AppendSubtree(iw.buf, n)
-		return
-	}
-	iw.buf = nodestore.AppendSubtreeRange(iw.buf, iw.store, n)
 }
 
 func (iw *ItemWriter) appendConstructed(c *Constructed) {
@@ -161,7 +147,7 @@ func (iw *ItemWriter) appendConstructed(c *Constructed) {
 				iw.buf = tree.AppendEscapedText(iw.buf, iw.store.Text(v.ID))
 				break
 			}
-			iw.appendStored(v.ID)
+			iw.buf = iw.store.AppendSubtree(iw.buf, v.ID)
 		case *Constructed:
 			iw.appendConstructed(v)
 		}

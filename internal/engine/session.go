@@ -46,12 +46,6 @@ type Session struct {
 	// request and clears it afterwards, since Sessions outlive requests.
 	Trace *obs.Span
 
-	// LastAnalysis is the per-operator report of the most recent
-	// successful execution on an engine whose Options.Analyze flag is set
-	// (overwritten per execution, untouched on unflagged engines —
-	// Prepared.ExplainAnalyze returns its report directly instead).
-	LastAnalysis *Analysis
-
 	// stepFree, inlineFree and varFree recycle exhausted iterators (with
 	// their grown buffers): per-tuple paths in FLWOR return clauses
 	// re-evaluate constantly, and reuse makes their steady state
@@ -85,7 +79,6 @@ func NewSession() *Session { return &Session{} }
 func (s *Session) Reset() {
 	s.joinCache = nil
 	s.thetaCache = nil
-	s.LastAnalysis = nil
 	s.Trace = nil
 }
 

@@ -354,7 +354,7 @@ func (s *Edge) TagExtent(tag string, buf []tree.NodeID) ([]tree.NodeID, bool) {
 	return buf, true
 }
 
-// TagCard implements nodestore.Cardinalities: element tag syms are never
+// TagCard implements nodestore.Store: element tag syms are never
 // shared with attribute ("@name") or text (-1) rows, so the posting-list
 // length IS the extent size — a pure metadata read.
 func (s *Edge) TagCard(tag string) (int, bool) {
@@ -365,12 +365,9 @@ func (s *Edge) TagCard(tag string) (int, bool) {
 	return len(s.tagIdx.LookupInt(int64(sym))), true
 }
 
-// PathCard implements nodestore.Cardinalities: the heap keeps no path
+// PathCard implements nodestore.Store: the heap keeps no path
 // statistics.
 func (s *Edge) PathCard([]string) (int, bool) { return 0, false }
-
-// DictCard implements nodestore.Cardinalities.
-func (s *Edge) DictCard() (int, bool) { return s.table.Dict().Len(), true }
 
 // Descendants implements nodestore.Store: binary search of the tag extent
 // against the subtree range, the containment-join strategy of [26].
@@ -473,14 +470,14 @@ func (c *edgePostingCursor) NextBatch(dst []tree.NodeID) int {
 	return n
 }
 
-// ChildrenCursor implements nodestore.CursorStore: a streaming
+// ChildrenCursor implements nodestore.Store: a streaming
 // select-project over the parent index posting list, skipping attribute
 // rows.
 func (s *Edge) ChildrenCursor(n tree.NodeID) nodestore.Cursor {
 	return &edgePostingCursor{s: s, rows: s.parentIdx.LookupInt(int64(n)), wantKind: -1, wantTag: -1}
 }
 
-// ChildrenByTagCursor implements nodestore.CursorStore.
+// ChildrenByTagCursor implements nodestore.Store.
 func (s *Edge) ChildrenByTagCursor(n tree.NodeID, tag string) nodestore.Cursor {
 	sym := s.sym(tag)
 	if sym < 0 {
@@ -489,7 +486,7 @@ func (s *Edge) ChildrenByTagCursor(n tree.NodeID, tag string) nodestore.Cursor {
 	return &edgePostingCursor{s: s, rows: s.parentIdx.LookupInt(int64(n)), wantKind: rowElement, wantTag: int64(sym)}
 }
 
-// DescendantsCursor implements nodestore.CursorStore: the tag index posting
+// DescendantsCursor implements nodestore.Store: the tag index posting
 // list is in document order, so the containment join of Descendants becomes
 // a binary-searched range scan that streams row by row and stops at the
 // subtree end.
@@ -551,11 +548,11 @@ func (c *edgeRangeCursor) NextBatch(dst []tree.NodeID) int {
 	return n
 }
 
-// PathExtentCursor implements nodestore.CursorStore: the heap has no path
+// PathExtentCursor implements nodestore.Store: the heap has no path
 // access path.
 func (s *Edge) PathExtentCursor([]string) (nodestore.Cursor, bool) { return nil, false }
 
-// ChildrenByTagFilteredCursor implements nodestore.FilteredCursorStore:
+// ChildrenByTagFilteredCursor implements nodestore.Store:
 // pushed-down value predicates evaluate inside the posting-list select, so
 // rows a predicate rejects never leave the heap relation. The predicates
 // are compiled against the dictionary once per cursor: equality filters
@@ -624,13 +621,13 @@ func (s *Edge) matchCodedValueAt(n tree.NodeID, cf *codedFilter) bool {
 	return false
 }
 
-// PathExtentFilteredCursor implements nodestore.FilteredCursorStore: the
+// PathExtentFilteredCursor implements nodestore.Store: the
 // heap has no path access path, filtered or not.
 func (s *Edge) PathExtentFilteredCursor([]string, []nodestore.ValueFilter) (nodestore.Cursor, bool) {
 	return nil, false
 }
 
-// TagExtentPartitions implements nodestore.SplittableStore: the tag index
+// TagExtentPartitions implements nodestore.Store: the tag index
 // posting list is in bulkload (document) order, so a partition is a
 // contiguous range of it, streamed row by row like DescendantsCursor.
 func (s *Edge) TagExtentPartitions(tag string, k int) ([]nodestore.Cursor, bool) {
@@ -650,13 +647,13 @@ func (s *Edge) TagExtentPartitions(tag string, k int) ([]nodestore.Cursor, bool)
 	return parts, true
 }
 
-// PathExtentPartitions implements nodestore.SplittableStore: the heap has
+// PathExtentPartitions implements nodestore.Store: the heap has
 // no path access path to split.
 func (s *Edge) PathExtentPartitions([]string, int) ([]nodestore.Cursor, bool) {
 	return nil, false
 }
 
-// PathExtentFilteredPartitions implements nodestore.SplittableStore:
+// PathExtentFilteredPartitions implements nodestore.Store:
 // unsupported, like the unfiltered path scan.
 func (s *Edge) PathExtentFilteredPartitions([]string, []nodestore.ValueFilter, int) ([]nodestore.Cursor, bool) {
 	return nil, false

@@ -402,7 +402,7 @@ func (s *Path) TagExtent(tag string, buf []tree.NodeID) ([]tree.NodeID, bool) {
 	return buf, true
 }
 
-// TagCard implements nodestore.Cardinalities: the clustered id columns
+// TagCard implements nodestore.Store: the clustered id columns
 // know their lengths — a catalog read, no extent materialization.
 func (s *Path) TagCard(tag string) (int, bool) {
 	n := 0
@@ -412,7 +412,7 @@ func (s *Path) TagCard(tag string) (int, bool) {
 	return n, true
 }
 
-// PathCard implements nodestore.Cardinalities: a full path is one
+// PathCard implements nodestore.Store: a full path is one
 // fragment, whose clustered id column knows its length. Distinct from
 // CountPath, which stays unsupported: CountPath feeds the QUERY rewrite
 // (count() without the extent — System D's summary privilege), while
@@ -441,9 +441,6 @@ func (s *Path) fragment(path []string) *pathTable {
 	}
 	return s.catalog[string(key)]
 }
-
-// DictCard implements nodestore.Cardinalities.
-func (s *Path) DictCard() (int, bool) { return s.dict.Len(), true }
 
 // Descendants implements nodestore.Store: per-fragment clustered-index
 // range scans.
@@ -546,14 +543,14 @@ func (c *colIDCursor) NextBatch(dst []tree.NodeID) int {
 	return n
 }
 
-// ChildrenCursor implements nodestore.CursorStore. Reconstructing the full
+// ChildrenCursor implements nodestore.Store. Reconstructing the full
 // child list needs the ordinal merge across fragments, so the cursor wraps
 // the materializing method.
 func (s *Path) ChildrenCursor(n tree.NodeID) nodestore.Cursor {
 	return nodestore.NewSliceCursor(s.Children(n, nil))
 }
 
-// ChildrenByTagCursor implements nodestore.CursorStore: the catalog names
+// ChildrenByTagCursor implements nodestore.Store: the catalog names
 // at most one child fragment per label, so a tagged child step streams the
 // fragment's parent-index posting list directly.
 func (s *Path) ChildrenByTagCursor(n tree.NodeID, tag string) nodestore.Cursor {
@@ -567,7 +564,7 @@ func (s *Path) ChildrenByTagCursor(n tree.NodeID, tag string) nodestore.Cursor {
 	return nodestore.EmptyCursor{}
 }
 
-// DescendantsCursor implements nodestore.CursorStore. A single matching
+// DescendantsCursor implements nodestore.Store. A single matching
 // fragment streams its clustered-index range in place; several fragments
 // interleave in document order and fall back to the merging slice method.
 func (s *Path) DescendantsCursor(n tree.NodeID, tag string) nodestore.Cursor {
@@ -578,7 +575,7 @@ func (s *Path) DescendantsCursor(n tree.NodeID, tag string) nodestore.Cursor {
 	return nodestore.NewSliceCursor(s.Descendants(n, tag, nil))
 }
 
-// PathExtentCursor implements nodestore.CursorStore: a full path is one
+// PathExtentCursor implements nodestore.Store: a full path is one
 // fragment, so its extent streams from the clustered id column in place.
 func (s *Path) PathExtentCursor(path []string) (nodestore.Cursor, bool) {
 	pt := s.fragment(path)
@@ -588,7 +585,7 @@ func (s *Path) PathExtentCursor(path []string) (nodestore.Cursor, bool) {
 	return nodestore.NewSliceCursor(pt.ids), true
 }
 
-// ChildrenByTagFilteredCursor implements nodestore.FilteredCursorStore:
+// ChildrenByTagFilteredCursor implements nodestore.Store:
 // pushed-down predicates evaluate against the child fragment's own
 // attribute tables (and its #text child fragment) while the posting list
 // streams, so the engine never sees rejected rows. The predicates compile
@@ -672,7 +669,7 @@ func (s *Path) fragValueMatchCoded(pt *pathTable, id tree.NodeID, cf *codedFilte
 	return false
 }
 
-// PathExtentFilteredCursor implements nodestore.FilteredCursorStore: the
+// PathExtentFilteredCursor implements nodestore.Store: the
 // defining strength of the fragmenting mapping extends to filtered scans —
 // a filtered full-path extent is one clustered fragment scan with the
 // predicate answered from the fragment's own attribute tables. The cursor
@@ -698,7 +695,7 @@ func (s *Path) filteredCursor(pt *pathTable, ids []tree.NodeID, fs []nodestore.V
 	})
 }
 
-// TagExtentPartitions implements nodestore.SplittableStore. Several
+// TagExtentPartitions implements nodestore.Store. Several
 // fragments may end in the tag, so the extent materializes once (the same
 // merge TagExtent pays) and splits into contiguous ranges of the merged,
 // document-ordered slice.
@@ -711,7 +708,7 @@ func (s *Path) TagExtentPartitions(tag string, k int) ([]nodestore.Cursor, bool)
 	return nodestore.SliceCursors(nodestore.SplitIDs(ext, k)), true
 }
 
-// PathExtentPartitions implements nodestore.SplittableStore: a full path
+// PathExtentPartitions implements nodestore.Store: a full path
 // is one fragment, so a partition is a contiguous range of the fragment's
 // clustered id column, sliced in place.
 func (s *Path) PathExtentPartitions(path []string, k int) ([]nodestore.Cursor, bool) {
@@ -722,7 +719,7 @@ func (s *Path) PathExtentPartitions(path []string, k int) ([]nodestore.Cursor, b
 	return nodestore.SliceCursors(nodestore.SplitIDs(pt.ids, k)), true
 }
 
-// PathExtentFilteredPartitions implements nodestore.SplittableStore: each
+// PathExtentFilteredPartitions implements nodestore.Store: each
 // partition is a filtered scan over its range of the fragment's clustered
 // id column, evaluating the pushed-down predicates against the fragment's
 // own attribute and #text tables exactly like the sequential

@@ -5,7 +5,7 @@ import (
 	"repro/internal/tree"
 )
 
-// AppendSubtree implements nodestore.SubtreeAppender natively for the edge
+// AppendSubtree implements nodestore.Store natively for the edge
 // heap: subtree rows are contiguous in bulkload (document) order, so the
 // whole subtree is one range scan over the bound column vectors — no id
 // index probes, no posting-list hops. Attribute rows sit directly behind
@@ -69,7 +69,7 @@ func (s *Edge) AppendSubtree(dst []byte, n tree.NodeID) []byte {
 	return dst
 }
 
-// AppendSubtree implements nodestore.SubtreeAppender for the path and
+// AppendSubtree implements nodestore.Store for the path and
 // inline mappings via the generic pre-order range walk. The win over the
 // engine's recursive serialization is structural: the fragmenting mappings
 // pay a catalog consultation and a multi-fragment merge for every Children

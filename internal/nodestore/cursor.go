@@ -11,23 +11,6 @@ type Cursor interface {
 	Next() (tree.NodeID, bool)
 }
 
-// CursorStore is optionally implemented by stores that can stream
-// navigation results without materializing id slices first. The query
-// engine probes for it and falls back to the slice-returning Store methods
-// when a store does not stream.
-type CursorStore interface {
-	// ChildrenCursor streams all children of n in document order.
-	ChildrenCursor(n tree.NodeID) Cursor
-	// ChildrenByTagCursor streams the element children of n with the tag.
-	ChildrenByTagCursor(n tree.NodeID, tag string) Cursor
-	// DescendantsCursor streams the tag-labeled elements of n's subtree in
-	// document order, excluding n itself.
-	DescendantsCursor(n tree.NodeID, tag string) Cursor
-	// PathExtentCursor streams the extent of an exact root label path. ok
-	// is false if the store cannot answer paths directly.
-	PathExtentCursor(path []string) (Cursor, bool)
-}
-
 // SliceCursor adapts a materialized id slice to the Cursor interface
 // without copying it.
 type SliceCursor struct {
@@ -54,44 +37,3 @@ type EmptyCursor struct{}
 
 // Next implements Cursor.
 func (EmptyCursor) Next() (tree.NodeID, bool) { return tree.Nil, false }
-
-// Children returns a streaming cursor over the children of n when the
-// store supports one, and a slice-backed cursor otherwise.
-func Children(s Store, n tree.NodeID) Cursor {
-	if cs, ok := s.(CursorStore); ok {
-		return cs.ChildrenCursor(n)
-	}
-	return NewSliceCursor(s.Children(n, nil))
-}
-
-// ChildrenByTag returns a streaming cursor over the tag-labeled element
-// children of n, falling back to the slice method.
-func ChildrenByTag(s Store, n tree.NodeID, tag string) Cursor {
-	if cs, ok := s.(CursorStore); ok {
-		return cs.ChildrenByTagCursor(n, tag)
-	}
-	return NewSliceCursor(s.ChildrenByTag(n, tag, nil))
-}
-
-// Descendants returns a streaming cursor over the tag-labeled descendants
-// of n, falling back to the slice method.
-func Descendants(s Store, n tree.NodeID, tag string) Cursor {
-	if cs, ok := s.(CursorStore); ok {
-		return cs.DescendantsCursor(n, tag)
-	}
-	return NewSliceCursor(s.Descendants(n, tag, nil))
-}
-
-// PathExtent returns a streaming cursor over the extent of an exact root
-// label path, falling back to the slice method. ok is false when the store
-// has no path access path.
-func PathExtent(s Store, path []string) (Cursor, bool) {
-	if cs, ok := s.(CursorStore); ok {
-		return cs.PathExtentCursor(path)
-	}
-	ids, ok := s.PathExtent(path, nil)
-	if !ok {
-		return nil, false
-	}
-	return NewSliceCursor(ids), true
-}

@@ -17,10 +17,10 @@ type DOMOptions struct {
 	// AttrIndexes builds attribute value indexes (name, value) -> nodes.
 	AttrIndexes bool
 	// FilteredScans lets the store evaluate pushed-down value predicates
-	// inside its extent scans (FilteredCursorStore over the extent
-	// slices, with selection-vector batches). The plain-traversal and
-	// embedded profiles keep it off: they evaluate every predicate in
-	// the engine, like the originals.
+	// inside its extent scans (the filtered cursors over the extent
+	// slices, with selection-vector batches); without it they decline.
+	// The plain-traversal and embedded profiles keep it off: they
+	// evaluate every predicate in the engine, like the originals.
 	FilteredScans bool
 }
 
@@ -70,7 +70,7 @@ func NewDOM(name string, doc *tree.Doc, opts DOMOptions) *DOM {
 // Doc exposes the underlying tree for serialization fast paths in tests.
 func (d *DOM) Doc() *tree.Doc { return d.doc }
 
-// AppendSubtree implements SubtreeAppender: the arena's pre-order range
+// AppendSubtree implements Store: the arena's pre-order range
 // walk with pre-rendered tag tables, the tightest subtree emission any
 // store can offer.
 func (d *DOM) AppendSubtree(dst []byte, n tree.NodeID) []byte {
@@ -174,7 +174,7 @@ func (d *DOM) CountPath(path []string) (int, bool) {
 	return d.sum.Count(path...), true
 }
 
-// TagCard implements Cardinalities: the inverted element index or the
+// TagCard implements Store: the inverted element index or the
 // summary know extent sizes without materializing them.
 func (d *DOM) TagCard(tag string) (int, bool) {
 	if d.extents != nil {
@@ -186,7 +186,7 @@ func (d *DOM) TagCard(tag string) (int, bool) {
 	return 0, false
 }
 
-// PathCard implements Cardinalities; only the summary keeps per-path
+// PathCard implements Store; only the summary keeps per-path
 // statistics.
 func (d *DOM) PathCard(path []string) (int, bool) {
 	if d.sum == nil {
@@ -194,10 +194,6 @@ func (d *DOM) PathCard(path []string) (int, bool) {
 	}
 	return d.sum.Count(path...), true
 }
-
-// DictCard implements Cardinalities: main-memory stores keep raw strings,
-// no dictionary.
-func (d *DOM) DictCard() (int, bool) { return 0, false }
 
 // AttrLookup implements Store via the attribute value index.
 func (d *DOM) AttrLookup(name, value string) ([]tree.NodeID, bool) {
@@ -212,13 +208,13 @@ func (d *DOM) InlinedChildText(tree.NodeID, string) (string, bool, bool) {
 	return "", false, false
 }
 
-// ChildrenCursor implements CursorStore by walking the sibling links of the
+// ChildrenCursor implements Store by walking the sibling links of the
 // tree arena; no id slice is materialized.
 func (d *DOM) ChildrenCursor(n tree.NodeID) Cursor {
 	return &domChildCursor{doc: d.doc, next: d.doc.FirstChild(n), sym: -1, any: true}
 }
 
-// ChildrenByTagCursor implements CursorStore.
+// ChildrenByTagCursor implements Store.
 func (d *DOM) ChildrenByTagCursor(n tree.NodeID, tag string) Cursor {
 	sym := d.doc.TagSymbol(tag)
 	if sym < 0 {
@@ -247,7 +243,7 @@ func (c *domChildCursor) Next() (tree.NodeID, bool) {
 	return tree.Nil, false
 }
 
-// DescendantsCursor implements CursorStore. With tag extents the cursor
+// DescendantsCursor implements Store. With tag extents the cursor
 // walks a binary-searched subslice of the inverted list in place; without
 // them it is a streaming pre-order scan of the subtree range.
 func (d *DOM) DescendantsCursor(n tree.NodeID, tag string) Cursor {
@@ -299,7 +295,7 @@ func (c *domScanCursor) NextBatch(dst []tree.NodeID) int {
 	return n
 }
 
-// PathExtentCursor implements CursorStore; only the summary can answer it.
+// PathExtentCursor implements Store; only the summary can answer it.
 // The cursor walks the summary's extent in place without copying it.
 func (d *DOM) PathExtentCursor(path []string) (Cursor, bool) {
 	if d.sum == nil {
@@ -308,7 +304,7 @@ func (d *DOM) PathExtentCursor(path []string) (Cursor, bool) {
 	return NewSliceCursor(d.sum.Lookup(path...)), true
 }
 
-// TagExtentPartitions implements SplittableStore: the inverted element
+// TagExtentPartitions implements Store: the inverted element
 // list (or the summary's merged extent) splits into contiguous ranges in
 // place.
 func (d *DOM) TagExtentPartitions(tag string, k int) ([]Cursor, bool) {
@@ -322,7 +318,7 @@ func (d *DOM) TagExtentPartitions(tag string, k int) ([]Cursor, bool) {
 	return SliceCursors(SplitIDs(ext, k)), true
 }
 
-// PathExtentPartitions implements SplittableStore; only the summary can
+// PathExtentPartitions implements Store; only the summary can
 // answer it. The partitions slice the summary's extent without copying.
 func (d *DOM) PathExtentPartitions(path []string, k int) ([]Cursor, bool) {
 	if d.sum == nil {
@@ -331,7 +327,7 @@ func (d *DOM) PathExtentPartitions(path []string, k int) ([]Cursor, bool) {
 	return SliceCursors(SplitIDs(d.sum.Lookup(path...), k)), true
 }
 
-// ChildrenByTagFilteredCursor implements FilteredCursorStore when the
+// ChildrenByTagFilteredCursor implements Store when the
 // profile enables in-scan filtering: the child list materializes as usual
 // and the pushed-down predicates evaluate over it through the generic
 // reference semantics, so rows a predicate rejects never surface into the
@@ -343,7 +339,7 @@ func (d *DOM) ChildrenByTagFilteredCursor(n tree.NodeID, tag string, fs []ValueF
 	return NewFilteredSliceCursor(d, d.ChildrenByTag(n, tag, nil), fs), true
 }
 
-// PathExtentFilteredCursor implements FilteredCursorStore: the structural
+// PathExtentFilteredCursor implements Store: the structural
 // summary's extent slice streams through the pushed-down predicates
 // (selection-vector batches), the main-memory counterpart of the path
 // mapping's filtered fragment scan.
@@ -354,7 +350,7 @@ func (d *DOM) PathExtentFilteredCursor(path []string, fs []ValueFilter) (Cursor,
 	return NewFilteredSliceCursor(d, d.sum.Lookup(path...), fs), true
 }
 
-// PathExtentFilteredPartitions implements SplittableStore: with in-scan
+// PathExtentFilteredPartitions implements Store: with in-scan
 // filtering enabled, each partition applies every pushed-down predicate
 // over its range of the summary's extent slice, exactly like the
 // sequential PathExtentFilteredCursor; profiles without FilteredScans

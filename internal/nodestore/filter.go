@@ -119,8 +119,8 @@ func (f ValueFilter) Match(v string) bool {
 }
 
 // MatchNode evaluates one filter against a stored node through the generic
-// Store interface: the reference semantics for FilteredCursorStore
-// implementations (and their tests). Attribute filters read the named
+// Store navigation: the reference semantics for the filtered cursors
+// (and their tests). Attribute filters read the named
 // attribute — absent attributes never match; text filters match when any
 // text child satisfies the comparison; a Child component applies either
 // source existentially over the tag-named element children. All of it is
@@ -129,7 +129,7 @@ func MatchNode(s Store, n tree.NodeID, f ValueFilter) bool {
 	if f.Child == "" {
 		return matchValueAt(s, n, f)
 	}
-	cur := ChildrenByTag(s, n, f.Child)
+	cur := s.ChildrenByTagCursor(n, f.Child)
 	for {
 		id, ok := cur.Next()
 		if !ok {
@@ -148,7 +148,7 @@ func matchValueAt(s Store, n tree.NodeID, f ValueFilter) bool {
 		v, ok := s.Attr(n, f.Attr)
 		return ok && f.Match(v)
 	}
-	cur := Children(s, n)
+	cur := s.ChildrenCursor(n)
 	for {
 		id, ok := cur.Next()
 		if !ok {
@@ -168,40 +168,4 @@ func MatchAll(s Store, n tree.NodeID, fs []ValueFilter) bool {
 		}
 	}
 	return true
-}
-
-// FilteredCursorStore is optionally implemented by stores that can
-// evaluate value and range predicates inside their scans, so rows rejected
-// by a pushed-down predicate never surface into the engine's pipeline. The
-// planner probes for this interface at plan time; stores without it keep
-// evaluating predicates in the engine (the paper's main-memory systems
-// navigate, the relational mappings select inside the table scan).
-type FilteredCursorStore interface {
-	// ChildrenByTagFilteredCursor streams the tag-labeled element children
-	// of n that satisfy every filter, in document order. ok is false when
-	// the store cannot evaluate the filters on this axis.
-	ChildrenByTagFilteredCursor(n tree.NodeID, tag string, fs []ValueFilter) (Cursor, bool)
-	// PathExtentFilteredCursor streams the extent of an exact root label
-	// path restricted to nodes satisfying every filter. ok is false when
-	// the store has no filtered path access path.
-	PathExtentFilteredCursor(path []string, fs []ValueFilter) (Cursor, bool)
-}
-
-// ChildrenByTagFiltered returns a store-filtered cursor when the store
-// supports one; ok is false otherwise and the caller must evaluate the
-// predicates itself.
-func ChildrenByTagFiltered(s Store, n tree.NodeID, tag string, fs []ValueFilter) (Cursor, bool) {
-	if fcs, ok := s.(FilteredCursorStore); ok {
-		return fcs.ChildrenByTagFilteredCursor(n, tag, fs)
-	}
-	return nil, false
-}
-
-// PathExtentFiltered returns a store-filtered path extent cursor when the
-// store supports one; ok is false otherwise.
-func PathExtentFiltered(s Store, path []string, fs []ValueFilter) (Cursor, bool) {
-	if fcs, ok := s.(FilteredCursorStore); ok {
-		return fcs.PathExtentFilteredCursor(path, fs)
-	}
-	return nil, false
 }

@@ -2,38 +2,6 @@ package nodestore
 
 import "repro/internal/tree"
 
-// SplittableStore is optionally implemented by stores whose scan access
-// paths can be split into disjoint document-order partitions: the storage
-// half of the engine's morsel-style intra-query parallelism. Every method
-// returns at most k cursors such that (a) the concatenation of the cursors
-// in slice order yields exactly the ids of the corresponding sequential
-// scan, in the same order, and (b) every id of partition i precedes every
-// id of partition i+1 in document order. Because scan extents never contain
-// two nodes on the same root label path nested inside each other, property
-// (b) extends to whole subtrees for path extents: the subtrees of partition
-// i end before the subtrees of partition i+1 begin, which is what lets the
-// engine run downstream navigation per partition and recombine by simple
-// ordered concatenation.
-//
-// The containment encoding makes splitting essentially free: a tag or path
-// extent is a sorted NodeID slice (DOM inverted lists, the path mapping's
-// clustered fragment columns) or a document-ordered posting list (the edge
-// mapping's tag index), so a partition is a contiguous range of it.
-//
-// ok is false when the store has no access path for the requested scan;
-// the engine then executes the scan sequentially. An empty extent returns
-// (nil, true): zero partitions, not a missing capability.
-type SplittableStore interface {
-	// TagExtentPartitions splits the extent of every element with the tag.
-	TagExtentPartitions(tag string, k int) ([]Cursor, bool)
-	// PathExtentPartitions splits the extent of an exact root label path.
-	PathExtentPartitions(path []string, k int) ([]Cursor, bool)
-	// PathExtentFilteredPartitions splits a filtered path extent scan: each
-	// partition applies every ValueFilter inside the store, exactly like
-	// PathExtentFilteredCursor restricted to the partition's range.
-	PathExtentFilteredPartitions(path []string, fs []ValueFilter, k int) ([]Cursor, bool)
-}
-
 // SplitIDs splits a document-order id slice into at most k contiguous,
 // near-equal runs without copying. Fewer than k runs come back when the
 // slice has fewer than k ids; an empty slice yields no runs, and a
@@ -65,30 +33,4 @@ func SliceCursors(parts [][]tree.NodeID) []Cursor {
 		out[i] = NewSliceCursor(p)
 	}
 	return out
-}
-
-// TagExtentPartitions asks the store for tag extent partitions; ok is
-// false when the store is not splittable or has no tag access path.
-func TagExtentPartitions(s Store, tag string, k int) ([]Cursor, bool) {
-	if ss, ok := s.(SplittableStore); ok {
-		return ss.TagExtentPartitions(tag, k)
-	}
-	return nil, false
-}
-
-// PathExtentPartitions asks the store for path extent partitions.
-func PathExtentPartitions(s Store, path []string, k int) ([]Cursor, bool) {
-	if ss, ok := s.(SplittableStore); ok {
-		return ss.PathExtentPartitions(path, k)
-	}
-	return nil, false
-}
-
-// PathExtentFilteredPartitions asks the store for filtered path extent
-// partitions.
-func PathExtentFilteredPartitions(s Store, path []string, fs []ValueFilter, k int) ([]Cursor, bool) {
-	if ss, ok := s.(SplittableStore); ok {
-		return ss.PathExtentFilteredPartitions(path, fs, k)
-	}
-	return nil, false
 }

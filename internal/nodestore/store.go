@@ -27,13 +27,19 @@ type Stats struct {
 	Nodes int
 }
 
-// Store is the access-path interface a query processor sees. Node handles
-// are document-order identifiers (tree.NodeID); how each operation is
-// answered — pointer chase, hash probe into one big relation, per-path
-// table lookup, structural-summary consultation — is the architecture under
-// test. Stores that can stream navigation results without materializing
-// id slices additionally implement CursorStore; the engine's pipeline
-// prefers those cursors and falls back to the slice methods below.
+// Store is the access-path interface a query processor sees, and the one
+// contract every architecture implements in full. Node handles are
+// document-order identifiers (tree.NodeID); how each operation is answered
+// — pointer chase, hash probe into one big relation, per-path table
+// lookup, structural-summary consultation — is the architecture under test.
+//
+// What a store can and cannot do is carried by the ok=false returns, not by
+// which methods it has: a store without a path catalog declines
+// PathExtent, PathCard and the path partitions; a profile without in-scan
+// filtering declines the filtered cursors; a store without an attached
+// text index declines TextCandidates. The planner probes those returns at
+// compile time (counted in Plan.Probes) and keeps the general plan where a
+// store declines.
 type Store interface {
 	// Name identifies the architecture, e.g. "edge" or "dom+summary".
 	Name() string
@@ -96,4 +102,83 @@ type Store interface {
 	InlinedChildText(n tree.NodeID, tag string) (val string, ok bool, supported bool)
 	// Stats reports size accounting for the Table 1 reproduction.
 	Stats() Stats
+
+	// ChildrenCursor streams all children of n in document order: the
+	// streaming form of Children, which the engine's pipeline uses so no
+	// id slice is materialized.
+	ChildrenCursor(n tree.NodeID) Cursor
+	// ChildrenByTagCursor streams the element children of n with the tag.
+	ChildrenByTagCursor(n tree.NodeID, tag string) Cursor
+	// DescendantsCursor streams the tag-labeled elements of n's subtree in
+	// document order, excluding n itself.
+	DescendantsCursor(n tree.NodeID, tag string) Cursor
+	// PathExtentCursor streams the extent of an exact root label path. ok
+	// is false exactly when PathExtent's is.
+	PathExtentCursor(path []string) (Cursor, bool)
+
+	// ChildrenByTagFilteredCursor streams the tag-labeled element children
+	// of n that satisfy every filter (MatchAll semantics), in document
+	// order, so rows a pushed-down predicate rejects never surface into
+	// the engine. ok is false when the store does not evaluate filters on
+	// this axis and the engine must (the paper's main-memory systems
+	// navigate, the relational mappings select inside the table scan).
+	ChildrenByTagFilteredCursor(n tree.NodeID, tag string, fs []ValueFilter) (Cursor, bool)
+	// PathExtentFilteredCursor streams the extent of an exact root label
+	// path restricted to nodes satisfying every filter. ok is false when
+	// the store has no filtered path access path.
+	PathExtentFilteredCursor(path []string, fs []ValueFilter) (Cursor, bool)
+
+	// TagExtentPartitions, PathExtentPartitions and
+	// PathExtentFilteredPartitions split a scan into at most k cursors,
+	// the storage half of the engine's morsel-style parallelism: (a) the
+	// concatenation of the cursors in slice order yields exactly the ids
+	// of the sequential scan, in the same order, and (b) every id of
+	// partition i precedes every id of partition i+1 in document order.
+	// Nodes on one root label path never nest, so for path extents (b)
+	// extends to whole subtrees, which lets the engine run downstream
+	// navigation per partition and recombine by ordered concatenation.
+	// Extents are sorted id slices or document-ordered posting lists, so
+	// a partition is a contiguous range (see SplitIDs). ok is false when
+	// the store has no access path for the scan and it runs sequentially;
+	// an empty extent returns (nil, true).
+	TagExtentPartitions(tag string, k int) ([]Cursor, bool)
+	PathExtentPartitions(path []string, k int) ([]Cursor, bool)
+	// PathExtentFilteredPartitions applies every filter inside each
+	// partition, exactly like PathExtentFilteredCursor restricted to the
+	// partition's range.
+	PathExtentFilteredPartitions(path []string, fs []ValueFilter, k int) ([]Cursor, bool)
+
+	// TagCard returns the number of elements with the tag from the
+	// store's catalog (posting-list lengths, clustered column lengths,
+	// summary counts) without materializing the extent: the planner's
+	// cost reads (the vectorize gate, hash-join build sizing, the
+	// empty-extent warnings). It answers ok exactly when TagExtent does,
+	// with the extent's length.
+	//
+	// TagCard and PathCard answer the PLANNER and are deliberately
+	// distinct from CountPath/CountDescendants, which answer the QUERY
+	// rewrite (a count() served without its extent, the summary
+	// privilege the paper grants only System D): any mapping may describe
+	// its own tables without changing which systems shortcut which
+	// queries.
+	TagCard(tag string) (int, bool)
+	// PathCard is TagCard for an exact root label path: ok exactly when
+	// PathExtent answers ok, with the extent's length.
+	PathCard(path []string) (int, bool)
+
+	// AppendSubtree appends n's whole subtree as XML to dst, byte-identical
+	// to the recursive serialization (open tag, attributes in document
+	// order, children, close tag; `/>` for childless elements; values
+	// escaped like tree.AppendEscapedText/Attr). Stores without a tighter
+	// native walk delegate to AppendSubtreeRange.
+	AppendSubtree(dst []byte, n tree.NodeID) []byte
+
+	// TextSearcher answers contains() candidate pre-filters from an
+	// attached full-text index; it declines with ok=false when none is
+	// attached.
+	TextSearcher
+	// AttachTextIndex installs a full-text index at load time, before the
+	// store is published to concurrent readers. Stores embed
+	// TextIndexHolder for it and for TextSearcher.
+	AttachTextIndex(idx TextIndex)
 }

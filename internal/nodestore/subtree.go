@@ -4,19 +4,6 @@ import (
 	"repro/internal/tree"
 )
 
-// SubtreeAppender is the subtree-batch serialization capability: a store
-// that can emit a node's whole subtree as XML by walking its pre-order
-// NodeID range once, instead of the engine recursing child-by-child
-// through per-node navigation calls. The appended bytes must be
-// byte-identical to the recursive serialization (open tag, attributes in
-// document order, children, close tag; `/>` for childless elements;
-// text/attribute values escaped like tree.AppendEscapedText/Attr). The
-// engine's serializer probes for this interface and falls back to
-// AppendSubtreeRange when a store does not provide it.
-type SubtreeAppender interface {
-	AppendSubtree(dst []byte, n tree.NodeID) []byte
-}
-
 // TextChildLister is the text-step navigation capability: a store that
 // can append the text-node children of n in document order without
 // materializing (and kind-filtering) the full child list. The vectorized

@@ -46,9 +46,9 @@ type TextIndex interface {
 	Info() TextIndexInfo
 }
 
-// TextSearcher is the store capability the fulltext-pushdown rule probes:
-// a store that can answer contains() candidate pre-filters from an
-// inverted index over its text nodes.
+// TextSearcher is the method group of Store the fulltext-pushdown rule
+// probes: contains() candidate pre-filters answered from an inverted index
+// over the store's text nodes.
 type TextSearcher interface {
 	// TextCandidates answers like TextIndex.Candidates; ok is false when
 	// no index is attached or the index declines the probe.
@@ -58,18 +58,10 @@ type TextSearcher interface {
 	TextIndexInfo() (TextIndexInfo, bool)
 }
 
-// TextIndexAttacher is implemented by stores that accept a load-time
-// full-text index (the DOM store and both relational mappings embed
-// TextIndexHolder).
-type TextIndexAttacher interface {
-	AttachTextIndex(idx TextIndex)
-}
-
-// TextIndexHolder is the embeddable TextSearcher implementation: stores
-// embed it and the loader attaches an index after bulkload. Like the
-// filtered-cursor capability, the interface alone is not the capability —
-// a store without an attached index declines every probe and the engine
-// falls back to scanning.
+// TextIndexHolder is the embeddable implementation of TextSearcher and
+// Store.AttachTextIndex: stores embed it and the loader attaches an index
+// after bulkload. A store without an attached index declines every probe
+// with ok=false and the engine scans.
 type TextIndexHolder struct {
 	textIdx TextIndex
 }
@@ -96,14 +88,4 @@ func (h *TextIndexHolder) TextIndexInfo() (TextIndexInfo, bool) {
 		return TextIndexInfo{}, false
 	}
 	return h.textIdx.Info(), true
-}
-
-// TextCandidates probes a store's full-text capability, declining for
-// stores without it.
-func TextCandidates(s Store, tag string, probes []TextProbe) ([]tree.NodeID, bool) {
-	ts, ok := s.(TextSearcher)
-	if !ok {
-		return nil, false
-	}
-	return ts.TextCandidates(tag, probes)
 }

@@ -31,22 +31,18 @@ import (
 // The rule runs dead last: parallelize and vectorize have already shaped
 // the scans, and the probe wraps above a PartitionedScan so partition
 // workers and batch operators see it unchanged. The probe itself is a
-// catalog consultation — the interface alone is not the capability; a
-// store without an attached index declines and the plan stays a scan.
+// catalog consultation: a store without an attached index declines with
+// ok=false and the plan stays a scan.
 func ruleFulltext(p *Plan, opts Options, store nodestore.Store) {
 	if !opts.FulltextIndex {
-		return
-	}
-	ts, ok := store.(nodestore.TextSearcher)
-	if !ok {
 		return
 	}
 	p.walk(func(n *Node) {
 		switch n.Op {
 		case OpProject:
-			fulltextFLWOR(p, ts, n)
+			fulltextFLWOR(p, store, n)
 		case OpNavigate:
-			fulltextSteps(p, ts, n)
+			fulltextSteps(p, store, n)
 		}
 	})
 }

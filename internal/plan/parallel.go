@@ -34,19 +34,15 @@ import (
 //     (deterministically) and order by is a pipeline breaker that keeps
 //     the chain sequential.
 //
-// Which scans split is a store capability (SplittableStore) probed at plan
-// time like every other catalog consultation, and the firing is gated by
+// Which scans split is a store capability (the *Partitions methods, whose
+// ok=false declines a scan) probed at plan time like every other catalog consultation, and the firing is gated by
 // the system profile's MaxDegree — the paper's embedded System G and the
 // plain-traversal System F stay sequential.
 func ruleParallelize(p *Plan, opts Options, store nodestore.Store) {
 	if opts.MaxDegree <= 1 {
 		return
 	}
-	ss, splittable := store.(nodestore.SplittableStore)
-	if !splittable {
-		return
-	}
-	pz := &parallelizer{p: p, opts: opts, store: store, ss: ss,
+	pz := &parallelizer{p: p, opts: opts, store: store,
 		rootTag: store.Tag(store.Root())}
 	if g := pz.gather(p.Root.Input); g != nil {
 		p.Root.Input = g
@@ -58,7 +54,6 @@ type parallelizer struct {
 	p       *Plan
 	opts    Options
 	store   nodestore.Store
-	ss      nodestore.SplittableStore
 	rootTag string
 }
 
@@ -243,7 +238,7 @@ func (pz *parallelizer) seqSafePred(pr *Node) bool {
 // the catalog probe.
 func (pz *parallelizer) probeTag(tag string) bool {
 	pz.p.Probes++
-	_, ok := pz.ss.TagExtentPartitions(tag, 1)
+	_, ok := pz.store.TagExtentPartitions(tag, 1)
 	return ok
 }
 
@@ -252,9 +247,9 @@ func (pz *parallelizer) probeTag(tag string) bool {
 func (pz *parallelizer) probePath(path []string, fs []nodestore.ValueFilter) bool {
 	pz.p.Probes++
 	if len(fs) > 0 {
-		_, ok := pz.ss.PathExtentFilteredPartitions(path, fs, 1)
+		_, ok := pz.store.PathExtentFilteredPartitions(path, fs, 1)
 		return ok
 	}
-	_, ok := pz.ss.PathExtentPartitions(path, 1)
+	_, ok := pz.store.PathExtentPartitions(path, 1)
 	return ok
 }

@@ -73,8 +73,8 @@ func TestParallelizeRespectsMaxDegree(t *testing.T) {
 }
 
 func TestParallelizeSkipsUnsplittableStore(t *testing.T) {
-	// An engine-defined store without SplittableStore: wrap the DOM so the
-	// capability probe fails.
+	// A store whose partition methods decline: wrap the DOM so every
+	// partitionability probe answers ok=false.
 	store := plainStore{testStore(t)}
 	p := compileOpt(t, `for $p in /site/people/person return $p/name/text()`, parallelOpts(), store)
 	if fired(p, "parallelize") != 0 {
@@ -138,6 +138,18 @@ func TestParallelizeSkipsDescendantAfterTagScan(t *testing.T) {
 	}
 }
 
-// plainStore hides every optional capability of the wrapped store except
-// the base Store interface.
+// plainStore declines every partitioned scan of the wrapped store with
+// ok=false, the way a store without splittable extents answers.
 type plainStore struct{ nodestore.Store }
+
+func (plainStore) TagExtentPartitions(string, int) ([]nodestore.Cursor, bool) {
+	return nil, false
+}
+
+func (plainStore) PathExtentPartitions([]string, int) ([]nodestore.Cursor, bool) {
+	return nil, false
+}
+
+func (plainStore) PathExtentFilteredPartitions([]string, []nodestore.ValueFilter, int) ([]nodestore.Cursor, bool) {
+	return nil, false
+}

@@ -59,7 +59,7 @@ type Options struct {
 	MaxDegree int
 	// FulltextIndex lets the fulltext-pushdown rule rewrite contains()
 	// selections into inverted-index candidate probes when the store
-	// carries a nodestore.TextSearcher with an attached index. Probed
+	// has a full-text index attached (TextCandidates answers ok). Probed
 	// candidates only pre-filter; the original predicate always
 	// re-verifies, so the option changes plans, never results.
 	FulltextIndex bool
@@ -71,11 +71,6 @@ type Options struct {
 	// engine); an execution may override the width — but not re-enable a
 	// disabled rule — through its Session.
 	BatchSize int
-	// Analyze installs per-operator runtime instrumentation (EXPLAIN
-	// ANALYZE counters: rows, next() calls, cumulative time, batch and
-	// gather statistics) on every execution. The wrappers exist only when
-	// this is set; the normal path pays nothing.
-	Analyze bool
 }
 
 // Op enumerates the logical operators of the plan IR.

@@ -134,7 +134,7 @@ func rulePathExtent(p *Plan, opts Options, store nodestore.Store) {
 			return
 		}
 		p.Probes++
-		if _, ok := nodestore.PathCount(store, prefix); !ok {
+		if _, ok := store.PathCard(prefix); !ok {
 			return
 		}
 		n.Input = &Node{Op: OpPathScan, Expr: n.Input.Expr, Path: prefix}
@@ -208,10 +208,6 @@ func ruleAttrIndex(p *Plan, opts Options, store nodestore.Store) {
 // engine. Only a prefix may move: later predicates see positions within
 // the survivors of earlier ones, which the filtered scan preserves exactly.
 func rulePushdown(p *Plan, store nodestore.Store) {
-	fcs, ok := store.(nodestore.FilteredCursorStore)
-	if !ok {
-		return
-	}
 	p.walk(func(n *Node) {
 		if n.Op != OpNavigate {
 			return
@@ -234,12 +230,11 @@ func rulePushdown(p *Plan, store nodestore.Store) {
 			if pushed == 0 {
 				continue
 			}
-			// The interface alone is not the capability: a store may
-			// implement filtered cursors but decline them per profile
-			// (plain main-memory stores evaluate predicates in the
-			// engine). Probe it like every other catalog consultation.
+			// A store may decline filtered cursors per profile (plain
+			// main-memory stores evaluate predicates in the engine).
+			// Probe it like every other catalog consultation.
 			p.Probes++
-			if _, supported := fcs.ChildrenByTagFilteredCursor(store.Root(), sp.Name, filters); !supported {
+			if _, supported := store.ChildrenByTagFilteredCursor(store.Root(), sp.Name, filters); !supported {
 				continue
 			}
 			sp.Filters = filters
@@ -255,10 +250,6 @@ func rulePushdown(p *Plan, store nodestore.Store) {
 // scan directly (the fragmenting mappings: one clustered fragment scan
 // with the predicate answered from the fragment's attribute tables).
 func rulePushdownExtent(p *Plan, store nodestore.Store) {
-	fcs, ok := store.(nodestore.FilteredCursorStore)
-	if !ok {
-		return
-	}
 	p.walk(func(n *Node) {
 		if n.Op != OpNavigate || n.Input.Op != OpPathScan ||
 			len(n.Input.Filters) > 0 || len(n.Steps) == 0 {
@@ -272,7 +263,7 @@ func rulePushdownExtent(p *Plan, store nodestore.Store) {
 		}
 		path := append(append([]string{}, n.Input.Path...), sp.Name)
 		p.Probes++
-		if _, supported := fcs.PathExtentFilteredCursor(path, sp.Filters); !supported {
+		if _, supported := store.PathExtentFilteredCursor(path, sp.Filters); !supported {
 			return
 		}
 		n.Input.Path = path

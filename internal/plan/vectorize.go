@@ -2,7 +2,6 @@ package plan
 
 import (
 	"repro/internal/nodestore"
-	"repro/internal/tree"
 	"repro/internal/xquery"
 )
 
@@ -280,37 +279,25 @@ func ctorPartBatchable(part *Node) bool {
 
 // bigEnough probes the store for the scan's extent size — a catalog
 // consultation counted like every other compile-time metadata access —
-// and reports whether it clears the vectorization threshold. The probe
-// consults the store's cardinality catalog first (Cardinalities: a pure
-// metadata read, zero allocations — see BenchmarkBigEnough), falls back
-// to CountPath, and only on catalog-less stores pulls at most
-// minBatchExtent ids from the scan's own cursor — never the whole extent,
-// which at factor 0.1 would copy tens of thousands of ids per ad-hoc
-// compile just to compare a length against 32. Filters do not enter the
-// estimate: a filtered scan still reads the whole extent, which is
-// exactly the work that batches.
+// and reports whether it clears the vectorization threshold. The probe is
+// a pure metadata read of the store's catalog (TagCard/PathCard, zero
+// allocations — see BenchmarkBigEnough), never the extent itself, which at
+// factor 0.1 would copy tens of thousands of ids per ad-hoc compile just to
+// compare a length against 32. A store that declines has no such scan.
+// Filters do not enter the estimate: a filtered scan still reads the whole
+// extent, which is exactly the work that batches.
 func (vz *vectorizer) bigEnough(n *Node) bool {
 	vz.p.Probes++
+	c, ok := vz.extentCard(n)
+	return ok && c >= minBatchExtent
+}
+
+// extentCard reads a scan node's extent size from the store's catalog.
+func (vz *vectorizer) extentCard(n *Node) (int, bool) {
 	if n.Tag != "" {
-		if c, ok := nodestore.TagCardinality(vz.store, n.Tag); ok {
-			return c >= minBatchExtent
-		}
-		if parts, ok := nodestore.TagExtentPartitions(vz.store, n.Tag, 1); ok {
-			return len(parts) == 1 && cursorAtLeast(parts[0], minBatchExtent)
-		}
-		ext, ok := vz.store.TagExtent(n.Tag, nil)
-		return ok && len(ext) >= minBatchExtent
+		return vz.store.TagCard(n.Tag)
 	}
-	if c, ok := nodestore.PathCardinality(vz.store, n.Path); ok {
-		return c >= minBatchExtent
-	}
-	if c, ok := vz.store.CountPath(n.Path); ok {
-		return c >= minBatchExtent
-	}
-	if cur, ok := nodestore.PathExtent(vz.store, n.Path); ok {
-		return cursorAtLeast(cur, minBatchExtent)
-	}
-	return false
+	return vz.store.PathCard(n.Path)
 }
 
 // scanCard returns the cardinality of a scan-shaped node from the
@@ -324,40 +311,13 @@ func (vz *vectorizer) scanCard(n *Node) int {
 	for n != nil && (n.Op == OpSelect || (n.Op == OpNavigate && len(n.Steps) == 0)) {
 		n = n.Input
 	}
-	if n == nil {
+	if n == nil || (n.Op != OpPathScan && n.Op != OpPartitionedScan) {
 		return 0
 	}
-	switch n.Op {
-	case OpPathScan, OpPartitionedScan:
-		if n.Tag != "" {
-			if c, ok := nodestore.TagCardinality(vz.store, n.Tag); ok {
-				return c
-			}
-			return 0
-		}
-		if c, ok := nodestore.PathCardinality(vz.store, n.Path); ok {
-			return c
-		}
-		if c, ok := vz.store.CountPath(n.Path); ok {
-			return c
-		}
+	if c, ok := vz.extentCard(n); ok {
+		return c
 	}
 	return 0
-}
-
-// cursorAtLeast reports whether the cursor yields at least k ids, pulling
-// no more than k.
-func cursorAtLeast(cur nodestore.Cursor, k int) bool {
-	var buf [minBatchExtent]tree.NodeID
-	total := 0
-	for total < k {
-		n := nodestore.FillBatch(cur, buf[:k-total])
-		if n == 0 {
-			return false
-		}
-		total += n
-	}
-	return true
 }
 
 // rankFreePred reports whether a whole-sequence filter predicate is

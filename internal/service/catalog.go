@@ -237,14 +237,12 @@ func (c *Catalog) TextIndexes() []TextIndexStatus {
 	for _, sys := range c.systems {
 		st := TextIndexStatus{System: sys.ID}
 		inst := c.instances[sys.ID]
-		if ts, ok := inst.Engine.Store().(nodestore.TextSearcher); ok {
-			if info, built := ts.TextIndexInfo(); built {
-				st.Built = true
-				st.Terms = info.Terms
-				st.Postings = info.Postings
-				st.Bytes = info.Bytes
-				st.BuildMs = float64(info.BuildTime) / 1e6
-			}
+		if info, built := inst.Engine.Store().TextIndexInfo(); built {
+			st.Built = true
+			st.Terms = info.Terms
+			st.Postings = info.Postings
+			st.Bytes = info.Bytes
+			st.BuildMs = float64(info.BuildTime) / 1e6
 		}
 		out = append(out, st)
 	}

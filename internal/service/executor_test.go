@@ -67,19 +67,29 @@ func TestAdHocRunsOnWorkerSession(t *testing.T) {
 	}
 }
 
-// faultyStore panics on its failAt-th navigation call, once: a store
+// faultyStore panics on its failAt-th by-tag child navigation call,
+// whether the engine asks for the slice or the cursor form, once: a store
 // invariant breaking in the middle of a result stream.
 type faultyStore struct {
 	nodestore.Store
 	calls, failAt int
 }
 
-func (f *faultyStore) ChildrenByTag(n tree.NodeID, tag string, buf []tree.NodeID) []tree.NodeID {
+func (f *faultyStore) step() {
 	f.calls++
 	if f.calls == f.failAt {
 		panic("faultyStore: invariant broken")
 	}
+}
+
+func (f *faultyStore) ChildrenByTag(n tree.NodeID, tag string, buf []tree.NodeID) []tree.NodeID {
+	f.step()
 	return f.Store.ChildrenByTag(n, tag, buf)
+}
+
+func (f *faultyStore) ChildrenByTagCursor(n tree.NodeID, tag string) nodestore.Cursor {
+	f.step()
+	return f.Store.ChildrenByTagCursor(n, tag)
 }
 
 // TestWorkerRecoversPanic pins the executor's panic barrier: a store that

@@ -57,9 +57,11 @@ func TestAnalyzeByteIdenticalAllQueries(t *testing.T) {
 	}
 }
 
-// TestAnalyzeOptionLeavesReportOnSession pins the engine-level flag: an
-// engine built with Options.Analyze instruments every execution and
-// leaves the report on the Session, without changing the output.
+// TestAnalyzeOptionLeavesReportOnSession pins EXPLAIN ANALYZE on a
+// reused Session, the way /analyze and xquery -analyze run it: the
+// instrumented run writes exactly what SerializeSession writes, returns a
+// non-empty report with per-operator rows, and leaves nothing on the
+// Session that changes the next plain run.
 func TestAnalyzeOptionLeavesReportOnSession(t *testing.T) {
 	b := bench(t, 0.002)
 	sys, err := SystemByID(SystemD)
@@ -74,34 +76,27 @@ func TestAnalyzeOptionLeavesReportOnSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := serializeWith(t, prep, 1, 0)
-
-	opts := inst.Engine.Options()
-	opts.Analyze = true
-	flagged := engine.New(inst.Engine.Store(), opts)
-	fprep, err := flagged.Prepare(b.QueryText(1))
+	sess := engine.NewSession()
+	var want strings.Builder
+	if err := prep.SerializeSession(&want, sess); err != nil {
+		t.Fatal(err)
+	}
+	var got strings.Builder
+	a, err := prep.ExplainAnalyze(&got, sess)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sess := engine.NewSession()
-	if sess.LastAnalysis != nil {
-		t.Fatal("fresh session already has an analysis")
+	if got.String() != want.String() {
+		t.Errorf("ExplainAnalyze changed the output (%d vs %d bytes)", got.Len(), want.Len())
 	}
-	got := serializeWith(t, fprep, 1, 0)
-	if got != want {
-		t.Errorf("Options.Analyze changed the output (%d vs %d bytes)", len(got), len(want))
+	if a.Report == "" || len(a.Ops) == 0 {
+		t.Fatalf("ExplainAnalyze left an empty report (%d bytes, %d ops)", len(a.Report), len(a.Ops))
 	}
-	if sess.LastAnalysis != nil {
-		t.Fatal("analysis leaked onto an unused session")
-	}
-	var sb strings.Builder
-	if err := fprep.SerializeSession(&sb, sess); err != nil {
+	var after strings.Builder
+	if err := prep.SerializeSession(&after, sess); err != nil {
 		t.Fatal(err)
 	}
-	if sb.String() != want {
-		t.Errorf("flagged session run changed the output")
-	}
-	if sess.LastAnalysis == nil || len(sess.LastAnalysis.Ops) == 0 {
-		t.Fatal("flagged engine left no analysis on the session")
+	if after.String() != want.String() {
+		t.Errorf("the plain run after ExplainAnalyze changed the output (%d vs %d bytes)", after.Len(), want.Len())
 	}
 }

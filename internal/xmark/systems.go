@@ -168,13 +168,13 @@ func (s System) Build(docText []byte, doc *tree.Doc, textIndex func() nodestore.
 	start := time.Now()
 	store := s.build(doc)
 	inst := &Instance{System: s, LoadTime: time.Since(start), Stats: store.Stats()}
-	if at, ok := store.(nodestore.TextIndexAttacher); ok && s.opts.FulltextIndex {
+	if s.opts.FulltextIndex {
 		// Attached before the store is published: it rides along wherever
 		// the store goes (the service catalog, every shard's territory).
 		if textIndex != nil {
-			at.AttachTextIndex(textIndex())
+			store.AttachTextIndex(textIndex())
 		} else {
-			at.AttachTextIndex(fulltext.Build(store))
+			store.AttachTextIndex(fulltext.Build(store))
 			inst.LoadTime = time.Since(start)
 		}
 	}
