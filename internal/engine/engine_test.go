@@ -226,6 +226,37 @@ func TestOrderBy(t *testing.T) {
 	}
 }
 
+// TestOrderByNaN pins XQuery's "empty least" order for number keys: the
+// empty key first, then NaN, then the numbers, all reversed by descending,
+// with ties (two NaNs, two empties) kept in input order. NaN compared as a
+// float is unordered against everything, which left the sort's output
+// undefined. Checked in tuple mode (width 1) and at the default width.
+func TestOrderByNaN(t *testing.T) {
+	// Keys by position: 1→9, 2→(), 3→NaN, 4→7, 5→NaN, 6→(), 7→-1.
+	const keyed = `for $i in (1, 2, 3, 4, 5, 6, 7)
+		let $k := if ($i = 2 or $i = 6) then ()
+			else if ($i = 3 or $i = 5) then number("a")
+			else if ($i = 7) then -1 else 11 - 2 * $i `
+	e := batchEngine(t)
+	for _, tc := range []struct{ src, want string }{
+		{`for $x in (3, number("a"), 1, 2) order by $x return $x`, "NaN 1 2 3"},
+		{`for $x in (3, number("a"), 1, 2) order by $x descending return $x`, "3 2 1 NaN"},
+		{`for $x in (number("a"), 2, number("b"), 1) order by $x return $x`, "NaN NaN 1 2"},
+		{keyed + `order by $k return $i`, "2 6 3 5 7 4 1"},
+		{keyed + `order by $k descending return $i`, "1 4 7 3 5 2 6"},
+	} {
+		prep, err := e.Prepare(tc.src)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.src, err)
+		}
+		for _, width := range []int{1, 0} {
+			if got := serializeWidth(t, prep, nil, width); got != tc.want {
+				t.Errorf("width %d: %s\n= %q, want %q", width, tc.src, got, tc.want)
+			}
+		}
+	}
+}
+
 func TestEmptyAndMissing(t *testing.T) {
 	got := runAll(t, `for $p in /site/people/person where empty($p/homepage/text()) return $p/name/text()`)
 	if got != "Bob Cid Dot" {

@@ -1186,12 +1186,21 @@ func (ev *evaluator) sortTuples(in tupleIter, order []plan.OrderKey) tupleIter {
 	return &sliceTupleIter{tuples: tuples}
 }
 
-// orderLess compares order-by keys; empty keys sort first.
+// orderLess compares order-by keys with XQuery's "empty least": the empty
+// key sorts before NaN, and NaN before every other value. NaN must not
+// fall through to the float comparison, where it is neither less nor
+// greater than anything and the sort's order would be undefined.
 func orderLess(a, b Item) bool {
 	if a == nil {
 		return b != nil
 	}
 	if b == nil {
+		return false
+	}
+	if isNaN(a) {
+		return !isNaN(b)
+	}
+	if isNaN(b) {
 		return false
 	}
 	if an, ok := a.(NumItem); ok {
@@ -1200,6 +1209,12 @@ func orderLess(a, b Item) bool {
 		}
 	}
 	return itemString(a) < itemString(b)
+}
+
+// isNaN reports whether an order-by key is the number NaN.
+func isNaN(it Item) bool {
+	n, ok := it.(NumItem)
+	return ok && math.IsNaN(float64(n))
 }
 
 // joinIndex is a memoized hash index over an independent for-sequence.

@@ -4,12 +4,15 @@
 //
 // The index is built once at load time by a single document-order walk:
 // every text node tokenizes into maximal runs of token bytes, terms
-// intern into a private dictionary (the same order-of-insertion code
-// scheme the columnar stores use for their value columns), and each term
+// intern into dense codes in order of first sight (the same scheme the
+// columnar stores' dictionaries use for their value columns), and each term
 // carries an ascending posting vector of the text-node NodeIDs it
-// overlaps. A per-tag ancestor-extent side table — sorted element starts
-// with their subtree ends — resolves postings to enclosing elements
-// (item, description) by binary search instead of tree walks.
+// overlaps. When the walk ends the postings are laid out in
+// compressed-sparse-row form, one offsets array and one id array sized
+// exactly, and a term's vector is a subslice of the ids. A per-tag
+// ancestor-extent side table — sorted element starts with their subtree
+// ends — resolves postings to enclosing elements (item, description) by
+// binary search instead of tree walks.
 //
 // Probes are candidate pre-filters, never answers. Candidates(tag,
 // probes) returns a superset of the elements whose probed region can
@@ -27,13 +30,13 @@
 package fulltext
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"sync"
 	"time"
 
 	"repro/internal/nodestore"
-	"repro/internal/relational"
 	"repro/internal/tree"
 )
 
@@ -115,11 +118,13 @@ const (
 // probe safely.
 type Index struct {
 	store nodestore.Store
-	// dict interns term spellings; postings[code] is the ascending,
-	// deduplicated text-node posting vector of that term.
-	dict     *relational.Dict
-	postings [][]tree.NodeID
-	tags     map[string]*tagExtent
+	// terms[code] is a term's spelling and ids[off[code]:off[code+1]] its
+	// ascending, deduplicated text-node posting vector. Probes scan the
+	// spellings, so no spelling-to-code map outlives the build.
+	terms []string
+	off   []int32
+	ids   []tree.NodeID
+	tags  map[string]*tagExtent
 
 	nPostings int
 	bytes     int64
@@ -141,26 +146,64 @@ func Build(store nodestore.Store) *Index {
 		store: store,
 		idx: &Index{
 			store:  store,
-			dict:   relational.NewDict(),
 			tags:   make(map[string]*tagExtent),
 			cache:  make(map[string][]tree.NodeID),
 			budget: cacheBudget,
 		},
-		open: make(map[string]int),
+		open:  make(map[string]int),
+		codes: make(map[string]int32),
 	}
 	b.walk(store.Root(), 0)
 	b.flush()
+	b.postings()
 	idx := b.idx
+	idx.terms = exact(idx.terms)
+	for _, te := range idx.tags {
+		te.starts, te.ends = exact(te.starts), exact(te.ends)
+	}
 	idx.buildTime = time.Since(start)
-	idx.bytes = idx.dict.SizeBytes()
-	for _, p := range idx.postings {
-		idx.nPostings += len(p)
-		idx.bytes += int64(len(p))*4 + 24
+	idx.nPostings = len(idx.ids)
+	idx.bytes = int64(len(idx.terms))*16 + int64(len(idx.off))*4 + int64(len(idx.ids))*4
+	for _, t := range idx.terms {
+		idx.bytes += int64(len(t))
 	}
 	for tag, te := range idx.tags {
 		idx.bytes += int64(len(tag)) + int64(len(te.starts))*8 + 64
 	}
 	return idx
+}
+
+// exact copies v into a slice of capacity len(v): the walk's append slack
+// is not kept.
+func exact[E any](v []E) []E {
+	return append(make([]E, 0, len(v)), v...)
+}
+
+// postings lays the walk's (term, node) pairs out in CSR form: a count per
+// term, a prefix sum into off, and a stable fill that keeps each term's
+// ids in the ascending order the walk posted them.
+func (b *builder) postings() {
+	idx := b.idx
+	idx.off = make([]int32, len(idx.terms)+1)
+	for _, p := range b.pairs {
+		idx.off[p.term+1]++
+	}
+	for t := 1; t < len(idx.off); t++ {
+		idx.off[t] += idx.off[t-1]
+	}
+	idx.ids = make([]tree.NodeID, len(b.pairs))
+	next := slices.Clone(idx.off[:len(idx.off)-1]) // each term's fill cursor
+	for _, p := range b.pairs {
+		idx.ids[next[p.term]] = p.id
+		next[p.term]++
+	}
+}
+
+// postingsOf returns the posting vector of one term, capped so an append
+// cannot reach the next term's ids.
+func (x *Index) postingsOf(code int32) []tree.NodeID {
+	lo, hi := x.off[code], x.off[code+1]
+	return x.ids[lo:hi:hi]
 }
 
 // builder is the transient walk state of Build.
@@ -177,6 +220,19 @@ type builder struct {
 	// document; the completed token posts to every overlapped node.
 	carry      []byte
 	carryNodes []tree.NodeID
+
+	// codes interns term spellings; pairs holds every posting in walk
+	// order until the walk ends; last is the newest node posted per term,
+	// which deduplicates a term's postings as they arrive.
+	codes map[string]int32
+	pairs []posting
+	last  []tree.NodeID
+}
+
+// posting is one (term code, text node) pair of the build.
+type posting struct {
+	term int32
+	id   tree.NodeID
 }
 
 func (b *builder) walk(id tree.NodeID, depth int) {
@@ -243,18 +299,20 @@ func (b *builder) flush() {
 	if len(b.carry) == 0 {
 		return
 	}
-	idx := b.idx
-	code := idx.dict.Intern(string(b.carry))
-	for int(code) >= len(idx.postings) {
-		idx.postings = append(idx.postings, nil)
+	code, ok := b.codes[string(b.carry)]
+	if !ok {
+		code = int32(len(b.idx.terms))
+		term := string(b.carry)
+		b.codes[term] = code
+		b.idx.terms = append(b.idx.terms, term)
+		b.last = append(b.last, tree.Nil)
 	}
-	p := idx.postings[code]
 	for _, id := range b.carryNodes {
-		if n := len(p); n == 0 || p[n-1] != id {
-			p = append(p, id)
+		if b.last[code] != id {
+			b.last[code] = id
+			b.pairs = append(b.pairs, posting{code, id})
 		}
 	}
-	idx.postings[code] = p
 	b.carry = b.carry[:0]
 	b.carryNodes = b.carryNodes[:0]
 }
@@ -262,7 +320,7 @@ func (b *builder) flush() {
 // Info implements nodestore.TextIndex.
 func (x *Index) Info() nodestore.TextIndexInfo {
 	return nodestore.TextIndexInfo{
-		Terms:     x.dict.Len(),
+		Terms:     len(x.terms),
 		Postings:  x.nPostings,
 		Bytes:     x.bytes,
 		BuildTime: x.buildTime,
@@ -346,9 +404,9 @@ func (x *Index) resolve(tag string, p nodestore.TextProbe) []tree.NodeID {
 	}
 	run := LongestRun(p.Needle)
 	var texts []tree.NodeID
-	for c := 0; c < x.dict.Len(); c++ {
-		if strings.Contains(x.dict.Name(int32(c)), run) {
-			texts = append(texts, x.postings[c]...)
+	for c, term := range x.terms {
+		if strings.Contains(term, run) {
+			texts = append(texts, x.postingsOf(int32(c))...)
 		}
 	}
 	texts = sortDedup(texts)

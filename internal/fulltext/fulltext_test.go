@@ -8,8 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"repro/internal/mapping"
 	"repro/internal/nodestore"
 	"repro/internal/tree"
+	"repro/internal/xmlgen"
 )
 
 func TestTokenize(t *testing.T) {
@@ -379,4 +381,41 @@ func FuzzTokenize(f *testing.F) {
 			t.Fatalf("LongestRun(%q) = %q, want %q", s, lr, longest)
 		}
 	})
+}
+
+// TestPostingsExactSize pins the CSR layout over the three relational
+// mappings: the term, offsets and ids arrays and every tag extent are
+// sized exactly, the offsets ascend, and each term's vector ascends without
+// duplicates.
+func TestPostingsExactSize(t *testing.T) {
+	doc, err := tree.Parse([]byte(xmlgen.New(xmlgen.Options{Factor: 0.01}).String()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, store := range []nodestore.Store{mapping.NewEdge(doc), mapping.NewPath(doc), mapping.NewInline(doc)} {
+		x := Build(store)
+		if cap(x.off) != len(x.off) || cap(x.ids) != len(x.ids) || cap(x.terms) != len(x.terms) {
+			t.Errorf("%s: off cap %d len %d, ids cap %d len %d, terms cap %d len %d", store.Name(),
+				cap(x.off), len(x.off), cap(x.ids), len(x.ids), cap(x.terms), len(x.terms))
+		}
+		if len(x.off) != len(x.terms)+1 || int(x.off[len(x.off)-1]) != len(x.ids) {
+			t.Fatalf("%s: %d offsets for %d terms, last %d for %d ids", store.Name(), len(x.off), len(x.terms), x.off[len(x.off)-1], len(x.ids))
+		}
+		for c := int32(0); int(c) < len(x.terms); c++ {
+			p := x.postingsOf(c)
+			if len(p) == 0 {
+				t.Fatalf("%s: term %q has no postings", store.Name(), x.terms[c])
+			}
+			for i := 1; i < len(p); i++ {
+				if p[i] <= p[i-1] {
+					t.Fatalf("%s: postings of %q not strictly ascending: %v", store.Name(), x.terms[c], p)
+				}
+			}
+		}
+		for tag, te := range x.tags {
+			if cap(te.starts) != len(te.starts) || cap(te.ends) != len(te.ends) {
+				t.Errorf("%s: extent of %q keeps append slack", store.Name(), tag)
+			}
+		}
+	}
 }

@@ -50,11 +50,11 @@ type Edge struct {
 	// Column vectors of the one heap relation, bound once at load: every
 	// navigation loop compares against these contiguous arrays instead of
 	// materializing rows.
-	ids     []int64
-	parents []int64
-	ends    []int64
-	tags    []int64
-	kinds   []int64
+	ids     []int32
+	parents []int32
+	ends    []int32
+	tags    []int32
+	kinds   []int32
 	values  []int32 // dictionary codes of the value column
 
 	syms     map[string]int32
@@ -101,6 +101,9 @@ func NewEdge(doc *tree.Doc) *Edge {
 		root:   doc.Root(),
 		text:   doc.TextHeap(),
 	}
+	// One row per node and per attribute: the columns are sized exactly
+	// before the first Append, so the freeze has no slack to cut.
+	s.table.Reserve(doc.Len() + doc.AttrCount())
 	nextAttrID := int64(doc.Len())
 	for n := tree.NodeID(0); int(n) < doc.Len(); n++ {
 		parent := int64(doc.Parent(n))
@@ -269,7 +272,7 @@ func (s *Edge) ChildrenByTag(n tree.NodeID, tag string, buf []tree.NodeID) []tre
 		return buf
 	}
 	for _, row := range s.parentIdx.LookupInt(int64(n)) {
-		if s.kinds[row] == rowElement && int32(s.tags[row]) == sym {
+		if s.kinds[row] == rowElement && s.tags[row] == sym {
 			buf = append(buf, tree.NodeID(s.ids[row]))
 		}
 	}
@@ -283,7 +286,7 @@ func (s *Edge) Attr(n tree.NodeID, name string) (string, bool) {
 		return "", false
 	}
 	for _, row := range s.parentIdx.LookupInt(int64(n)) {
-		if s.kinds[row] == rowAttr && int32(s.tags[row]) == sym {
+		if s.kinds[row] == rowAttr && s.tags[row] == sym {
 			return s.value(int(row)), true
 		}
 	}
@@ -298,7 +301,7 @@ func (s *Edge) AttrCode(n tree.NodeID, name string) (int32, bool) {
 		return 0, false
 	}
 	for _, row := range s.parentIdx.LookupInt(int64(n)) {
-		if s.kinds[row] == rowAttr && int32(s.tags[row]) == sym {
+		if s.kinds[row] == rowAttr && s.tags[row] == sym {
 			return s.values[row], true
 		}
 	}
@@ -403,7 +406,7 @@ func (s *Edge) AttrLookup(name, value string) ([]tree.NodeID, bool) {
 	}
 	var out []tree.NodeID
 	for _, row := range s.valueIdx.LookupString(value) {
-		if s.kinds[row] == rowAttr && int32(s.tags[row]) == sym {
+		if s.kinds[row] == rowAttr && s.tags[row] == sym {
 			out = append(out, tree.NodeID(s.parents[row]))
 		}
 	}
@@ -423,8 +426,8 @@ func (s *Edge) InlinedChildText(tree.NodeID, string) (string, bool, bool) {
 type edgePostingCursor struct {
 	s        *Edge
 	rows     []int32
-	wantKind int64
-	wantTag  int64
+	wantKind int32
+	wantTag  int32
 	extra    func(row int32) bool
 }
 
@@ -483,7 +486,7 @@ func (s *Edge) ChildrenByTagCursor(n tree.NodeID, tag string) nodestore.Cursor {
 	if sym < 0 {
 		return nodestore.EmptyCursor{}
 	}
-	return &edgePostingCursor{s: s, rows: s.parentIdx.LookupInt(int64(n)), wantKind: rowElement, wantTag: int64(sym)}
+	return &edgePostingCursor{s: s, rows: s.parentIdx.LookupInt(int64(n)), wantKind: rowElement, wantTag: sym}
 }
 
 // DescendantsCursor implements nodestore.Store: the tag index posting
@@ -565,7 +568,7 @@ func (s *Edge) ChildrenByTagFilteredCursor(n tree.NodeID, tag string, fs []nodes
 	cfs := compileFilters(s.table.Dict(), fs)
 	return &edgePostingCursor{
 		s: s, rows: s.parentIdx.LookupInt(int64(n)),
-		wantKind: rowElement, wantTag: int64(sym),
+		wantKind: rowElement, wantTag: sym,
 		extra: func(row int32) bool { return s.matchCoded(tree.NodeID(s.ids[row]), cfs) },
 	}, true
 }
@@ -590,7 +593,7 @@ func (s *Edge) matchCodedOne(n tree.NodeID, cf *codedFilter) bool {
 			return false
 		}
 		for _, row := range s.parentIdx.LookupInt(int64(n)) {
-			if s.kinds[row] == rowElement && int32(s.tags[row]) == sym &&
+			if s.kinds[row] == rowElement && s.tags[row] == sym &&
 				s.matchCodedValueAt(tree.NodeID(s.ids[row]), cf) {
 				return true
 			}
@@ -607,7 +610,7 @@ func (s *Edge) matchCodedValueAt(n tree.NodeID, cf *codedFilter) bool {
 			return false
 		}
 		for _, row := range s.parentIdx.LookupInt(int64(n)) {
-			if s.kinds[row] == rowAttr && int32(s.tags[row]) == sym {
+			if s.kinds[row] == rowAttr && s.tags[row] == sym {
 				return cf.matchCode(s.table.Dict(), s.values[row])
 			}
 		}

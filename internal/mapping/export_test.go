@@ -9,7 +9,7 @@ func (s *Edge) RowID(n tree.NodeID) (int64, bool) {
 	if !ok {
 		return 0, false
 	}
-	return s.ids[r], true
+	return int64(s.ids[r]), true
 }
 
 // Rows is the heap's row count: ids at and above the node count are the

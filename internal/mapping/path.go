@@ -4,6 +4,7 @@ import (
 	"slices"
 	"sort"
 	"strings"
+	"unsafe"
 
 	"repro/internal/nodestore"
 	"repro/internal/relational"
@@ -36,6 +37,7 @@ type pathTable struct {
 	table     *relational.Table
 	parentIdx *relational.Index
 	ids       []tree.NodeID // clustered id column, document order
+	rows      int           // row count, from the first load walk
 
 	children  []*pathTable
 	attrs     map[string]*attrTable
@@ -50,6 +52,7 @@ type attrTable struct {
 	table    *relational.Table
 	ownerIdx *relational.Index
 	valueIdx *relational.Index
+	rows     int // row count, from the first load walk
 }
 
 // Path is the fragmenting mapping (System B), and with inlining enabled the
@@ -99,19 +102,18 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 		nNodes:      doc.Len(),
 		text:        doc.TextHeap(),
 	}
-	var insert func(n tree.NodeID, parentPath string, parent *pathTable, ord int)
-	insert = func(n tree.NodeID, parentPath string, parent *pathTable, ord int) {
-		var label string
+	// The load is two pre-order walks. The first places every node in its
+	// fragment, creating fragments and attribute tables on first sight and
+	// counting their rows; the second appends the rows into tables sized
+	// exactly, so the freeze below has no slack to cut.
+	var place func(n tree.NodeID, parentPath string, parent *pathTable)
+	place = func(n tree.NodeID, parentPath string, parent *pathTable) {
+		label := textLabel
 		if doc.Kind(n) == tree.Element {
 			label = doc.Tag(n)
-		} else {
-			label = textLabel
-			s.dict.InternAliased(doc.Text(n))
 		}
-		var path string
-		if parentPath == "" {
-			path = label
-		} else {
+		path := label
+		if parentPath != "" {
 			path = parentPath + "/" + label
 		}
 		pt := s.catalog[path]
@@ -122,25 +124,7 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 			}
 		}
 		s.pathOf[n] = int32(pt.idx)
-
-		parentID := int64(tree.Nil)
-		if p := doc.Parent(n); p != tree.Nil {
-			parentID = int64(p)
-		}
-		row := make(relational.Row, 0, len(pt.table.Schema))
-		row = append(row,
-			relational.NodeVal(int64(n)),
-			relational.NodeVal(parentID),
-			relational.NodeVal(int64(doc.SubtreeEnd(n))),
-			relational.IntVal(int64(ord)),
-			relational.StringVal(doc.Text(n)),
-		)
-		if pt.inlined != nil {
-			row = s.appendInlined(doc, n, pt, row)
-		}
-		s.rowIn[n] = int32(pt.table.Append(row...))
-		pt.ids = append(pt.ids, n)
-
+		pt.rows++
 		for _, a := range doc.Attrs(n) {
 			at := pt.attrs[a.Name]
 			if at == nil {
@@ -152,16 +136,50 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 				pt.attrNames = append(pt.attrNames, a.Name)
 				s.attrsByName[a.Name] = append(s.attrsByName[a.Name], at)
 			}
-			at.table.Append(relational.NodeVal(int64(n)), relational.StringVal(a.Value))
+			at.rows++
 		}
+		for c := doc.FirstChild(n); c != tree.Nil; c = doc.NextSibling(c) {
+			place(c, path, pt)
+		}
+	}
+	place(doc.Root(), "", nil)
+	for _, pt := range s.entries {
+		pt.table.Reserve(pt.rows)
+		pt.ids = make([]tree.NodeID, 0, pt.rows)
+		for _, at := range pt.attrs {
+			at.table.Reserve(at.rows)
+		}
+	}
 
+	var row relational.Row // reused: Append copies the cells
+	var fill func(n tree.NodeID, ord int)
+	fill = func(n tree.NodeID, ord int) {
+		pt := s.entries[s.pathOf[n]]
+		if doc.Kind(n) != tree.Element {
+			s.dict.InternAliased(doc.Text(n))
+		}
+		row = append(row[:0],
+			relational.NodeVal(int64(n)),
+			relational.NodeVal(int64(doc.Parent(n))),
+			relational.NodeVal(int64(doc.SubtreeEnd(n))),
+			relational.IntVal(int64(ord)),
+			relational.StringVal(doc.Text(n)),
+		)
+		if pt.inlined != nil {
+			row = s.appendInlined(doc, n, pt, row)
+		}
+		s.rowIn[n] = int32(pt.table.Append(row...))
+		pt.ids = append(pt.ids, n)
+		for _, a := range doc.Attrs(n) {
+			pt.attrs[a.Name].table.Append(relational.NodeVal(int64(n)), relational.StringVal(a.Value))
+		}
 		childOrd := 0
 		for c := doc.FirstChild(n); c != tree.Nil; c = doc.NextSibling(c) {
-			insert(c, path, pt, childOrd)
+			fill(c, childOrd)
 			childOrd++
 		}
 	}
-	insert(doc.Root(), "", nil, 0)
+	fill(doc.Root(), 0)
 	// The tables are complete: build every index in one pass per column.
 	for _, pt := range s.entries {
 		pt.parentIdx = pt.table.CreateIndex(pParent)
@@ -513,7 +531,7 @@ func (s *Path) InlinedChildText(n tree.NodeID, tag string) (string, bool, bool) 
 // optionally filtering rows — the typed-column replacement for scanning
 // materialized rows.
 type colIDCursor struct {
-	ids   []int64 // the fragment's contiguous id column
+	ids   []int32 // the fragment's contiguous id column
 	rows  []int32
 	match func(row int32) bool // optional
 }
@@ -737,18 +755,37 @@ func (s *Path) PathExtentFilteredPartitions(path []string, fs []nodestore.ValueF
 	return parts, true
 }
 
-// Stats implements nodestore.Store.
+// Stats implements nodestore.Store. SizeBytes counts the fragments and
+// attribute tables with their indexes, the catalog that finds them (the
+// fragment headers, the path, tag and attribute maps, and the node-indexed
+// entry and row arrays), the shared dictionary and the text heap.
 func (s *Path) Stats() nodestore.Stats {
-	var size int64
+	size := int64(unsafe.Sizeof(*s)) +
+		int64(cap(s.entries))*8 + int64(cap(s.pathOf)+cap(s.rowIn))*4 +
+		relational.MapBytes(s.catalog) +
+		relational.MapBytes(s.byTag) +
+		relational.MapBytes(s.attrsByName)
+	for _, ats := range s.attrsByName {
+		size += int64(cap(ats)) * 8
+	}
+	for _, pts := range s.byTag {
+		size += int64(cap(pts)) * 8
+	}
 	tables := 0
 	for _, pt := range s.entries {
-		size += pt.table.SizeBytes() + int64(len(pt.ids))*4
+		// pt.path shares its bytes with the table's name, counted there.
+		size += int64(unsafe.Sizeof(*pt)) + pt.table.SizeBytes() + int64(cap(pt.ids))*4 +
+			int64(cap(pt.children))*8 + int64(cap(pt.attrNames))*16 +
+			relational.MapBytes(pt.attrs)
+		if pt.inlined != nil {
+			size += relational.MapBytes(pt.inlined)
+		}
 		tables++
 		for _, at := range pt.attrs {
-			size += at.table.SizeBytes()
+			size += int64(unsafe.Sizeof(*at)) + at.table.SizeBytes()
 			tables++
 		}
 	}
-	size += int64(len(s.pathOf)+len(s.rowIn))*4 + s.dict.SizeBytes() + s.text.SizeBytes()
+	size += s.dict.SizeBytes() + s.text.SizeBytes()
 	return nodestore.Stats{Name: s.name, SizeBytes: size, Tables: tables, Nodes: s.nNodes}
 }

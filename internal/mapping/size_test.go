@@ -14,8 +14,9 @@ import (
 // size" and the service's store_bytes gauge — to the heap the store really
 // keeps: the live-heap growth of parsing and loading with the Doc dropped
 // (no text index, which reports its own bytes). Accounting more than is
-// resident is a bug; accounting less than half is what the per-key
-// estimate of the map-backed index did.
+// resident is a bug; less than nine tenths means Stats leaves out
+// structures the store keeps (vector capacity, map slots, the path
+// catalog).
 func TestStatsSizeHonest(t *testing.T) {
 	xml := []byte(xmlgen.New(xmlgen.Options{Factor: 0.02}).String())
 	liveHeap := func() int64 {
@@ -40,7 +41,7 @@ func TestStatsSizeHonest(t *testing.T) {
 		measured := liveHeap() - before
 		accounted := s.Stats().SizeBytes
 		t.Logf("%s: accounted %d B, resident %d B (%.2f)", s.Name(), accounted, measured, float64(accounted)/float64(measured))
-		if accounted > measured || accounted < measured/2 {
+		if accounted > measured || accounted*10 < measured*9 {
 			t.Errorf("%s: Stats().SizeBytes = %d, resident heap = %d", s.Name(), accounted, measured)
 		}
 		runtime.KeepAlive(s)

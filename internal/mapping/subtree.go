@@ -22,7 +22,7 @@ func (s *Edge) AppendSubtree(dst []byte, n tree.NodeID) []byte {
 		return tree.AppendEscapedText(dst, s.value(start))
 	}
 	type open struct {
-		end int64
+		end int32
 		sym int32
 	}
 	var stackArr [64]open
@@ -46,7 +46,7 @@ func (s *Edge) AppendSubtree(dst []byte, n tree.NodeID) []byte {
 			dst = tree.AppendEscapedText(dst, s.value(i))
 			continue
 		}
-		sym := int32(s.tags[i])
+		sym := s.tags[i]
 		dst = append(dst, s.openTags[sym]...)
 		for j := i + 1; j < len(s.ids) && s.kinds[j] == rowAttr && s.parents[j] == id; j++ {
 			dst = append(dst, s.attrPre[s.tags[j]]...)

@@ -1,5 +1,7 @@
 package relational
 
+import "unsafe"
+
 // Dict is an order-of-insertion string dictionary: every distinct string
 // interned gets a dense int32 code, and code equality is equivalent to
 // string equality *within one dictionary*. Columnar tables store String
@@ -79,13 +81,34 @@ func (d *Dict) AppendName(dst []byte, c int32) []byte {
 // the planner's catalog reports.
 func (d *Dict) Len() int { return len(d.names) }
 
-// SizeBytes estimates the dictionary footprint: one string payload plus
-// map/slice headers per distinct value, less the payloads that alias
-// memory counted elsewhere.
+// SizeBytes is the dictionary's resident footprint: the names vector at
+// its capacity, the code map at its real per-slot cost (MapBytes), and
+// every string payload except those that alias memory counted elsewhere.
 func (d *Dict) SizeBytes() int64 {
-	var n int64
+	n := int64(cap(d.names))*int64(unsafe.Sizeof("")) + MapBytes(d.codes)
 	for _, s := range d.names {
-		n += int64(len(s)) + 16 /* map entry */ + 16 /* slice header */
+		n += int64(len(s))
 	}
 	return n - d.aliased
+}
+
+// MapBytes estimates the resident size of a Go map, keys and values
+// included but not what they point to: slots come in groups of eight
+// behind one control byte each, a table grows by doubling once it is
+// seven-eighths full, and the header is a few words. An empty map has only
+// its header.
+func MapBytes[K comparable, V any](m map[K]V) int64 {
+	const header = 48
+	if len(m) == 0 {
+		return header
+	}
+	var slot struct {
+		k K
+		v V
+	}
+	slots := 8
+	for slots*7/8 < len(m) {
+		slots *= 2
+	}
+	return header + int64(slots)*int64(unsafe.Sizeof(slot)+1)
 }

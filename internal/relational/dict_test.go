@@ -152,22 +152,28 @@ func TestDictCodesCrossShards(t *testing.T) {
 
 // TestDictAliasedPayloadNotCounted: a value first seen through
 // InternAliased costs the dictionary its headers only; a value the
-// dictionary already owns stays counted however it is seen again.
+// dictionary already owns stays counted however it is seen again. A twin
+// dictionary that owns both values is larger by exactly the aliased
+// payload, so the check holds whatever the map and vector headers cost.
 func TestDictAliasedPayloadNotCounted(t *testing.T) {
 	heap := "goldsilver"
 	d := NewDict()
 	owned := d.Intern("gold")
-	if d.SizeBytes() != 4+32 {
-		t.Fatalf("one owned value: %d bytes", d.SizeBytes())
+	one := d.SizeBytes()
+	if empty := NewDict().SizeBytes(); one < empty+4 {
+		t.Fatalf("one owned value: %d bytes, empty dictionary %d", one, empty)
 	}
-	if c := d.InternAliased(heap[:4]); c != owned {
-		t.Fatalf("aliased re-intern got code %d, want %d", c, owned)
+	if c := d.InternAliased(heap[:4]); c != owned || d.SizeBytes() != one {
+		t.Fatalf("aliased re-intern got code %d (want %d), size %d (want %d)", c, owned, d.SizeBytes(), one)
 	}
 	c := d.InternAliased(heap[4:])
 	if d.Name(c) != "silver" || d.InternAliased(heap[4:]) != c {
 		t.Fatal("aliased value does not round-trip")
 	}
-	if d.SizeBytes() != 4+32+32 {
-		t.Fatalf("owned + aliased value: %d bytes, want %d", d.SizeBytes(), 4+32+32)
+	twin := NewDict()
+	twin.Intern("gold")
+	twin.Intern("silver")
+	if got := twin.SizeBytes() - d.SizeBytes(); got != int64(len("silver")) {
+		t.Fatalf("owning the second value costs %d bytes more than aliasing it, want %d", got, len("silver"))
 	}
 }

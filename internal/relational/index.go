@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"unsafe"
 )
 
 // Index is an immutable equality index from column value to row ids in
@@ -17,39 +18,41 @@ import (
 // entry k is key base+k) and a sorted array of the distinct keys with a
 // binary search otherwise; build decides from the column it is given.
 // Nothing is written after build, so any number of goroutines may probe.
+//
+// Keys are int32 like the columns they index, so a probe outside int32
+// matches no row.
 type Index struct {
 	dict *Dict
-	base int64
-	keys []int64
+	base int32
+	keys []int32
 	off  []int32
 	rows []int32
 }
 
 // denseSpanFactor bounds the direct-address directory: it is chosen when
 // the key span is at most this multiple of the distinct-key count. A dense
-// slot costs 4 B and a sorted entry 12 B, so up to 3 the dense directory is
-// also the smaller one; 4 trades a third more directory for a probe that
-// is one load instead of a search.
+// slot costs 4 B and a sorted entry 8 B, so up to 2 the dense directory is
+// also the smaller one; 4 trades at most twice the directory for a probe
+// that is one load instead of a search.
 const denseSpanFactor = 4
 
 // CreateIndex builds (or returns the existing) index over the column. The
-// table must be complete: Append panics from here on.
+// table must be complete: the first call seals every column at its exact
+// length, and Append panics from here on.
 func (t *Table) CreateIndex(col int) *Index {
 	if idx, ok := t.indexes[col]; ok {
 		return idx
 	}
-	var idx *Index
-	switch t.Schema[col].T {
-	case Float:
+	if t.Schema[col].T == Float {
 		panic("relational: index on float column")
-	case String:
-		idx = buildIndex(t.cols[col].codes)
-		idx.dict = t.dict
-	default:
-		idx = buildIndex(t.cols[col].ints)
 	}
 	if t.indexes == nil {
+		t.seal()
 		t.indexes = make(map[int]*Index)
+	}
+	idx := buildIndex(t.cols[col].cells)
+	if t.Schema[col].T == String {
+		idx.dict = t.dict
 	}
 	t.indexes[col] = idx
 	return idx
@@ -58,7 +61,7 @@ func (t *Table) CreateIndex(col int) *Index {
 // buildIndex makes the index of one finished column: a counting sort into
 // a direct-address directory when the keys are dense, else a sort of the
 // row ids by key with the distinct keys collected from the sorted order.
-func buildIndex[K int32 | int64](col []K) *Index {
+func buildIndex(col []int32) *Index {
 	n := len(col)
 	if n > math.MaxInt32 {
 		panic(fmt.Sprintf("relational: %d rows exceed int32 row ids", n))
@@ -72,16 +75,16 @@ func buildIndex[K int32 | int64](col []K) *Index {
 	for _, v := range col {
 		lo, hi = min(lo, v), max(hi, v)
 	}
-	// span-1 as unsigned so the extremes of int64 cannot overflow; distinct
-	// <= n, so a span beyond the bound for n keys cannot be dense.
-	if span := uint64(hi) - uint64(lo); span < uint64(denseSpanFactor*n) {
+	// The span of int32 keys fits in int64; distinct <= n, so a span beyond
+	// the bound for n keys cannot be dense.
+	if span := int64(hi) - int64(lo); span < int64(denseSpanFactor*n) {
 		span++
 		// off[k+2] counts key k, the running sum turns off[k+1] into the
 		// start of k, and the fill advances it to the start of k+1.
 		off := make([]int32, span+2)
-		distinct := uint64(0)
+		distinct := int64(0)
 		for _, v := range col {
-			k := uint64(v) - uint64(lo) + 2
+			k := int64(v) - int64(lo) + 2
 			if off[k] == 0 {
 				distinct++
 			}
@@ -92,11 +95,11 @@ func buildIndex[K int32 | int64](col []K) *Index {
 				off[k] += off[k-1]
 			}
 			for i, v := range col {
-				k := uint64(v) - uint64(lo) + 1
+				k := int64(v) - int64(lo) + 1
 				x.rows[off[k]] = int32(i)
 				off[k]++
 			}
-			x.base, x.off = int64(lo), off[:span+1]
+			x.base, x.off = lo, off[:span+1]
 			return x
 		}
 	}
@@ -118,10 +121,10 @@ func buildIndex[K int32 | int64](col []K) *Index {
 			distinct++
 		}
 	}
-	x.keys, x.off = make([]int64, 0, distinct), make([]int32, 0, distinct+1)
+	x.keys, x.off = make([]int32, 0, distinct), make([]int32, 0, distinct+1)
 	for i, r := range x.rows {
 		if starts(i) {
-			x.keys = append(x.keys, int64(col[r]))
+			x.keys = append(x.keys, col[r])
 			x.off = append(x.off, int32(i))
 		}
 	}
@@ -133,13 +136,16 @@ func buildIndex[K int32 | int64](col []K) *Index {
 // The result is a read-only view of the index, capped at its own length so
 // an append cannot reach a neighbour's rows.
 func (x *Index) LookupInt(v int64) []int32 {
-	var k uint64
+	if v != int64(int32(v)) {
+		return nil
+	}
+	var k int64
 	if x.keys == nil {
-		if k = uint64(v) - uint64(x.base); k >= uint64(len(x.off)-1) {
+		if k = v - int64(x.base); k < 0 || k >= int64(len(x.off)-1) {
 			return nil
 		}
-	} else if i, ok := slices.BinarySearch(x.keys, v); ok {
-		k = uint64(i)
+	} else if i, ok := slices.BinarySearch(x.keys, int32(v)); ok {
+		k = int64(i)
 	} else {
 		return nil
 	}
@@ -158,7 +164,8 @@ func (x *Index) LookupString(v string) []int32 {
 	return x.LookupInt(int64(c))
 }
 
-// sizeBytes is the resident size of the three arrays.
+// sizeBytes is the resident size of the index: its header and its three
+// arrays.
 func (x *Index) sizeBytes() int64 {
-	return int64(cap(x.keys))*8 + int64(cap(x.off))*4 + int64(cap(x.rows))*4
+	return int64(unsafe.Sizeof(*x)) + int64(cap(x.keys)+cap(x.off)+cap(x.rows))*4
 }

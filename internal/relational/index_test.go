@@ -10,8 +10,9 @@ import (
 
 // checkIndexAgainstOracle builds the index of column 0 and compares every
 // lookup with a map built here, in the test: each stored key, and probes
-// below, inside (a gap) and above the key range.
-func checkIndexAgainstOracle(t *testing.T, label string, typ Type, keys []int64) *Index {
+// below, inside (a gap) and above the key range. Probes also reach past
+// int32, where a key and its value modulo 2^32 must not be confused.
+func checkIndexAgainstOracle(t *testing.T, label string, typ Type, keys []int32) *Index {
 	t.Helper()
 	tab := NewTable(label, Schema{{"k", typ}})
 	oracle := map[int64][]int32{}
@@ -20,11 +21,11 @@ func checkIndexAgainstOracle(t *testing.T, label string, typ Type, keys []int64)
 		case String:
 			tab.Append(StringVal(fmt.Sprint("s", k)))
 		case Node:
-			tab.Append(NodeVal(k))
+			tab.Append(NodeVal(int64(k)))
 		default:
-			tab.Append(IntVal(k))
+			tab.Append(IntVal(int64(k)))
 		}
-		oracle[k] = append(oracle[k], int32(i))
+		oracle[int64(k)] = append(oracle[int64(k)], int32(i))
 	}
 	idx := tab.CreateIndex(0)
 	lookup := func(k int64) []int32 {
@@ -35,7 +36,7 @@ func checkIndexAgainstOracle(t *testing.T, label string, typ Type, keys []int64)
 	}
 	probes := []int64{math.MinInt64, math.MaxInt64, 0, -1}
 	for k := range oracle {
-		probes = append(probes, k, k-1, k+1)
+		probes = append(probes, k, k-1, k+1, k+1<<32, k-1<<32)
 	}
 	for _, k := range probes {
 		got := lookup(k)
@@ -56,8 +57,9 @@ func checkIndexAgainstOracle(t *testing.T, label string, typ Type, keys []int64)
 }
 
 // TestIndexProperty is the flat index's correctness argument: random
-// columns of every indexable type over dense and sparse key domains agree
-// with a map-based oracle, and the directory form follows the data.
+// columns of every indexable type over dense and sparse int32 key domains
+// agree with a map-based oracle, and the directory form follows the data.
+// Probes outside int32, the MinInt64/MaxInt64 ones included, must miss.
 func TestIndexProperty(t *testing.T) {
 	r := rand.New(rand.NewSource(15))
 	for i := 0; i < 300; i++ {
@@ -71,29 +73,31 @@ func TestIndexProperty(t *testing.T) {
 			domain = int64(n+1) * 1000
 		}
 		base := r.Int63n(100) - 50
-		keys := make([]int64, n)
+		keys := make([]int32, n)
 		for j := range keys {
-			keys[j] = base + r.Int63n(domain)
+			keys[j] = int32(base + r.Int63n(domain))
 		}
 		checkIndexAgainstOracle(t, fmt.Sprintf("random %d (%s, n=%d, domain=%d)", i, typ, n, domain), typ, keys)
 	}
 
 	for _, tc := range []struct {
 		label string
-		keys  []int64
+		keys  []int32
 		dense bool
 	}{
 		{"empty", nil, true},
-		{"single row", []int64{42}, true},
-		{"single negative", []int64{-1}, true},
-		{"all equal", []int64{7, 7, 7, 7}, true},
-		{"node ids", []int64{0, 1, 2, 3, 4, 5, 6, 7}, true},
-		{"parents with root", []int64{-1, 0, 0, 1, 1, 4, 4, 0}, true},
-		{"interleaved attribute ids", []int64{0, 100, 1, 101, 102, 2}, false},
-		{"two far keys", []int64{-1000000, 1000000, -1000000}, false},
-		{"extremes", []int64{math.MinInt64, math.MaxInt64, 0, math.MaxInt64}, false},
-		{"at the bound", []int64{0, denseSpanFactor*3 - 1, 5}, true},
-		{"past the bound", []int64{0, denseSpanFactor * 3, 5}, false},
+		{"single row", []int32{42}, true},
+		{"single negative", []int32{-1}, true},
+		{"all equal", []int32{7, 7, 7, 7}, true},
+		{"node ids", []int32{0, 1, 2, 3, 4, 5, 6, 7}, true},
+		{"parents with root", []int32{-1, 0, 0, 1, 1, 4, 4, 0}, true},
+		{"interleaved attribute ids", []int32{0, 100, 1, 101, 102, 2}, false},
+		{"two far keys", []int32{-1000000, 1000000, -1000000}, false},
+		{"extremes", []int32{math.MinInt32, math.MaxInt32, 0, math.MaxInt32}, false},
+		{"dense at the top", []int32{math.MaxInt32, math.MaxInt32 - 1, math.MaxInt32 - 2}, true},
+		{"dense at the bottom", []int32{math.MinInt32, math.MinInt32 + 2, math.MinInt32 + 1}, true},
+		{"at the bound", []int32{0, denseSpanFactor*3 - 1, 5}, true},
+		{"past the bound", []int32{0, denseSpanFactor * 3, 5}, false},
 	} {
 		for _, typ := range []Type{Int, Node} {
 			idx := checkIndexAgainstOracle(t, tc.label, typ, tc.keys)

@@ -11,17 +11,21 @@
 // being modeled.
 //
 // Storage is column-major: each column lives in its own typed vector
-// (int64 for Int/Node, float64 for Float, int32 dictionary codes for
+// (int32 for Int/Node, float64 for Float, int32 dictionary codes for
 // String), so a value predicate streams one contiguous array instead of
 // striding over boxed row cells, and string equality is an integer code
-// comparison (see Dict). The Row/Value API materializes on demand and is
-// the cold path; hot paths read columns through the typed accessors.
+// comparison (see Dict). Int and Node cells are node ids, tag symbols,
+// kinds, ordinals and flags, all of which fit in 32 bits; the API speaks
+// int64 and Append rejects a value outside int32. The Row/Value API
+// materializes on demand and is the cold path; hot paths read columns
+// through the typed accessors.
 package relational
 
 import (
 	"fmt"
 	"sort"
 	"strings"
+	"unsafe"
 )
 
 // Type enumerates column types.
@@ -124,12 +128,11 @@ func (s Schema) Col(name string) int {
 type Row []Value
 
 // column is one typed vector. Exactly one payload slice is in use, per the
-// schema column's type: ints for Int/Node, floats for Float, codes
-// (dictionary codes) for String.
+// schema column's type: floats for Float, cells for every other type (the
+// values of Int and Node, the dictionary codes of String).
 type column struct {
-	ints   []int64
+	cells  []int32
 	floats []float64
-	codes  []int32
 }
 
 // Table is a column-oriented relation with optional equality indexes
@@ -137,6 +140,11 @@ type column struct {
 // dictionary codes; the dictionary may be private to the table or shared
 // across all tables of one store (NewTableShared), which is what lets
 // attribute values in different fragments compare by code.
+//
+// A table is appended, then frozen by its first CreateIndex. The freeze
+// seals every column at its exact length, so a loaded table keeps no
+// append slack; a loader that knows the row count up front calls Reserve
+// and the seal has nothing to copy.
 type Table struct {
 	Name   string
 	Schema Schema
@@ -170,9 +178,45 @@ func (t *Table) Dict() *Dict { return t.dict }
 // Len returns the row count.
 func (t *Table) Len() int { return t.nrows }
 
+// Reserve sizes every column to hold exactly rows rows, for a loader that
+// knows its row count before the first Append. Appending past it still
+// works; the freeze then copies the column to its exact length.
+func (t *Table) Reserve(rows int) {
+	for c := range t.cols {
+		col := &t.cols[c]
+		if t.Schema[c].T == Float {
+			col.floats = resize(col.floats, rows)
+		} else {
+			col.cells = resize(col.cells, rows)
+		}
+	}
+}
+
+// resize returns v with capacity exactly n (never below its length).
+func resize[E any](v []E, n int) []E {
+	if n < len(v) || n == cap(v) {
+		return v
+	}
+	out := make([]E, len(v), n)
+	copy(out, v)
+	return out
+}
+
+// seal cuts every column's capacity to its length: the freeze point of the
+// append-then-index life cycle, after which no column grows again.
+func (t *Table) seal() {
+	for c := range t.cols {
+		col := &t.cols[c]
+		col.cells = resize(col.cells, len(col.cells))
+		col.floats = resize(col.floats, len(col.floats))
+	}
+}
+
 // Append adds a row. It panics if the row width does not match the schema,
-// or if an index has been built (indexes are immutable and would go stale);
-// both are programming errors, not data errors.
+// if an Int or Node value does not fit in int32, or if an index has been
+// built (indexes are immutable and would go stale); all three are
+// programming errors, not data errors. A rejected row leaves the table
+// unchanged.
 func (t *Table) Append(row ...Value) int {
 	if len(row) != len(t.Schema) {
 		panic(fmt.Sprintf("relational: row width %d != schema width %d in %s", len(row), len(t.Schema), t.Name))
@@ -180,42 +224,47 @@ func (t *Table) Append(row ...Value) int {
 	if t.indexes != nil {
 		panic(fmt.Sprintf("relational: Append to %s after an index was built", t.Name))
 	}
+	for c := range row {
+		if tt := t.Schema[c].T; (tt == Int || tt == Node) && row[c].I != int64(int32(row[c].I)) {
+			panic(fmt.Sprintf("relational: value %d of %s.%s outside int32", row[c].I, t.Name, t.Schema[c].Name))
+		}
+	}
 	id := t.nrows
 	for c := range row {
 		switch t.Schema[c].T {
 		case Float:
 			t.cols[c].floats = append(t.cols[c].floats, row[c].F)
 		case String:
-			t.cols[c].codes = append(t.cols[c].codes, t.dict.Intern(row[c].S))
+			t.cols[c].cells = append(t.cols[c].cells, t.dict.Intern(row[c].S))
 		default:
-			t.cols[c].ints = append(t.cols[c].ints, row[c].I)
+			t.cols[c].cells = append(t.cols[c].cells, int32(row[c].I))
 		}
 	}
 	t.nrows++
 	return id
 }
 
-// Int returns the int64 cell at row i of an Int or Node column.
-func (t *Table) Int(i, c int) int64 { return t.cols[c].ints[i] }
+// Int returns the cell at row i of an Int or Node column.
+func (t *Table) Int(i, c int) int64 { return int64(t.cols[c].cells[i]) }
 
 // Float returns the float64 cell at row i of a Float column.
 func (t *Table) Float(i, c int) float64 { return t.cols[c].floats[i] }
 
 // Code returns the dictionary code at row i of a String column — the
 // representation equality predicates compare without decoding.
-func (t *Table) Code(i, c int) int32 { return t.cols[c].codes[i] }
+func (t *Table) Code(i, c int) int32 { return t.cols[c].cells[i] }
 
 // Str decodes the string cell at row i of a String column.
-func (t *Table) Str(i, c int) string { return t.dict.Name(t.cols[c].codes[i]) }
+func (t *Table) Str(i, c int) string { return t.dict.Name(t.cols[c].cells[i]) }
 
-// IntCol returns the contiguous int64 vector of an Int or Node column.
-func (t *Table) IntCol(c int) []int64 { return t.cols[c].ints }
+// IntCol returns the contiguous int32 vector of an Int or Node column.
+func (t *Table) IntCol(c int) []int32 { return t.cols[c].cells }
 
 // FloatCol returns the contiguous float64 vector of a Float column.
 func (t *Table) FloatCol(c int) []float64 { return t.cols[c].floats }
 
 // CodeCol returns the contiguous dictionary-code vector of a String column.
-func (t *Table) CodeCol(c int) []int32 { return t.cols[c].codes }
+func (t *Table) CodeCol(c int) []int32 { return t.cols[c].cells }
 
 // Value materializes the cell at row i, column c.
 func (t *Table) Value(i, c int) Value {
@@ -223,9 +272,9 @@ func (t *Table) Value(i, c int) Value {
 	case Float:
 		return Value{T: Float, F: t.cols[c].floats[i]}
 	case String:
-		return Value{T: String, S: t.dict.Name(t.cols[c].codes[i])}
+		return Value{T: String, S: t.dict.Name(t.cols[c].cells[i])}
 	default:
-		return Value{T: tt, I: t.cols[c].ints[i]}
+		return Value{T: tt, I: int64(t.cols[c].cells[i])}
 	}
 }
 
@@ -245,17 +294,21 @@ func (t *Table) ReadRow(i int, buf Row) Row {
 	return buf
 }
 
-// SizeBytes estimates the storage footprint of the table including its
-// indexes: 8 bytes per numeric cell, 4 bytes per string cell (the
-// dictionary code). The shared dictionary's payload is NOT counted here —
-// it is counted once per store (Dict.SizeBytes), which is the point of
+// SizeBytes is the resident footprint of the table including its indexes:
+// the capacity of every column vector (4 bytes per Int, Node and String
+// cell, 8 per Float cell), the table's header, name and schema, and the
+// index map. The shared dictionary's payload is NOT counted here — it is
+// counted once per store (Dict.SizeBytes), which is the point of
 // dictionary encoding in the paper's "database size" column.
 func (t *Table) SizeBytes() int64 {
-	var n int64
+	n := int64(unsafe.Sizeof(*t)) + int64(len(t.Name)) +
+		int64(cap(t.Schema))*int64(unsafe.Sizeof(Column{})) +
+		int64(cap(t.cols))*int64(unsafe.Sizeof(column{}))
 	for c := range t.cols {
-		n += int64(len(t.cols[c].ints))*8 +
-			int64(len(t.cols[c].floats))*8 +
-			int64(len(t.cols[c].codes))*4
+		n += int64(cap(t.cols[c].cells))*4 + int64(cap(t.cols[c].floats))*8
+	}
+	if t.indexes != nil {
+		n += MapBytes(t.indexes)
 	}
 	for _, idx := range t.indexes {
 		n += idx.sizeBytes()

@@ -1,6 +1,7 @@
 package relational
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -39,6 +40,79 @@ func TestAppendWidthPanics(t *testing.T) {
 		}
 	}()
 	personTable().Append(IntVal(9))
+}
+
+// TestAppendOutOfRangePanics pins the int32 cell contract: an Int or Node
+// value outside int32 is a programming error that names the column, a
+// rejected row leaves every column unchanged, and the int32 extremes
+// themselves are stored exactly.
+func TestAppendOutOfRangePanics(t *testing.T) {
+	for _, tc := range []struct {
+		typ Type
+		v   int64
+	}{
+		{Int, math.MaxInt32 + 1},
+		{Int, math.MinInt32 - 1},
+		{Node, 1 << 32},
+		{Node, math.MinInt64},
+		{Int, math.MaxInt64},
+	} {
+		tab := NewTable("t", Schema{{"s", String}, {"k", tc.typ}})
+		tab.Append(StringVal("lo"), Value{T: tc.typ, I: math.MinInt32})
+		tab.Append(StringVal("hi"), Value{T: tc.typ, I: math.MaxInt32})
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, "t.k") || !strings.Contains(msg, "int32") {
+					t.Errorf("%s %d: panic %q, want one naming t.k and int32", tc.typ, tc.v, msg)
+				}
+			}()
+			tab.Append(StringVal("out"), Value{T: tc.typ, I: tc.v})
+		}()
+		if tab.Len() != 2 || len(tab.CodeCol(0)) != 2 || len(tab.IntCol(1)) != 2 {
+			t.Errorf("%s %d: rejected row changed the table: %d rows, columns %d/%d",
+				tc.typ, tc.v, tab.Len(), len(tab.CodeCol(0)), len(tab.IntCol(1)))
+		}
+		if tab.Int(0, 1) != math.MinInt32 || tab.Int(1, 1) != math.MaxInt32 {
+			t.Errorf("%s: extremes read back as %d, %d", tc.typ, tab.Int(0, 1), tab.Int(1, 1))
+		}
+	}
+}
+
+// TestFreezeSealsColumns pins the freeze: the first CreateIndex cuts every
+// column to its exact length, and a table Reserved at its final row count
+// is sealed without a copy.
+func TestFreezeSealsColumns(t *testing.T) {
+	sch := Schema{{"n", Node}, {"s", String}, {"f", Float}}
+	fill := func(tab *Table, rows int) {
+		for i := 0; i < rows; i++ {
+			tab.Append(NodeVal(int64(i)), StringVal("v"), FloatVal(float64(i)))
+		}
+	}
+	sealed := func(tab *Table) bool {
+		n := tab.Len()
+		return cap(tab.IntCol(0)) == n && cap(tab.CodeCol(1)) == n && cap(tab.FloatCol(2)) == n
+	}
+
+	grown := NewTable("grown", sch)
+	fill(grown, 1000)
+	if sealed(grown) {
+		t.Fatal("append left no slack; the test proves nothing")
+	}
+	grown.CreateIndex(0)
+	if !sealed(grown) {
+		t.Errorf("after CreateIndex: caps %d/%d/%d for %d rows",
+			cap(grown.IntCol(0)), cap(grown.CodeCol(1)), cap(grown.FloatCol(2)), grown.Len())
+	}
+
+	reserved := NewTable("reserved", sch)
+	reserved.Reserve(1000)
+	fill(reserved, 1000)
+	before := &reserved.IntCol(0)[0]
+	reserved.CreateIndex(1)
+	if !sealed(reserved) || &reserved.IntCol(0)[0] != before {
+		t.Error("a table Reserved at its row count was copied at the freeze")
+	}
 }
 
 // TestIndexBuildOnce pins the build-once contract: an index is built

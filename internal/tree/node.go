@@ -68,6 +68,9 @@ func (d *Doc) Attrs(n NodeID) []Attr {
 	return d.attrs[s : s+int32(d.attrLen[n])]
 }
 
+// AttrCount returns the number of attributes in the whole document.
+func (d *Doc) AttrCount() int { return len(d.attrs) }
+
 // Attr returns the value of the named attribute of n.
 func (d *Doc) Attr(n NodeID, name string) (string, bool) {
 	for _, a := range d.Attrs(n) {
