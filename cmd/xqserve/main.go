@@ -273,13 +273,15 @@ func main() {
 }
 
 // loadPhases splits a catalog's load time by layer: generation, the one
-// parse, the store builds with plan compilation, and the shared text
-// index, which is built alongside the stores and so is part of their time.
+// parse, the store builds with plan compilation, and the shared value
+// dictionary and text index, which are built alongside the stores and so
+// are part of their time.
 func loadPhases(cat *service.Catalog) string {
 	stores := cat.LoadTime - cat.GenerateTime - cat.ParseTime
-	return fmt.Sprintf("generate %v, parse %v, stores %v, text index %v",
+	return fmt.Sprintf("generate %v, parse %v, stores %v, dictionary %v, text index %v",
 		cat.GenerateTime.Round(time.Millisecond), cat.ParseTime.Round(time.Millisecond),
-		stores.Round(time.Millisecond), cat.TextIndexTime.Round(time.Millisecond))
+		stores.Round(time.Millisecond), cat.DictionaryTime.Round(time.Millisecond),
+		cat.TextIndexTime.Round(time.Millisecond))
 }
 
 // handleHealthz reports readiness and catalog load status: 200 with
@@ -302,7 +304,9 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		// TextIndexes reports per-system inverted text index status: built
 		// or scan-only, and the resident bytes the index costs.
 		TextIndexes []service.TextIndexStatus `json:"text_indexes,omitempty"`
-		Error       string                    `json:"error,omitempty"`
+		// Dictionary reports the value dictionary Systems A-C share.
+		Dictionary *service.DictionaryStatus `json:"dictionary,omitempty"`
+		Error      string                    `json:"error,omitempty"`
 	}
 	h := health{Factor: s.factor, UptimeSec: time.Since(s.start).Seconds()}
 	if co != nil {
@@ -325,6 +329,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		h.LoadMs = float64(cat.LoadTime) / 1e6
 		h.StoreBytes = cat.StoreBytes()
 		h.TextIndexes = cat.TextIndexes()
+		dict := cat.Dictionary()
+		h.Dictionary = &dict
 	}
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(code)
@@ -349,8 +355,9 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Factor      float64                   `json:"factor"`
 		StoreBytes  []service.StoreSize       `json:"store_bytes"`
 		TextIndexes []service.TextIndexStatus `json:"text_indexes"`
+		Dictionary  service.DictionaryStatus  `json:"dictionary"`
 		Snapshot    service.Snapshot          `json:"snapshot"`
-	}{ex.Workers(), ex.QueueCap(), ex.Parallel(), ex.BatchSize(), cat.Factor, cat.StoreBytes(), cat.TextIndexes(), ex.Metrics().Snapshot()})
+	}{ex.Workers(), ex.QueueCap(), ex.Parallel(), ex.BatchSize(), cat.Factor, cat.StoreBytes(), cat.TextIndexes(), cat.Dictionary(), ex.Metrics().Snapshot()})
 }
 
 // parseRequest extracts the system and query (number or ad-hoc text) of a

@@ -26,13 +26,21 @@ const typoQuery = "count(/site/peeple/person)"
 
 // newTestServer loads a tiny single-system catalog synchronously and
 // returns a ready server, bypassing main()'s background load.
-func newTestServer(t *testing.T) *server {
+func newTestServer(t *testing.T) *server { return newTestServerOf(t, "D") }
+
+// newTestServerOf is newTestServer over the systems ids names, one letter
+// each.
+func newTestServerOf(t *testing.T, ids string) *server {
 	t.Helper()
-	sysD, err := xmark.SystemByID("D")
-	if err != nil {
-		t.Fatal(err)
+	var systems []xmark.System
+	for _, id := range ids {
+		sys, err := xmark.SystemByID(xmark.SystemID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		systems = append(systems, sys)
 	}
-	cat, err := service.Load(0.001, []xmark.System{sysD})
+	cat, err := service.Load(0.001, systems)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -238,6 +246,41 @@ func TestStoreBytesReported(t *testing.T) {
 	}
 	if line := fmt.Sprintf("xq_store_bytes{system=\"D\"} %d\n", want); !strings.Contains(get(t, mux, "/metrics", nil).Body.String(), line) {
 		t.Errorf("/metrics is missing %q", line)
+	}
+}
+
+// TestDictionaryReported pins the value dictionary on every surface that
+// reports it: /healthz and /stats carry it once, beside text_indexes, with
+// the values and bytes of the one dictionary Systems B and C share, and the
+// ready line names its build time as a phase of the load.
+func TestDictionaryReported(t *testing.T) {
+	s := newTestServerOf(t, "BCD")
+	mux := s.routes(false)
+	want := s.cat.Dictionary()
+	if !want.Built || want.Values <= 0 || want.Bytes <= 0 {
+		t.Fatalf("catalog dictionary %+v", want)
+	}
+	for _, path := range []string{"/healthz", "/stats"} {
+		body := get(t, mux, path, nil).Body.Bytes()
+		var out struct {
+			Dictionary service.DictionaryStatus `json:"dictionary"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatalf("%s: %v", path, err)
+		}
+		if out.Dictionary != want {
+			t.Errorf("%s: dictionary = %+v, want %+v", path, out.Dictionary, want)
+		}
+		if n := strings.Count(string(body), `"dictionary"`); n != 1 {
+			t.Errorf("%s reports the dictionary %d times", path, n)
+		}
+	}
+	phase := "dictionary " + s.cat.DictionaryTime.Round(time.Millisecond).String() + ","
+	if line := loadPhases(s.cat); !strings.Contains(line, phase) {
+		t.Errorf("ready line %q lacks %q", line, phase)
+	}
+	if d := newTestServer(t).cat.Dictionary(); d.Built {
+		t.Errorf("a catalog of System D alone reports a dictionary: %+v", d)
 	}
 }
 

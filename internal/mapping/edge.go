@@ -85,17 +85,22 @@ const (
 	eValue
 )
 
-// NewEdge bulkloads the document into the edge mapping.
-func NewEdge(doc *tree.Doc) *Edge {
+// NewEdge bulkloads the document into the edge mapping over a private
+// value dictionary.
+func NewEdge(doc *tree.Doc) *Edge { return NewEdgeOver(doc, NewValues(doc)) }
+
+// NewEdgeOver bulkloads the document into the edge mapping, coding its
+// value column against v, the values of doc.
+func NewEdgeOver(doc *tree.Doc, v *Values) *Edge {
 	s := &Edge{
-		table: relational.NewTable("edge", relational.Schema{
+		table: relational.NewTableShared("edge", relational.Schema{
 			{Name: "id", T: relational.Node},
 			{Name: "parent", T: relational.Node},
 			{Name: "end", T: relational.Node},
 			{Name: "tag", T: relational.Int},
 			{Name: "kind", T: relational.Int},
 			{Name: "value", T: relational.String},
-		}),
+		}, v.Dict),
 		syms:   make(map[string]int32),
 		nNodes: doc.Len(),
 		root:   doc.Root(),
@@ -114,28 +119,27 @@ func NewEdge(doc *tree.Doc) *Edge {
 				relational.NodeVal(int64(doc.SubtreeEnd(n))),
 				relational.IntVal(int64(s.intern(doc.Tag(n)))),
 				relational.IntVal(rowElement),
-				relational.StringVal(""),
+				relational.CodeVal(emptyCode),
 			)
-			for _, a := range doc.Attrs(n) {
+			for i, a := range doc.Attrs(n) {
 				s.table.Append(
 					relational.NodeVal(nextAttrID),
 					relational.NodeVal(int64(n)),
 					relational.NodeVal(nextAttrID+1),
 					relational.IntVal(int64(s.intern("@"+a.Name))),
 					relational.IntVal(rowAttr),
-					relational.StringVal(a.Value),
+					v.attrCell(doc, n, i),
 				)
 				nextAttrID++
 			}
 		} else {
-			s.table.Dict().InternAliased(doc.Text(n))
 			s.table.Append(
 				relational.NodeVal(int64(n)),
 				relational.NodeVal(parent),
 				relational.NodeVal(int64(n)+1),
 				relational.IntVal(-1),
 				relational.IntVal(rowText),
-				relational.StringVal(doc.Text(n)),
+				v.nodeCell(n),
 			)
 		}
 	}
@@ -201,6 +205,9 @@ func (s *Edge) rowOf(n tree.NodeID) (int, bool) {
 
 // value decodes the value cell of one heap row.
 func (s *Edge) value(row int) string { return s.table.Dict().Name(s.values[row]) }
+
+// Dict returns the store's value dictionary.
+func (s *Edge) Dict() *relational.Dict { return s.table.Dict() }
 
 // Name implements nodestore.Store.
 func (s *Edge) Name() string { return "edge" }

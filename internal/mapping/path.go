@@ -56,10 +56,11 @@ type attrTable struct {
 }
 
 // Path is the fragmenting mapping (System B), and with inlining enabled the
-// DTD-derived mapping (System C). All fragments and attribute tables share
-// one store-wide dictionary, so a string value carries the same code in
-// every table of this store — which is what lets pushed-down equality
-// predicates and batch join keys compare codes across fragments.
+// DTD-derived mapping (System C). All fragments and attribute tables code
+// their values against one dictionary (the catalog's, see Values), so a
+// string value carries the same code in every table of this store — which
+// is what lets pushed-down equality predicates and batch join keys compare
+// codes across fragments.
 type Path struct {
 	nodestore.TextIndexHolder
 	name        string
@@ -81,18 +82,25 @@ type Path struct {
 }
 
 // NewPath bulkloads the document into the fragmenting path mapping
-// (System B).
-func NewPath(doc *tree.Doc) *Path { return load(doc, false, "path") }
+// (System B) over a private value dictionary.
+func NewPath(doc *tree.Doc) *Path { return NewPathOver(doc, NewValues(doc)) }
 
 // NewInline bulkloads the document into the DTD-derived inlined mapping
-// (System C).
-func NewInline(doc *tree.Doc) *Path { return load(doc, true, "inline") }
+// (System C) over a private value dictionary.
+func NewInline(doc *tree.Doc) *Path { return NewInlineOver(doc, NewValues(doc)) }
 
-func load(doc *tree.Doc, inline bool, name string) *Path {
+// NewPathOver is NewPath coding every value against v, the values of doc.
+func NewPathOver(doc *tree.Doc, v *Values) *Path { return load(doc, v, false, "path") }
+
+// NewInlineOver is NewInline coding every value against v, the values of
+// doc.
+func NewInlineOver(doc *tree.Doc, v *Values) *Path { return load(doc, v, true, "inline") }
+
+func load(doc *tree.Doc, v *Values, inline bool, name string) *Path {
 	s := &Path{
 		name:        name,
 		inline:      inline,
-		dict:        relational.NewDict(),
+		dict:        v.Dict,
 		catalog:     make(map[string]*pathTable),
 		byTag:       make(map[string][]*pathTable),
 		attrsByName: make(map[string][]*attrTable),
@@ -155,23 +163,24 @@ func load(doc *tree.Doc, inline bool, name string) *Path {
 	var fill func(n tree.NodeID, ord int)
 	fill = func(n tree.NodeID, ord int) {
 		pt := s.entries[s.pathOf[n]]
+		value := relational.CodeVal(emptyCode)
 		if doc.Kind(n) != tree.Element {
-			s.dict.InternAliased(doc.Text(n))
+			value = v.nodeCell(n)
 		}
 		row = append(row[:0],
 			relational.NodeVal(int64(n)),
 			relational.NodeVal(int64(doc.Parent(n))),
 			relational.NodeVal(int64(doc.SubtreeEnd(n))),
 			relational.IntVal(int64(ord)),
-			relational.StringVal(doc.Text(n)),
+			value,
 		)
 		if pt.inlined != nil {
-			row = s.appendInlined(doc, n, pt, row)
+			row = appendInlined(doc, v, n, pt, row)
 		}
 		s.rowIn[n] = int32(pt.table.Append(row...))
 		pt.ids = append(pt.ids, n)
-		for _, a := range doc.Attrs(n) {
-			pt.attrs[a.Name].table.Append(relational.NodeVal(int64(n)), relational.StringVal(a.Value))
+		for i, a := range doc.Attrs(n) {
+			pt.attrs[a.Name].table.Append(relational.NodeVal(int64(n)), v.attrCell(doc, n, i))
 		}
 		childOrd := 0
 		for c := doc.FirstChild(n); c != tree.Nil; c = doc.NextSibling(c) {
@@ -202,19 +211,14 @@ func (s *Path) newPathTable(path, label string) *pathTable {
 	pt := &pathTable{path: path, tag: label, depth: strings.Count(path, "/") + 1,
 		attrs: make(map[string]*attrTable)}
 	if s.inline && label != textLabel {
-		if decl := schema.Lookup(label); decl != nil &&
-			(decl.Kind == schema.Sequence || decl.Kind == schema.Choice) {
-			pt.inlined = make(map[string][2]int)
-			for _, c := range decl.Children {
-				childDecl := schema.Lookup(c.Name)
-				single := c.Occ == schema.One || c.Occ == schema.ZeroOrOne
-				if single && childDecl != nil && childDecl.Kind == schema.PCDATA {
-					vCol := len(sch)
-					sch = append(sch,
-						relational.Column{Name: c.Name, T: relational.String},
-						relational.Column{Name: c.Name + "?", T: relational.Int})
-					pt.inlined[c.Name] = [2]int{vCol, vCol + 1}
-				}
+		if names := inlinedChildren(label); names != nil {
+			pt.inlined = make(map[string][2]int, len(names))
+			for _, name := range names {
+				vCol := len(sch)
+				sch = append(sch,
+					relational.Column{Name: name, T: relational.String},
+					relational.Column{Name: name + "?", T: relational.Int})
+				pt.inlined[name] = [2]int{vCol, vCol + 1}
 			}
 		}
 	}
@@ -226,20 +230,38 @@ func (s *Path) newPathTable(path, label string) *pathTable {
 	return pt
 }
 
-// appendInlined fills the inlined child-text columns from the document.
-func (s *Path) appendInlined(doc *tree.Doc, n tree.NodeID, pt *pathTable, row relational.Row) relational.Row {
+// inlinedChildren returns the children System C inlines as columns of the
+// relation of tag: the single-occurrence #PCDATA children its DTD sequence
+// or choice declares.
+func inlinedChildren(tag string) []string {
+	decl := schema.Lookup(tag)
+	if decl == nil || (decl.Kind != schema.Sequence && decl.Kind != schema.Choice) {
+		return nil
+	}
+	var names []string
+	for _, c := range decl.Children {
+		childDecl := schema.Lookup(c.Name)
+		single := c.Occ == schema.One || c.Occ == schema.ZeroOrOne
+		if single && childDecl != nil && childDecl.Kind == schema.PCDATA {
+			names = append(names, c.Name)
+		}
+	}
+	return names
+}
+
+// appendInlined fills the inlined child-text columns from the document:
+// the value of an inlined child is its string value, coded by v.
+func appendInlined(doc *tree.Doc, v *Values, n tree.NodeID, pt *pathTable, row relational.Row) relational.Row {
 	// Extend row to the table's full width in schema order.
 	for len(row) < len(pt.table.Schema) {
-		row = append(row, relational.StringVal(""))
+		row = append(row, relational.CodeVal(emptyCode))
 	}
 	for c := doc.FirstChild(n); c != tree.Nil; c = doc.NextSibling(c) {
 		if doc.Kind(c) != tree.Element {
 			continue
 		}
 		if cols, ok := pt.inlined[doc.Tag(c)]; ok {
-			v := doc.StringValue(c)
-			s.dict.InternAliased(v)
-			row[cols[0]] = relational.StringVal(v)
+			row[cols[0]] = v.nodeCell(c)
 			row[cols[1]] = relational.IntVal(1)
 		}
 	}
@@ -378,6 +400,9 @@ func (s *Path) AttrCode(n tree.NodeID, name string) (int32, bool) {
 
 // CodeOf implements nodestore.AttrCoder.
 func (s *Path) CodeOf(v string) (int32, bool) { return s.dict.Code(v) }
+
+// Dict returns the store's value dictionary.
+func (s *Path) Dict() *relational.Dict { return s.dict }
 
 // Attrs implements nodestore.Store.
 func (s *Path) Attrs(n tree.NodeID) []tree.Attr {

@@ -31,9 +31,11 @@ func naiveStringValue(s nodestore.Store, n tree.NodeID) string {
 
 // checkStringValues loads xml into the DOM store and the three relational
 // mappings and checks, for every node of each, StringValue against the
-// oracle. wantText, when given, is the expected Text of every node in
-// document order.
-func checkStringValues(t *testing.T, label string, xml []byte, wantText []string) {
+// oracle, and on the inlined mapping every inlined child value against the
+// child's string value. wantText, when given, is the expected Text of
+// every node in document order. It returns how many inlined values were
+// of mixed-content children, whose string value spans several text nodes.
+func checkStringValues(t *testing.T, label string, xml []byte, wantText []string) (mixed int) {
 	t.Helper()
 	doc, err := tree.Parse(xml)
 	if err != nil {
@@ -53,8 +55,36 @@ func checkStringValues(t *testing.T, label string, xml []byte, wantText []string
 			if got, want := s.StringValue(n), naiveStringValue(s, n); got != want {
 				t.Fatalf("%s/%s: node %d StringValue %q, want %q", label, s.Name(), n, got, want)
 			}
+			if s.Name() == "inline" && s.Kind(n) == tree.Element {
+				mixed += checkInlined(t, label, s, n)
+			}
 		}
 	}
+	return mixed
+}
+
+// checkInlined checks every inlined column of element n against the
+// string value of the child it inlines (the last child with that tag) and
+// returns how many of those children have mixed content.
+func checkInlined(t *testing.T, label string, s nodestore.Store, n tree.NodeID) (mixed int) {
+	t.Helper()
+	for _, c := range s.Children(n, nil) {
+		if s.Kind(c) != tree.Element {
+			continue
+		}
+		v, ok, supported := s.InlinedChildText(n, s.Tag(c))
+		if !supported {
+			continue
+		}
+		same := s.ChildrenByTag(n, s.Tag(c), nil)
+		if want := s.StringValue(same[len(same)-1]); !ok || v != want {
+			t.Fatalf("%s/%s: node %d inlines %s as %q (ok=%v), want %q", label, s.Name(), n, s.Tag(c), v, ok, want)
+		}
+		if kids := s.Children(c, nil); len(kids) > 1 || len(kids) == 1 && s.Kind(kids[0]) == tree.Element {
+			mixed++
+		}
+	}
+	return mixed
 }
 
 // docGen writes a random document as XML text and records what Text(n)
@@ -137,11 +167,22 @@ func (g *docGen) element(depth int) {
 // over a generated auction document, and over shard-territory documents
 // (each merged shard document is parsed on its own and owns its own heap).
 func TestStringValueProperty(t *testing.T) {
+	// System C inlines a person's name as a column of the person relation;
+	// a name with markup inside is mixed content, and the column holds its
+	// whole string value, which no single text node carries.
+	const mixedName = `<site><people><person id="p0"><name>Ann <bold>B.</bold> Lee</name></person></people></site>`
+	if checkStringValues(t, "inlined mixed content", []byte(mixedName), nil) != 1 {
+		t.Fatal("the inlined mapping does not inline the mixed-content name")
+	}
 	r := rand.New(rand.NewSource(14))
+	mixed := 0
 	for i := 0; i < 200; i++ {
 		g := &docGen{r: r}
 		g.element(0)
-		checkStringValues(t, fmt.Sprintf("random %d", i), []byte(g.xml.String()), g.texts)
+		mixed += checkStringValues(t, fmt.Sprintf("random %d", i), []byte(g.xml.String()), g.texts)
+	}
+	if mixed == 0 {
+		t.Fatal("no random document has an inlined mixed-content child")
 	}
 
 	const factor = 0.002

@@ -8,10 +8,11 @@ import "repro/internal/tree"
 // attribute values of the same store key their index by code and never
 // decode a string on the probe path.
 //
-// Codes must never be compared across stores (each store interns in its
-// own order) — cross-store comparisons, like the shard merge, decode
-// first. That contract is the reason the interface exposes only per-store
-// lookups.
+// Codes must never be compared across stores: the relational stores of
+// one catalog share a dictionary, but a shard catalog or a standalone load
+// interns its own in its own order — cross-store comparisons, like the
+// shard merge, decode first. That contract is the reason the interface
+// exposes only per-store lookups.
 type AttrCoder interface {
 	// AttrCode returns the dictionary code of the attribute's value, or
 	// ok=false when the node has no such attribute.

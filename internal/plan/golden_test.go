@@ -18,8 +18,9 @@ var update = flag.Bool("update", false, "rewrite the EXPLAIN golden files")
 // depends on it.
 const goldenFactor = 0.005
 
-// TestExplainGolden renders the optimized plan of all twenty XMark
-// queries under each of the seven system profiles and compares them
+// TestExplainGolden renders the optimized plan of every query the service
+// serves — the twenty XMark queries and the three hybrid keyword queries —
+// under each of the seven system profiles and compares them
 // against testdata/explain_<ID>.golden, asserting exactly which rewrite
 // rules fire on which system — the plan-level reproduction of the
 // paper's Table 3 differences. Refresh with:
@@ -41,7 +42,7 @@ func TestExplainGolden(t *testing.T) {
 			var b strings.Builder
 			fmt.Fprintf(&b, "EXPLAIN golden: system %s (%s), factor %g\n",
 				sys.ID, sys.Architecture, goldenFactor)
-			for _, q := range xmark.Queries() {
+			for _, q := range xmark.AllQueries() {
 				prep, err := inst.Engine.Prepare(bench.QueryText(q.ID))
 				if err != nil {
 					t.Fatalf("Q%d: %v", q.ID, err)

@@ -2,6 +2,7 @@ package relational
 
 import (
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/rng"
@@ -53,6 +54,16 @@ func TestDictRoundTripProperty(t *testing.T) {
 	}
 	if _, ok := d.Code("never-interned-value"); ok {
 		t.Fatal("Code hit on a value never interned")
+	}
+	// Decoding slices the arena and probing reads the slot table: neither
+	// allocates.
+	var sink string
+	if allocs := testing.AllocsPerRun(100, func() {
+		sink = d.Name(int32(d.Len() - 1))
+		_, _ = d.Code(sink)
+		_, _ = d.Code("never-interned-value")
+	}); allocs != 0 {
+		t.Fatalf("Name and Code allocate %v times per run", allocs)
 	}
 	// Every code decodes, and decoding is a bijection over [0, Len).
 	seen := make(map[string]bool, d.Len())
@@ -150,30 +161,84 @@ func TestDictCodesCrossShards(t *testing.T) {
 	}
 }
 
-// TestDictAliasedPayloadNotCounted: a value first seen through
-// InternAliased costs the dictionary its headers only; a value the
-// dictionary already owns stays counted however it is seen again. A twin
-// dictionary that owns both values is larger by exactly the aliased
-// payload, so the check holds whatever the map and vector headers cost.
+// TestDictAliasedPayloadNotCounted: a value first seen through InternSpan
+// costs the dictionary a span and a slot, never its payload; a value the
+// dictionary already owns stays counted however it is seen again. A sealed
+// twin dictionary that owns both values is larger by exactly the aliased
+// payload, so the check holds whatever the span and slot vectors cost.
 func TestDictAliasedPayloadNotCounted(t *testing.T) {
 	heap := "goldsilver"
-	d := NewDict()
+	d := NewDictOver(heap)
 	owned := d.Intern("gold")
 	one := d.SizeBytes()
 	if empty := NewDict().SizeBytes(); one < empty+4 {
 		t.Fatalf("one owned value: %d bytes, empty dictionary %d", one, empty)
 	}
-	if c := d.InternAliased(heap[:4]); c != owned || d.SizeBytes() != one {
+	if c := d.InternSpan(0, 4); c != owned || d.SizeBytes() != one {
 		t.Fatalf("aliased re-intern got code %d (want %d), size %d (want %d)", c, owned, d.SizeBytes(), one)
 	}
-	c := d.InternAliased(heap[4:])
-	if d.Name(c) != "silver" || d.InternAliased(heap[4:]) != c {
+	c := d.InternSpan(4, 10)
+	if d.Name(c) != "silver" || d.InternSpan(4, 10) != c || d.Intern("silver") != c {
 		t.Fatal("aliased value does not round-trip")
+	}
+	var sink string
+	if allocs := testing.AllocsPerRun(100, func() { sink = d.Name(c) }); allocs != 0 || sink != heap[4:] {
+		t.Fatalf("Name of a heap span allocates %v times per run", allocs)
 	}
 	twin := NewDict()
 	twin.Intern("gold")
 	twin.Intern("silver")
+	d.Seal()
+	twin.Seal()
 	if got := twin.SizeBytes() - d.SizeBytes(); got != int64(len("silver")) {
 		t.Fatalf("owning the second value costs %d bytes more than aliasing it, want %d", got, len("silver"))
+	}
+}
+
+// TestDictSealedRejectsUnseen pins the end of interning. After Seal a value
+// the dictionary holds still interns to its code, through Intern or a
+// table's Append, and Code answers as before; an unseen value panics with
+// a message naming it, the way Append rejects a value outside int32, and
+// so does a CodeVal that is no code of the table's dictionary. Neither
+// rejection changes the dictionary or the table.
+func TestDictSealedRejectsUnseen(t *testing.T) {
+	d := NewDictOver("goldsilver")
+	gold := d.InternSpan(0, 4)
+	empty := d.Intern("")
+	tab := NewTableShared("t", Schema{{"k", Int}, {"v", String}}, d)
+	d.Seal()
+	if d.Intern("gold") != gold || d.InternSpan(0, 4) != gold || d.Intern("") != empty {
+		t.Fatal("a held value interns to another code after the seal")
+	}
+	tab.Append(IntVal(1), StringVal("gold"))
+	tab.Append(IntVal(2), CodeVal(empty))
+	for _, tc := range []struct {
+		label, want string
+		do          func()
+	}{
+		{"Intern", `"silver"`, func() { d.Intern("silver") }},
+		{"InternSpan", `"silver"`, func() { d.InternSpan(4, 10) }},
+		{"Append", `"bronze"`, func() { tab.Append(IntVal(3), StringVal("bronze")) }},
+		{"Append CodeVal", "code 2 of t.v", func() { tab.Append(IntVal(3), CodeVal(2)) }},
+		{"Append negative CodeVal", "code -1 of t.v", func() { tab.Append(IntVal(3), CodeVal(-1)) }},
+	} {
+		func() {
+			defer func() {
+				msg, _ := recover().(string)
+				if !strings.Contains(msg, tc.want) {
+					t.Errorf("%s: panic %q, want one naming %s", tc.label, msg, tc.want)
+				}
+			}()
+			tc.do()
+		}()
+	}
+	if d.Len() != 2 {
+		t.Errorf("rejected values grew the dictionary to %d values", d.Len())
+	}
+	if tab.Len() != 2 || len(tab.IntCol(0)) != 2 || len(tab.CodeCol(1)) != 2 {
+		t.Errorf("rejected rows changed the table: %d rows, columns %d/%d", tab.Len(), len(tab.IntCol(0)), len(tab.CodeCol(1)))
+	}
+	if tab.Str(0, 1) != "gold" || tab.Str(1, 1) != "" {
+		t.Errorf("rows read back as %q, %q", tab.Str(0, 1), tab.Str(1, 1))
 	}
 }

@@ -77,6 +77,14 @@ func FloatVal(v float64) Value { return Value{T: Float, F: v} }
 // StringVal returns a String value.
 func StringVal(v string) Value { return Value{T: String, S: v} }
 
+// coded is the Type of a CodeVal, accepted by Append for String columns.
+const coded Type = -1
+
+// CodeVal returns a String cell given by its code in the table's
+// dictionary, for a loader whose values were interned before the table was
+// built: Append stores the code as it is and hashes nothing.
+func CodeVal(c int32) Value { return Value{T: coded, I: int64(c)} }
+
 // Equal reports deep equality of two values, including their type.
 func (v Value) Equal(o Value) bool {
 	if v.T != o.T {
@@ -138,7 +146,7 @@ type column struct {
 // Table is a column-oriented relation with optional equality indexes
 // (Index), built once over the finished columns. String columns store
 // dictionary codes; the dictionary may be private to the table or shared
-// across all tables of one store (NewTableShared), which is what lets
+// across all tables of one catalog (NewTableShared), which is what lets
 // attribute values in different fragments compare by code.
 //
 // A table is appended, then frozen by its first CreateIndex. The freeze
@@ -162,7 +170,7 @@ func NewTable(name string, schema Schema) *Table {
 
 // NewTableShared creates an empty table whose String columns intern into
 // the given shared dictionary, so codes compare across every table built
-// over the same dictionary (one dictionary per store).
+// over the same dictionary (one dictionary per catalog).
 func NewTableShared(name string, schema Schema, dict *Dict) *Table {
 	return &Table{
 		Name:   name,
@@ -213,10 +221,11 @@ func (t *Table) seal() {
 }
 
 // Append adds a row. It panics if the row width does not match the schema,
-// if an Int or Node value does not fit in int32, or if an index has been
-// built (indexes are immutable and would go stale); all three are
-// programming errors, not data errors. A rejected row leaves the table
-// unchanged.
+// if an Int or Node value does not fit in int32, if a String value is
+// neither a code of the table's dictionary nor internable into it (Seal),
+// or if an index has been built (indexes are immutable and would go
+// stale); all are programming errors, not data errors. A rejected row
+// leaves the table unchanged.
 func (t *Table) Append(row ...Value) int {
 	if len(row) != len(t.Schema) {
 		panic(fmt.Sprintf("relational: row width %d != schema width %d in %s", len(row), len(t.Schema), t.Name))
@@ -225,8 +234,15 @@ func (t *Table) Append(row ...Value) int {
 		panic(fmt.Sprintf("relational: Append to %s after an index was built", t.Name))
 	}
 	for c := range row {
-		if tt := t.Schema[c].T; (tt == Int || tt == Node) && row[c].I != int64(int32(row[c].I)) {
+		tt := t.Schema[c].T
+		if (tt == Int || tt == Node) && row[c].I != int64(int32(row[c].I)) {
 			panic(fmt.Sprintf("relational: value %d of %s.%s outside int32", row[c].I, t.Name, t.Schema[c].Name))
+		}
+		if tt == String && row[c].T == coded && (row[c].I < 0 || row[c].I >= int64(t.dict.Len())) {
+			panic(fmt.Sprintf("relational: code %d of %s.%s not in its dictionary", row[c].I, t.Name, t.Schema[c].Name))
+		}
+		if tt == String && row[c].T != coded && t.dict.sealed {
+			t.dict.Intern(row[c].S) // panics, naming the value, if it is unseen
 		}
 	}
 	id := t.nrows
@@ -235,7 +251,11 @@ func (t *Table) Append(row ...Value) int {
 		case Float:
 			t.cols[c].floats = append(t.cols[c].floats, row[c].F)
 		case String:
-			t.cols[c].cells = append(t.cols[c].cells, t.dict.Intern(row[c].S))
+			code := int32(row[c].I)
+			if row[c].T != coded {
+				code = t.dict.Intern(row[c].S)
+			}
+			t.cols[c].cells = append(t.cols[c].cells, code)
 		default:
 			t.cols[c].cells = append(t.cols[c].cells, int32(row[c].I))
 		}

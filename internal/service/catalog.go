@@ -26,7 +26,9 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/fulltext"
+	"repro/internal/mapping"
 	"repro/internal/nodestore"
+	"repro/internal/relational"
 	"repro/internal/tree"
 	"repro/internal/xmark"
 	"repro/internal/xmlgen"
@@ -51,12 +53,14 @@ type Catalog struct {
 	// DocBytes is the size of the generated document text.
 	DocBytes int
 	// LoadTime is the total wall time of the load: generation, the one
-	// parse, the store builds with the shared text index alongside them,
-	// and plan-cache compilation. The three phase times below are parts
-	// of it; GenerateTime is zero from LoadDoc, TextIndexTime when no
-	// loaded system uses the index.
-	LoadTime, GenerateTime, ParseTime, TextIndexTime time.Duration
+	// parse, the store builds with the shared value dictionary and text
+	// index alongside them, and plan-cache compilation. The four phase
+	// times below are parts of it; GenerateTime is zero from LoadDoc,
+	// DictionaryTime when no loaded system codes its values (A-C),
+	// TextIndexTime when none uses the index.
+	LoadTime, GenerateTime, ParseTime, DictionaryTime, TextIndexTime time.Duration
 
+	dict      *relational.Dict // shared by Systems A-C; nil if none is loaded
 	systems   []xmark.System
 	instances map[xmark.SystemID]*xmark.Instance
 	prepared  map[prepKey]*engine.Prepared
@@ -91,12 +95,14 @@ func Load(factor float64, systems []xmark.System) (*Catalog, error) {
 // reference.
 //
 // The document is parsed once and every store builds from that one tree,
-// so the text is resident once; Systems A-E share one text index, sound
-// because every mapping keeps the document's pre-order NodeIDs. Store
-// builds and Prepare calls run concurrently, bounded by GOMAXPROCS, with
-// the index build holding one slot. Each goroutine fills its own result
-// slot and the shared maps are written after all have finished, keeping
-// the published Catalog immutable.
+// so the text is resident once. Systems A-C share one sealed value
+// dictionary, interned in one pass by the first of their builds to need
+// it, and Systems A-E share one text index, sound because every mapping
+// keeps the document's pre-order NodeIDs. Store builds and Prepare calls
+// run concurrently, bounded by GOMAXPROCS, with the index build holding
+// one slot. Each goroutine fills its own result slot and the shared maps
+// are written after all have finished, keeping the published Catalog
+// immutable.
 func LoadDoc(docText []byte, card xmlgen.Cardinalities, factor float64, systems []xmark.System) (*Catalog, error) {
 	if systems == nil {
 		systems = xmark.Systems()
@@ -122,10 +128,14 @@ func LoadDoc(docText []byte, card xmlgen.Cardinalities, factor float64, systems 
 	c.ParseTime = time.Since(start)
 
 	sem := make(chan struct{}, runtime.GOMAXPROCS(0))
-	var textIndex func() nodestore.TextIndex
+	var values *mapping.Values
+	shared := xmark.Shared{Values: sync.OnceValue(func() *mapping.Values {
+		values = mapping.NewValues(doc)
+		return values
+	})}
 	for _, s := range systems {
 		if s.Options().FulltextIndex {
-			textIndex = buildTextIndex(doc, sem)
+			shared.TextIndex = buildTextIndex(doc, sem)
 			break
 		}
 	}
@@ -144,7 +154,7 @@ func LoadDoc(docText []byte, card xmlgen.Cardinalities, factor float64, systems 
 			sem <- struct{}{}
 			defer func() { <-sem }()
 			r := &results[i]
-			r.inst = s.Build(docText, doc, textIndex)
+			r.inst = s.Build(docText, doc, shared)
 			r.prepared = make(map[int]*engine.Prepared, len(c.queryText))
 			for qid, text := range c.queryText {
 				prep, err := r.inst.Engine.Prepare(text)
@@ -167,8 +177,11 @@ func LoadDoc(docText []byte, card xmlgen.Cardinalities, factor float64, systems 
 			c.prepared[prepKey{s.ID, qid}] = prep
 		}
 	}
-	if textIndex != nil {
-		c.TextIndexTime = textIndex().Info().BuildTime
+	if values != nil {
+		c.dict, c.DictionaryTime = values.Dict, values.BuildTime
+	}
+	if shared.TextIndex != nil {
+		c.TextIndexTime = shared.TextIndex().Info().BuildTime
 	}
 	c.LoadTime = time.Since(start)
 	return c, nil
@@ -198,8 +211,8 @@ func (c *Catalog) Systems() []xmark.System { return c.systems }
 // StoreSize is one loaded system's attributed database size: the store's
 // own accounting (nodestore.Stats.SizeBytes, the paper's Table 1 column),
 // which leaves the text index to TextIndexStatus. The stores of a catalog
-// share one text heap and each counts it, so the sizes add up to more than
-// is resident.
+// share one text heap, and A-C one value dictionary, and each counts what
+// it shares, so the sizes add up to more than is resident.
 type StoreSize struct {
 	System xmark.SystemID `json:"system"`
 	Bytes  int64          `json:"bytes"`
@@ -247,6 +260,26 @@ func (c *Catalog) TextIndexes() []TextIndexStatus {
 		out = append(out, st)
 	}
 	return out
+}
+
+// DictionaryStatus is the accounting of a catalog's value dictionary,
+// surfaced by the service's health and stats endpoints. Systems A-C share
+// the one dictionary, so it is reported once; Built is false when none of
+// them is loaded.
+type DictionaryStatus struct {
+	Built   bool    `json:"built"`
+	Values  int     `json:"values,omitempty"`
+	Bytes   int64   `json:"bytes,omitempty"`
+	BuildMs float64 `json:"build_ms,omitempty"`
+}
+
+// Dictionary reports the catalog's value dictionary.
+func (c *Catalog) Dictionary() DictionaryStatus {
+	if c.dict == nil {
+		return DictionaryStatus{}
+	}
+	return DictionaryStatus{Built: true, Values: c.dict.Len(), Bytes: c.dict.SizeBytes(),
+		BuildMs: float64(c.DictionaryTime) / 1e6}
 }
 
 // Instance returns the loaded instance of the system.

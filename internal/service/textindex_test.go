@@ -59,7 +59,7 @@ func TestSharedFulltextIndexSound(t *testing.T) {
 		t.Fatal(err)
 	}
 	rec := &probeRecorder{TextIndex: shared}
-	recD := sysD.Build(bench.DocText, doc, func() nodestore.TextIndex { return rec })
+	recD := sysD.Build(bench.DocText, doc, xmark.Shared{TextIndex: func() nodestore.TextIndex { return rec }})
 	for _, qid := range []int{14, 21, 22, 23} {
 		text, _ := c.QueryText(qid)
 		if _, err := recD.Engine.Prepare(text); err != nil {

@@ -71,6 +71,11 @@ func (d *Doc) Attrs(n NodeID) []Attr {
 // AttrCount returns the number of attributes in the whole document.
 func (d *Doc) AttrCount() int { return len(d.attrs) }
 
+// FirstAttr returns the position of n's first attribute among all the
+// document's attributes in document order: Attrs(n)[i] is attribute
+// FirstAttr(n)+i of the document.
+func (d *Doc) FirstAttr(n NodeID) int { return int(d.attrStart[n]) }
+
 // Attr returns the value of the named attribute of n.
 func (d *Doc) Attr(n NodeID, name string) (string, bool) {
 	for _, a := range d.Attrs(n) {

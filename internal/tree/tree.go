@@ -115,6 +115,12 @@ type TextHeap struct {
 // the string value of n.
 func (h TextHeap) Span(n, end NodeID) string { return h.data[h.off[n]:h.off[end]] }
 
+// Bounds returns where Span(n, end) lies in Data: Data()[lo:hi].
+func (h TextHeap) Bounds(n, end NodeID) (lo, hi int) { return int(h.off[n]), int(h.off[end]) }
+
+// Data returns the whole heap, every text node's content in document order.
+func (h TextHeap) Data() string { return h.data }
+
 // SizeBytes is the exact footprint of the heap and its offsets.
 func (h TextHeap) SizeBytes() int64 { return int64(len(h.data)) + int64(len(h.off))*4 }
 

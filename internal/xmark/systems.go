@@ -34,7 +34,7 @@ type System struct {
 	// MassStorage marks Systems A-F (paper category 1).
 	MassStorage bool
 
-	build func(doc *tree.Doc) nodestore.Store
+	build func(doc *tree.Doc, values func() *mapping.Values) nodestore.Store
 	opts  engine.Options
 }
 
@@ -64,28 +64,28 @@ var systems = []System{
 		ID:           SystemA,
 		Architecture: "relational, all XML data on one big heap relation (edge mapping [20])",
 		MassStorage:  true,
-		build:        func(doc *tree.Doc) nodestore.Store { return mapping.NewEdge(doc) },
+		build:        func(doc *tree.Doc, v func() *mapping.Values) nodestore.Store { return mapping.NewEdgeOver(doc, v()) },
 		opts:         engine.Options{HashJoins: true, AttrIndexes: true, FulltextIndex: true, MaxDegree: 8},
 	},
 	{
 		ID:           SystemB,
 		Architecture: "relational, highly fragmenting mapping (one relation per label path)",
 		MassStorage:  true,
-		build:        func(doc *tree.Doc) nodestore.Store { return mapping.NewPath(doc) },
+		build:        func(doc *tree.Doc, v func() *mapping.Values) nodestore.Store { return mapping.NewPathOver(doc, v()) },
 		opts:         engine.Options{PathExtents: true, HashJoins: true, AttrIndexes: true, FulltextIndex: true, MaxDegree: 8},
 	},
 	{
 		ID:           SystemC,
 		Architecture: "relational, DTD-derived schema with inlined #PCDATA children [23]",
 		MassStorage:  true,
-		build:        func(doc *tree.Doc) nodestore.Store { return mapping.NewInline(doc) },
+		build:        func(doc *tree.Doc, v func() *mapping.Values) nodestore.Store { return mapping.NewInlineOver(doc, v()) },
 		opts:         engine.Options{PathExtents: true, HashJoins: true, Inlining: true, AttrIndexes: true, FulltextIndex: true, MaxDegree: 8},
 	},
 	{
 		ID:           SystemD,
 		Architecture: "main-memory with detailed structural summary and tag indexes",
 		MassStorage:  true,
-		build: func(doc *tree.Doc) nodestore.Store {
+		build: func(doc *tree.Doc, _ func() *mapping.Values) nodestore.Store {
 			return nodestore.NewDOM("dom+summary", doc, nodestore.DOMOptions{Summary: true, TagExtents: true, AttrIndexes: true, FilteredScans: true})
 		},
 		opts: engine.Options{PathExtents: true, CountShortcut: true, HashJoins: true, AttrIndexes: true, FulltextIndex: true, MaxDegree: 8},
@@ -94,7 +94,7 @@ var systems = []System{
 		ID:           SystemE,
 		Architecture: "main-memory with tag indexes, heuristic optimizer",
 		MassStorage:  true,
-		build: func(doc *tree.Doc) nodestore.Store {
+		build: func(doc *tree.Doc, _ func() *mapping.Values) nodestore.Store {
 			return nodestore.NewDOM("dom+extents", doc, nodestore.DOMOptions{TagExtents: true, AttrIndexes: true})
 		},
 		opts: engine.Options{HashJoins: true, AttrIndexes: true, FulltextIndex: true, MaxDegree: 8},
@@ -103,7 +103,7 @@ var systems = []System{
 		ID:           SystemF,
 		Architecture: "main-memory, plain pointer traversal without auxiliary indexes",
 		MassStorage:  true,
-		build: func(doc *tree.Doc) nodestore.Store {
+		build: func(doc *tree.Doc, _ func() *mapping.Values) nodestore.Store {
 			return nodestore.NewDOM("dom", doc, nodestore.DOMOptions{})
 		},
 		opts: engine.Options{HashJoins: true},
@@ -112,7 +112,7 @@ var systems = []System{
 		ID:           SystemG,
 		Architecture: "embedded query processor: per-session document parse, no indexes, nested loops, string materialization",
 		MassStorage:  false,
-		build: func(doc *tree.Doc) nodestore.Store {
+		build: func(doc *tree.Doc, _ func() *mapping.Values) nodestore.Store {
 			return nodestore.NewDOM("naive", doc, nodestore.DOMOptions{})
 		},
 		opts: engine.Options{NaiveStrings: true},
@@ -128,10 +128,11 @@ type Instance struct {
 	System System
 	Engine *engine.Engine
 	// LoadTime is the bulkload wall time, the Table 1 measurement. From
-	// Load it covers document parse, store build and, on A-E, the text
-	// index. Inside a service catalog the parse and the text index are
-	// shared by every system and timed on the catalog, so there it covers
-	// the store build alone.
+	// Load it covers document parse, store build, on A-C the value
+	// dictionary and on A-E the text index. Inside a service catalog the
+	// parse, the dictionary and the text index are shared by every system
+	// and timed on the catalog, so there it covers the store build, which
+	// on A-C includes building or waiting for the shared dictionary.
 	LoadTime time.Duration
 	// Stats is the loaded database's size accounting.
 	Stats nodestore.Stats
@@ -143,36 +144,51 @@ type Instance struct {
 }
 
 // Load bulkloads the document text into the system, timing parse, store
-// construction and the text index as one completed transaction (paper §7,
-// Table 1). It is the standalone path: a caller serving several systems
-// over one document parses once and calls Build for each.
+// construction (on A-C the value dictionary included) and the text index
+// as one completed transaction (paper §7, Table 1). It is the standalone
+// path: a caller serving several systems over one document parses once
+// and calls Build for each.
 func (s System) Load(docText []byte) (*Instance, error) {
 	start := time.Now()
 	doc, err := tree.Parse(docText)
 	if err != nil {
 		return nil, err
 	}
-	inst := s.Build(docText, doc, nil)
+	inst := s.Build(docText, doc, Shared{})
 	inst.LoadTime = time.Since(start)
 	return inst, nil
 }
 
+// Shared supplies the parts of a load that a caller building several
+// systems over one document builds once for all of them. Each field waits
+// for its part; a nil field makes Build construct the store's own, and
+// LoadTime then includes it.
+type Shared struct {
+	// TextIndex is called once the store is built, on the systems that
+	// use a text index. Any index over the document serves every store of
+	// it, since every mapping keeps the document's pre-order NodeIDs.
+	TextIndex func() nodestore.TextIndex
+	// Values is called by the builds of Systems A-C, whose String cells
+	// are codes of its dictionary.
+	Values func() *mapping.Values
+}
+
 // Build constructs the system's store over doc, the parse of docText. The
 // store only reads doc, so many systems may build from one doc at once;
-// System G also keeps docText for its per-query re-parse. textIndex, called
-// once the store is built, supplies the text index of the systems that use
-// one: any index over doc serves every store of it, since every mapping
-// keeps the document's pre-order NodeIDs. A nil textIndex builds the
-// store's own, and LoadTime then includes it.
-func (s System) Build(docText []byte, doc *tree.Doc, textIndex func() nodestore.TextIndex) *Instance {
+// System G also keeps docText for its per-query re-parse.
+func (s System) Build(docText []byte, doc *tree.Doc, shared Shared) *Instance {
 	start := time.Now()
-	store := s.build(doc)
+	values := shared.Values
+	if values == nil {
+		values = func() *mapping.Values { return mapping.NewValues(doc) }
+	}
+	store := s.build(doc, values)
 	inst := &Instance{System: s, LoadTime: time.Since(start), Stats: store.Stats()}
 	if s.opts.FulltextIndex {
 		// Attached before the store is published: it rides along wherever
 		// the store goes (the service catalog, every shard's territory).
-		if textIndex != nil {
-			store.AttachTextIndex(textIndex())
+		if shared.TextIndex != nil {
+			store.AttachTextIndex(shared.TextIndex())
 		} else {
 			store.AttachTextIndex(fulltext.Build(store))
 			inst.LoadTime = time.Since(start)
