@@ -39,7 +39,7 @@ import (
 // owns, and codes are found through one open-addressing table of int32
 // slots kept at most half full.
 type Dict struct {
-	heap   string  // the text heap heap spans address; its owner counts it
+	heap   string  // the text heap that heap spans address; its owner counts it
 	arena  []byte  // owned payloads, addressed at offsets past the heap
 	spans  []span  // code -> payload
 	slots  []int32 // code+1 per slot, 0 for empty; length a power of two
