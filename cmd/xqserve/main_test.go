@@ -17,6 +17,7 @@ import (
 	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/xmark"
+	"repro/internal/xquery"
 )
 
 // typoQuery misspells a step of an absolute path, which the summarized
@@ -344,6 +345,22 @@ func TestInternalErrorIs500(t *testing.T) {
 	}
 	if !strings.Contains(rec.Body.String(), "r1") {
 		t.Errorf("body %q does not name the request", rec.Body.String())
+	}
+}
+
+// TestDeepQueryIs400 sends a query nested past the parser's depth limit:
+// it is a parse error like any other, answered 400 with the limit named,
+// and the worker it ran on is free for the next request.
+func TestDeepQueryIs400(t *testing.T) {
+	s := newTestServer(t)
+	mux := s.routes(false)
+	deep := strings.Repeat("<a>{", 40000) + "1" + strings.Repeat("}</a>", 40000)
+	rec := get(t, mux, "/query?system=D&q="+url.QueryEscape(deep), nil)
+	if want := fmt.Sprintf("limit of %d levels", xquery.MaxDepth); rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), want) {
+		t.Fatalf("status %d, body %.80q; want 400 naming the %s", rec.Code, rec.Body.String(), want)
+	}
+	if rec := get(t, mux, "/query?system=D&q=1", nil); rec.Code != http.StatusOK {
+		t.Errorf("q=1 after the deep query: status %d", rec.Code)
 	}
 }
 

@@ -210,7 +210,7 @@ func (b *batchSelectIter) nextBatch() []tree.NodeID {
 			w := 0
 			for _, id := range ids {
 				b.pos[li]++
-				if b.ev.predMatch(pred, b.env, NodeItem{ID: id}, b.pos[li], 0) {
+				if b.ev.predMatch(pred, b.env, ref{id: id}, b.pos[li], 0) {
 					ids[w] = id
 					w++
 				}
@@ -235,15 +235,19 @@ type fromBatchIter struct {
 }
 
 func (f *fromBatchIter) Next() (Item, bool) {
+	return boxed(f.nextRef())
+}
+
+func (f *fromBatchIter) nextRef() (ref, bool) {
 	for {
 		if len(f.cur) > 0 {
 			id := f.cur[0]
 			f.cur = f.cur[1:]
-			return NodeItem{ID: id}, true
+			return ref{id: id}, true
 		}
 		f.cur = f.in.nextBatch()
 		if f.cur == nil {
-			return nil, false
+			return ref{}, false
 		}
 	}
 }
@@ -302,19 +306,24 @@ func (t *toBatchIter) nextBatch() []tree.NodeID {
 // because bindings are materialized sequences (re-iteration never
 // re-evaluates).
 func (ev *evaluator) constructBatch(part *plan.Node, env *bindings, out []Item) ([]Item, bool) {
-	seq, bound := env.peek(part.Input.Var)
-	if !bound {
+	b := env.peek(part.Input.Var)
+	if b == nil {
 		return out, false
 	}
 	sess := ev.sess
-	cur := sess.getBatchBuf(len(seq))
-	for i, it := range seq {
-		n, isNode := it.(NodeItem)
-		if !isNode {
-			sess.putBatchBuf(cur)
-			return out, false
+	var cur []tree.NodeID
+	if b.isNode {
+		cur = append(sess.getBatchBuf(0), b.node)
+	} else {
+		cur = sess.getBatchBuf(len(b.val))
+		for i, it := range b.val {
+			n, isNode := it.(NodeItem)
+			if !isNode {
+				sess.putBatchBuf(cur)
+				return out, false
+			}
+			cur[i] = n.ID
 		}
-		cur[i] = n.ID
 	}
 	s := ev.store
 	txt, hasTxt := s.(nodestore.TextChildLister)

@@ -51,6 +51,7 @@ type batchForTupleIter struct {
 	bi    batchIterator
 	cur   []tree.NodeID
 	items Iterator // item-pipeline fallback when the sequence cannot batch
+	slot  slot
 }
 
 func (f *batchForTupleIter) Next() (*bindings, bool) {
@@ -58,7 +59,7 @@ func (f *batchForTupleIter) Next() (*bindings, bool) {
 		if len(f.cur) > 0 {
 			id := f.cur[0]
 			f.cur = f.cur[1:]
-			return f.tp.bind(f.node.Var, Seq{NodeItem{ID: id}}), true
+			return f.slot.bind(f.tp, f.node.Var, ref{id: id}), true
 		}
 		if f.bi != nil {
 			if f.cur = f.bi.nextBatch(); f.cur != nil {
@@ -68,7 +69,7 @@ func (f *batchForTupleIter) Next() (*bindings, bool) {
 		}
 		if f.items != nil {
 			if it, ok := f.items.Next(); ok {
-				return f.tp.bind(f.node.Var, Seq{it}), true
+				return f.slot.bind(f.tp, f.node.Var, ref{item: it}), true
 			}
 			f.items = nil
 		}
@@ -204,13 +205,19 @@ func (j *hashJoinTupleIter) leafMatches(leaf tree.NodeID) []int {
 // generic evaluation, which remains the semantic definition.
 func (j *hashJoinTupleIter) fastMatches(tp *bindings) ([]int, bool) {
 	idx := j.idx
-	s, bound := tp.peek(idx.probeVar)
-	if !bound || len(s) != 1 {
+	b := tp.peek(idx.probeVar)
+	if b == nil {
 		return nil, false
 	}
-	ni, ok := s[0].(NodeItem)
-	if !ok {
-		return nil, false
+	ni := NodeItem{ID: b.node}
+	if !b.isNode {
+		if len(b.val) != 1 {
+			return nil, false
+		}
+		var ok bool
+		if ni, ok = b.val[0].(NodeItem); !ok {
+			return nil, false
+		}
 	}
 	if len(idx.probeTags) == 0 {
 		// $p/@id: one attribute read, one bucket lookup.
@@ -322,7 +329,7 @@ func (ev *evaluator) fillKeyIndex(idx *joinIndex, n *plan.Node) {
 	}
 	idx.byKey = make(map[string][]int, size)
 	for i, it := range idx.items {
-		envI := (&bindings{}).bind(n.Var, Seq{it})
+		envI := noBindings.bindOne(n.Var, it)
 		seen := map[string]bool{}
 		for _, k := range ev.atomizeSeq(ev.eval(n.Probe, envI)) {
 			ks := itemString(k)
@@ -402,7 +409,7 @@ func (ev *evaluator) thetaIndexFor(n *plan.Node) *thetaIndex {
 	idx := &thetaIndex{items: items, keys: make([]Seq, len(items)), keyPlan: n.Probe, numKeys: n.NumKeys}
 	single := idx.numKeys
 	for i, it := range items {
-		envI := (&bindings{}).bind(n.Var, Seq{it})
+		envI := noBindings.bindOne(n.Var, it)
 		ks := ev.atomizeSeq(ev.eval(n.Probe, envI))
 		idx.keys[i] = ks
 		single = single && len(ks) == 1
@@ -443,7 +450,8 @@ func (idx *thetaIndex) probe(op compareOp, vals Seq, pr *thetaProbe) {
 		return
 	}
 	for _, v := range vals {
-		if x := toNumber(v); !math.IsNaN(x) || op == cmpNeq {
+		a := atomicAtom(v)
+		if x := a.num(); !math.IsNaN(x) || op == cmpNeq {
 			pr.nums = append(pr.nums, x)
 		}
 	}
@@ -494,8 +502,10 @@ func (idx *thetaIndex) match(k int, pr *thetaProbe) bool {
 			}
 			continue
 		}
+		pa := atomicAtom(p)
 		for _, b := range pr.vals {
-			if compareAtomics(pr.op, p, b) {
+			ba := atomicAtom(b)
+			if compareAtoms(pr.op, &pa, &ba) {
 				return true
 			}
 		}
@@ -557,11 +567,13 @@ type thetaJoinTupleIter struct {
 	node *plan.Node
 	op   compareOp // the conjunct's operator as key OP outer operand
 
-	idx *thetaIndex
-	pr  thetaProbe
-	tp  *bindings
-	i   int
-	all bool // every item matches the current tuple: emit without testing
+	idx    *thetaIndex
+	pr     thetaProbe
+	tp     *bindings
+	active bool // tp's matches are being emitted
+	i      int
+	all    bool // every item matches the current tuple: emit without testing
+	slot   slot
 }
 
 // flipped is each operator with its operands exchanged.
@@ -578,7 +590,7 @@ func (ev *evaluator) newThetaJoinIter(in tupleIter, n *plan.Node) *thetaJoinTupl
 	if !ok {
 		return nil
 	}
-	op, ok := cmpOpOf[b.Op]
+	op, ok := cmpOpOf(b.Op)
 	if !ok {
 		return nil
 	}
@@ -612,15 +624,15 @@ func (t *thetaJoinTupleIter) countMatches(tp *bindings) int {
 
 func (t *thetaJoinTupleIter) Next() (*bindings, bool) {
 	for {
-		if t.tp != nil {
+		if t.active {
 			for t.i < len(t.idx.items) {
 				k := t.i
 				t.i++
 				if t.all || t.idx.match(k, &t.pr) {
-					return t.tp.bind(t.node.Var, Seq{t.idx.items[k]}), true
+					return t.slot.bind(t.tp, t.node.Var, ref{item: t.idx.items[k]}), true
 				}
 			}
-			t.tp = nil
+			t.active = false
 		}
 		tp, ok := t.in.Next()
 		if !ok {
@@ -638,6 +650,6 @@ func (t *thetaJoinTupleIter) Next() (*bindings, bool) {
 				t.all = true
 			}
 		}
-		t.tp, t.i = tp, 0
+		t.tp, t.active, t.i = tp, true, 0
 	}
 }

@@ -174,6 +174,8 @@ func (p *Prepared) execute(sess *Session, prof *profile, consume func(*evaluator
 	if sess == nil {
 		sess = NewSession()
 	}
+	// A comparison an error unwound never popped its operands.
+	sess.atoms = sess.atoms[:0]
 	ev := &evaluator{
 		store:     p.engine.store,
 		opts:      p.engine.opts,

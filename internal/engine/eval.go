@@ -2,6 +2,7 @@ package engine
 
 import (
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -13,43 +14,117 @@ import (
 )
 
 // bindings is a linked environment of variable bindings. Bound values are
-// always materialized sequences, so re-referencing a variable is safe and
-// never re-evaluates its defining expression.
+// always materialized, so re-referencing a variable is safe and never
+// re-evaluates its defining expression.
 type bindings struct {
 	name   string
-	val    Seq
 	parent *bindings
+	// The value takes one of three forms: a single stored node held as its
+	// NodeID (isNode), never boxed unless a reference asks for the item; a
+	// single item riding in one, so binding it is one allocation at most;
+	// or any other sequence in val.
+	val    Seq
+	one    [1]Item
+	node   tree.NodeID
+	isNode bool
 }
 
 func (b *bindings) bind(name string, val Seq) *bindings {
 	return &bindings{name: name, val: val, parent: b}
 }
 
-func (b *bindings) lookup(name string) Seq {
-	for e := b; e != nil; e = e.parent {
-		if e.name == name {
-			return e.val
+// noBindings is the empty environment.
+var noBindings *bindings
+
+// bindOne binds name to the one-item sequence (it).
+func (b *bindings) bindOne(name string, it Item) *bindings {
+	return b.bindRef(name, ref{item: it})
+}
+
+// bindRef binds name to the one-item sequence (r).
+func (b *bindings) bindRef(name string, r ref) *bindings {
+	e := &bindings{name: name, parent: b}
+	e.setRef(r)
+	return e
+}
+
+// setRef makes the one item r the binding's value: an unboxed stored node
+// stays a NodeID, anything else is the item.
+func (b *bindings) setRef(r ref) {
+	if r.item == nil && r.name == "" && !r.text {
+		b.node, b.isNode = r.id, true
+		return
+	}
+	b.one[0] = r.box()
+	b.val = b.one[:]
+}
+
+// bindEval binds name to the materialized value of n.
+func (ev *evaluator) bindEval(b *bindings, name string, n *plan.Node, env *bindings) *bindings {
+	r, s, single := ev.bindingValue(n, env)
+	if single {
+		return b.bindRef(name, r)
+	}
+	return b.bind(name, s)
+}
+
+// bindingValue materializes the value of n for a binding: a single item as
+// a ref (single set), so a stored node stays unboxed, and any other value
+// as a sequence.
+func (ev *evaluator) bindingValue(n *plan.Node, env *bindings) (r ref, s Seq, single bool) {
+	in := ev.iter(n, env)
+	switch v := in.(type) {
+	case *seqIter:
+		return ref{}, materialize(in), false
+	case *varIter:
+		if !v.isNode {
+			// Already materialized: bind without copying.
+			return ref{}, materialize(in), false
 		}
+	}
+	ri := asRefs(in)
+	first, ok := pullRef(in, ri)
+	if !ok {
+		return ref{}, nil, false
+	}
+	second, ok := pullRef(in, ri)
+	if !ok {
+		return first, nil, true
+	}
+	s = Seq{first.box(), second.box()}
+	for {
+		v, ok := in.Next()
+		if !ok {
+			return ref{}, s, false
+		}
+		s = append(s, v)
+	}
+}
+
+// find returns the binding of name.
+func (b *bindings) find(name string) *bindings {
+	if e := b.peek(name); e != nil {
+		return e
 	}
 	errf("unbound variable $%s", name)
 	return nil
 }
 
-// peek is lookup without the unbound-variable panic, for opportunistic
-// fast paths that fall back to full evaluation when the binding is absent.
-func (b *bindings) peek(name string) (Seq, bool) {
+// peek is find without the unbound-variable panic, for opportunistic fast
+// paths that fall back to full evaluation when the binding is absent.
+func (b *bindings) peek(name string) *bindings {
 	for e := b; e != nil; e = e.parent {
 		if e.name == name {
-			return e.val, true
+			return e
 		}
 	}
-	return nil, false
+	return nil
 }
 
 // focus is the dynamic context of predicate evaluation. It is held by
 // value in the evaluator so entering a predicate allocates nothing.
 type focus struct {
-	item Item
+	item ref
 	pos  int // 1-based
 	size int // 0 while streaming a predicate that provably ignores last()
 }
@@ -154,19 +229,20 @@ func (ev *evaluator) dispatch(n *plan.Node, env *bindings) Iterator {
 	case plan.OpLiteral:
 		switch v := n.Expr.(type) {
 		case *xquery.StringLit:
-			return one(StrItem(v.Val))
+			return ev.one(StrItem(v.Val))
 		case *xquery.NumberLit:
-			return one(NumItem(v.Val))
+			return ev.one(NumItem(v.Val))
 		}
 	case plan.OpVar:
-		return ev.newVarIter(env.lookup(n.Var))
+		return ev.varIterOf(env.find(n.Var))
 	case plan.OpContext:
 		if !ev.hasFocus {
 			errf("context item used outside a predicate")
 		}
-		return one(ev.focus.item)
+		// A stored context node reaches the steps below it unboxed.
+		return ev.oneRef(ev.focus.item)
 	case plan.OpRoot:
-		return one(DocItem{})
+		return ev.one(DocItem{})
 	case plan.OpPathScan, plan.OpPartitionedScan:
 		// Vectorized scans fill NodeID batches straight from the store
 		// cursor and surface items through the adapter; the tuple scan is
@@ -196,9 +272,9 @@ func (ev *evaluator) dispatch(n *plan.Node, env *bindings) Iterator {
 		}
 		return ev.filterCandidates(ev.iter(n.Input, env), n.Preds, env)
 	case plan.OpProject:
-		return &flatMapTupleIter{ev: ev, in: ev.buildTuples(n.Input, env), ret: n.Ret}
+		return &flatMapTupleIter{ev: ev, in: ev.buildTuples(n.Input, env, false), ret: n.Ret}
 	case plan.OpQuantified:
-		return one(BoolItem(ev.evalQuantified(n, env, 0)))
+		return ev.one(BoolItem(ev.evalQuantified(n, env, 0)))
 	case plan.OpIf:
 		if ev.evalBool(n.Kids[0], env) {
 			return ev.iter(n.Kids[1], env)
@@ -207,11 +283,12 @@ func (ev *evaluator) dispatch(n *plan.Node, env *bindings) Iterator {
 	case plan.OpBinary:
 		return ev.iterBinary(n, env)
 	case plan.OpUnary:
-		s, ok := ev.iter(n.Kids[0], env).Next()
+		r, ok := ev.first(n.Kids[0], env)
 		if !ok {
 			return emptyIter{}
 		}
-		return one(NumItem(-toNumber(ev.atomize(s))))
+		a := ev.atomOf(r)
+		return ev.one(NumItem(-a.num()))
 	case plan.OpCall:
 		return ev.iterCall(n, env)
 	case plan.OpCount:
@@ -219,7 +296,7 @@ func (ev *evaluator) dispatch(n *plan.Node, env *bindings) Iterator {
 	case plan.OpSequence:
 		return &sequenceIter{ev: ev, items: n.Kids, env: env}
 	case plan.OpCtor:
-		return one(ev.construct(n, env))
+		return ev.one(ev.construct(n, env))
 	}
 	errf("unhandled plan operator %v", n.Op)
 	return nil
@@ -242,12 +319,15 @@ func (ev *evaluator) pathScanCursor(n *plan.Node) nodestore.Cursor {
 	return nil
 }
 
-// varIter streams a bound (materialized) sequence: the recyclable
-// counterpart of seqIter for the hot variable-reference case.
+// varIter streams a bound (materialized) value: the recyclable
+// counterpart of seqIter for the hot variable-reference case. Over a
+// NodeID binding it yields the node as a ref, unboxed.
 type varIter struct {
 	ev       *evaluator
 	s        Seq
 	i        int
+	node     tree.NodeID // the binding's node when isNode
+	isNode   bool
 	released bool
 }
 
@@ -264,14 +344,50 @@ func (ev *evaluator) newVarIter(s Seq) *varIter {
 	return &varIter{ev: ev, s: s}
 }
 
-func (v *varIter) Next() (Item, bool) {
-	if v.i >= len(v.s) {
-		v.release()
-		return nil, false
+// varIterOf streams the value of binding b.
+func (ev *evaluator) varIterOf(b *bindings) *varIter {
+	v := ev.newVarIter(b.val)
+	v.node, v.isNode = b.node, b.isNode
+	return v
+}
+
+func (v *varIter) nextRef() (ref, bool) {
+	if v.isNode {
+		if v.i == 0 {
+			v.i = 1
+			return ref{id: v.node}, true
+		}
+	} else if v.i < len(v.s) {
+		it := v.s[v.i]
+		v.i++
+		return ref{item: it}, true
 	}
-	it := v.s[v.i]
-	v.i++
-	return it, true
+	v.release()
+	return ref{}, false
+}
+
+func (v *varIter) Next() (Item, bool) {
+	return boxed(v.nextRef())
+}
+
+// remaining is how many items the iterator has yet to yield.
+func (v *varIter) remaining() int {
+	if v.isNode {
+		return 1 - v.i
+	}
+	return len(v.s) - v.i
+}
+
+// rest returns the items not yet pulled as a sequence, without copying a
+// sequence binding.
+func (v *varIter) rest() Seq {
+	if !v.isNode {
+		return v.s[v.i:]
+	}
+	if v.i == 0 {
+		return Seq{NodeItem{ID: v.node}}
+	}
+	return nil
 }
 
 // release is idempotent: a stray Next after exhaustion must not insert
@@ -281,7 +397,7 @@ func (v *varIter) release() {
 	if v.released {
 		return
 	}
-	v.s, v.i, v.released = nil, 0, true
+	v.s, v.i, v.isNode, v.released = nil, 0, false, true
 	v.ev.sess.varFree = append(v.ev.sess.varFree, v)
 }
 
@@ -326,16 +442,17 @@ func (ev *evaluator) iterSteps(in Iterator, steps []*plan.StepPlan, env *binding
 			in = ev.newInlineTextIter(in, sp)
 		case plan.StepAttrIndex:
 			// Attribute-index lookup: the index probe validates candidates
-			// against the whole context, so the context materializes here.
+			// against the whole context, so the context drains here.
 			// Contexts the probe cannot validate (non-monotone node sets)
 			// fall back to navigation with the predicate.
-			ctx := materialize(in)
-			if out, ok := ev.attrIndexStep(ctx, sp.Name, sp.IdxAttr, sp.IdxValue); ok {
-				in = out.Iter()
-			} else if sp.Axis == xquery.AxisDescendant {
-				in = ev.descendantStepIter(ctx.Iter(), sp, env)
-			} else {
-				in = ev.newStepIter(ctx.Iter(), sp, env)
+			out, ok := ev.attrIndexStep(in, sp)
+			switch {
+			case ok:
+				in = out
+			case sp.Axis == xquery.AxisDescendant:
+				in = ev.descendantStepIter(out, sp, env)
+			default:
+				in = ev.newStepIter(out, sp, env)
 			}
 		default:
 			if sp.Axis == xquery.AxisDescendant {
@@ -352,27 +469,30 @@ func (ev *evaluator) iterSteps(in Iterator, steps []*plan.StepPlan, env *binding
 // grown candidate buffer) or allocates a fresh one.
 func (ev *evaluator) newStepIter(in Iterator, sp *plan.StepPlan, env *bindings) *stepIter {
 	free := ev.sess.stepFree
+	var d *stepIter
 	if n := len(free); n > 0 {
-		d := free[n-1]
+		d = free[n-1]
 		ev.sess.stepFree = free[:n-1]
 		// Rebind ev, not just the operands: a Session is reused across
 		// executions of different Prepared queries, and a stale evaluator
 		// would navigate the previous query's store with its funcs.
 		d.ev, d.in, d.st, d.env = ev, in, sp, env
-		d.ft, d.ftOn = ev.stepFT(sp)
-		return d
+	} else {
+		d = &stepIter{ev: ev, in: in, st: sp, env: env}
 	}
-	d := &stepIter{ev: ev, in: in, st: sp, env: env}
+	d.inRef = asRefs(in)
 	d.ft, d.ftOn = ev.stepFT(sp)
 	return d
 }
 
-// release returns an exhausted stepIter to the evaluator's free list.
-// Iterators are single-use: Next must not be called again after it has
-// returned false, which is what makes self-recycling safe.
+// release returns a stepIter to the evaluator's free list, once it is
+// exhausted or its consumer dropped it. Iterators are single-use: Next
+// must not be called again after it has returned false, which is what
+// makes self-recycling safe.
 func (d *stepIter) release() {
-	d.in, d.st, d.env = nil, nil, nil
-	d.pending, d.inner = nil, nil
+	d.in, d.inRef, d.st, d.env = nil, nil, nil, nil
+	d.inner = nil
+	d.pending, d.attrVal = false, ""
 	d.bi, d.bn = 0, 0
 	d.ft, d.ftOn = nil, false
 	d.ev.sess.stepFree = append(d.ev.sess.stepFree, d)
@@ -385,15 +505,23 @@ func (d *stepIter) release() {
 // per-context-node positions. Predicates the planner pushed down evaluate
 // inside the store's filtered cursor instead; contexts the store cannot
 // filter (constructed elements, the document node) evaluate them here.
+//
+// Stored nodes and attributes travel unboxed: the step pulls its contexts
+// as refs from a ref-producing input (a chained step, a variable, the
+// context item) and hands its own candidates on as refs, so a chain of
+// steps boxes an item only for a consumer that asks for one through Next.
 type stepIter struct {
-	ev  *evaluator
-	in  Iterator
-	st  *plan.StepPlan
-	env *bindings
+	ev    *evaluator
+	in    Iterator
+	inRef refIterator // in's ref form, nil when in yields only items
+	st    *plan.StepPlan
+	env   *bindings
 
 	buf     []tree.NodeID // scratch candidates of the current stored node
 	bi, bn  int
-	pending Item     // single candidate of an attribute step
+	pending bool // an attribute step's candidate: attrVal of owner
+	owner   tree.NodeID
+	attrVal string
 	inner   Iterator // generic fallback for document/constructed contexts
 
 	// ft is the full-text candidate set of the step's FT probes (ftOn set
@@ -404,27 +532,54 @@ type stepIter struct {
 }
 
 func (d *stepIter) Next() (Item, bool) {
+	return boxed(d.nextRef())
+}
+
+func (d *stepIter) nextRef() (ref, bool) {
 	for {
 		if d.bi < d.bn {
 			id := d.buf[d.bi]
 			d.bi++
-			return NodeItem{ID: id}, true
+			return ref{id: id}, true
 		}
-		if d.pending != nil {
-			v := d.pending
-			d.pending = nil
-			return v, true
+		if d.pending {
+			d.pending = false
+			return ref{id: d.owner, name: d.st.Name, val: d.attrVal}, true
 		}
 		if d.inner != nil {
 			if v, ok := d.inner.Next(); ok {
-				return v, true
+				return ref{item: v}, true
 			}
 			d.inner = nil
 		}
-		ctx, ok := d.in.Next()
+		ctx, ok := pullRef(d.in, d.inRef)
 		if !ok {
 			d.release()
-			return nil, false
+			return ref{}, false
+		}
+		d.expand(ctx)
+	}
+}
+
+// count drains the step and returns how many items it yields: the sum of
+// the candidate buffer lengths, with no candidate ever boxed.
+func (d *stepIter) count() int {
+	total := 0
+	for {
+		total += d.bn - d.bi
+		d.bi = d.bn
+		if d.pending {
+			total++
+			d.pending = false
+		}
+		if d.inner != nil {
+			total += drainCount(d.inner)
+			d.inner = nil
+		}
+		ctx, ok := pullRef(d.in, d.inRef)
+		if !ok {
+			d.release()
+			return total
 		}
 		d.expand(ctx)
 	}
@@ -432,11 +587,11 @@ func (d *stepIter) Next() (Item, bool) {
 
 // expand loads the candidates of one context item into the scratch buffer
 // (stored nodes) or the fallback slots (everything else).
-func (d *stepIter) expand(ctx Item) {
+func (d *stepIter) expand(ctx ref) {
 	ev, st := d.ev, d.st
-	n, isNode := ctx.(NodeItem)
+	id, isNode := ctx.node()
 	if !isNode {
-		cands := materialize(ev.candidates(ctx, st))
+		cands := materialize(ev.candidates(ctx.box(), st))
 		if preds := st.AllPreds(); len(preds) > 0 {
 			cands = ev.applyPredicates(cands, preds, d.env)
 		}
@@ -449,35 +604,43 @@ func (d *stepIter) expand(ctx Item) {
 	case xquery.AxisChild:
 		switch {
 		case st.Name == "*":
-			d.buf = s.Children(n.ID, d.buf[:0])
+			d.buf = s.Children(id, d.buf[:0])
 			d.filterKind(tree.Element)
 		case len(st.Filters) > 0:
-			if cur, ok := s.ChildrenByTagFilteredCursor(n.ID, st.Name, st.Filters); ok {
+			if cur, ok := s.ChildrenByTagFilteredCursor(id, st.Name, st.Filters); ok {
 				d.buf = drainCursor(cur, d.buf[:0])
 				d.bn = len(d.buf)
 			} else {
 				// The store lost the capability the planner probed for
 				// (cannot happen for planned pushdowns); evaluate the
 				// pushed predicates here instead.
-				d.buf = s.ChildrenByTag(n.ID, st.Name, d.buf[:0])
+				d.buf = s.ChildrenByTag(id, st.Name, d.buf[:0])
 				d.bn = ev.filterIDs(d.buf, st.Pushed, d.env)
 			}
 		default:
-			d.buf = s.ChildrenByTag(n.ID, st.Name, d.buf[:0])
+			d.buf = s.ChildrenByTag(id, st.Name, d.buf[:0])
 			d.bn = len(d.buf)
 		}
 	case xquery.AxisText:
-		d.buf = s.Children(n.ID, d.buf[:0])
-		d.filterKind(tree.Text)
+		if txt, ok := s.(nodestore.TextChildLister); ok {
+			d.buf = txt.TextChildren(id, d.buf[:0])
+			d.bn = len(d.buf)
+		} else {
+			d.buf = s.Children(id, d.buf[:0])
+			d.filterKind(tree.Text)
+		}
 	case xquery.AxisAttribute:
-		if v, ok := s.Attr(n.ID, st.Name); ok {
+		if v, ok := s.Attr(id, st.Name); ok {
 			if ev.opts.NaiveStrings {
 				v = string(append([]byte(nil), v...))
 			}
-			item := AttrItem{Owner: n.ID, Name: st.Name, Value: v}
-			if len(st.Preds) == 0 || len(ev.applyPredicates(Seq{item}, st.Preds, d.env)) == 1 {
-				d.pending = item
+			if len(st.Preds) > 0 {
+				item := AttrItem{Owner: id, Name: st.Name, Value: v}
+				if len(ev.applyPredicates(Seq{item}, st.Preds, d.env)) == 0 {
+					return
+				}
 			}
+			d.pending, d.owner, d.attrVal = true, id, v
 		}
 		return
 	}
@@ -524,7 +687,7 @@ func (ev *evaluator) filterIDs(ids []tree.NodeID, preds []*plan.Node, env *bindi
 	for _, pred := range preds {
 		w := 0
 		for i := 0; i < n; i++ {
-			if ev.predMatch(pred, env, NodeItem{ID: ids[i]}, i+1, n) {
+			if ev.predMatch(pred, env, ref{id: ids[i]}, i+1, n) {
 				ids[w] = ids[i]
 				w++
 			}
@@ -541,7 +704,7 @@ func (ev *evaluator) applyPredicates(items Seq, preds []*plan.Node, env *binding
 		var kept Seq
 		size := len(items)
 		for i, it := range items {
-			if ev.predMatch(pred, env, it, i+1, size) {
+			if ev.predMatch(pred, env, ref{item: it}, i+1, size) {
 				kept = append(kept, it)
 			}
 		}
@@ -586,6 +749,7 @@ type descStreamIter struct {
 	st     *plan.StepPlan
 	env    *bindings
 	cur    Iterator
+	curRef refIterator // cur's ref form, when it has one
 	maxEnd tree.NodeID
 	skip   bool
 	ft     []tree.NodeID
@@ -593,15 +757,19 @@ type descStreamIter struct {
 }
 
 func (d *descStreamIter) Next() (Item, bool) {
+	return boxed(d.nextRef())
+}
+
+func (d *descStreamIter) nextRef() (ref, bool) {
 	for {
 		if d.cur != nil {
-			if v, ok := d.cur.Next(); ok {
-				return v, true
+			if r, ok := pullRef(d.cur, d.curRef); ok {
+				return r, true
 			}
 			d.cur = nil
 		}
 		if d.i >= len(d.ctx) {
-			return nil, false
+			return ref{}, false
 		}
 		it := d.ctx[d.i]
 		d.i++
@@ -619,6 +787,7 @@ func (d *descStreamIter) Next() (Item, bool) {
 			cand = &ftFilterIter{in: cand, ids: d.ft}
 		}
 		d.cur = d.ev.filterCandidates(cand, d.st.Preds, d.env)
+		d.curRef = asRefs(d.cur)
 	}
 }
 
@@ -647,13 +816,13 @@ func (ev *evaluator) docCandidates(sp *plan.StepPlan) Iterator {
 	switch sp.Axis {
 	case xquery.AxisChild:
 		if sp.Name == "*" || sp.Name == rootTag {
-			return one(NodeItem{ID: root})
+			return ev.one(NodeItem{ID: root})
 		}
 		return emptyIter{}
 	case xquery.AxisDescendant:
 		rest := ev.storedCandidates(NodeItem{ID: root}, sp)
 		if sp.Name == "*" || sp.Name == rootTag {
-			return &concatIter{parts: []Iterator{one(NodeItem{ID: root}), rest}}
+			return &concatIter{parts: []Iterator{ev.one(NodeItem{ID: root}), rest}}
 		}
 		return rest
 	default:
@@ -681,7 +850,7 @@ func (ev *evaluator) storedCandidates(n NodeItem, sp *plan.StepPlan) Iterator {
 			if ev.opts.NaiveStrings {
 				v = string(append([]byte(nil), v...))
 			}
-			return one(AttrItem{Owner: n.ID, Name: sp.Name, Value: v})
+			return ev.one(AttrItem{Owner: n.ID, Name: sp.Name, Value: v})
 		}
 		return emptyIter{}
 	case xquery.AxisText:
@@ -699,13 +868,17 @@ type kindFilterIter struct {
 }
 
 func (k *kindFilterIter) Next() (Item, bool) {
+	return boxed(k.nextRef())
+}
+
+func (k *kindFilterIter) nextRef() (ref, bool) {
 	for {
 		id, ok := k.cur.Next()
 		if !ok {
-			return nil, false
+			return ref{}, false
 		}
 		if k.store.Kind(id) == k.kind {
-			return NodeItem{ID: id}, true
+			return ref{id: id}, true
 		}
 	}
 }
@@ -744,6 +917,7 @@ var textStepPlan = &plan.StepPlan{Axis: xquery.AxisText}
 type inlineTextIter struct {
 	ev    *evaluator
 	in    Iterator
+	inRef refIterator // in's ref form, nil when in yields only items
 	st    *plan.StepPlan
 	inner Iterator // navigation fallback for one context item
 }
@@ -754,80 +928,109 @@ func (ev *evaluator) newInlineTextIter(in Iterator, sp *plan.StepPlan) *inlineTe
 		d := free[n-1]
 		ev.sess.inlineFree = free[:n-1]
 		// Rebind ev for the same reason as newStepIter.
-		d.ev, d.in, d.st = ev, in, sp
+		d.ev, d.in, d.inRef, d.st = ev, in, asRefs(in), sp
 		return d
 	}
-	return &inlineTextIter{ev: ev, in: in, st: sp}
+	return &inlineTextIter{ev: ev, in: in, inRef: asRefs(in), st: sp}
 }
 
 func (d *inlineTextIter) release() {
-	d.in, d.st, d.inner = nil, nil, nil
+	d.in, d.inRef, d.st, d.inner = nil, nil, nil, nil
 	d.ev.sess.inlineFree = append(d.ev.sess.inlineFree, d)
 }
 
 func (d *inlineTextIter) Next() (Item, bool) {
+	return boxed(d.nextRef())
+}
+
+func (d *inlineTextIter) nextRef() (ref, bool) {
 	for {
 		if d.inner != nil {
 			if v, ok := d.inner.Next(); ok {
-				return v, true
+				return ref{item: v}, true
 			}
 			d.inner = nil
 		}
-		ctx, ok := d.in.Next()
+		ctx, ok := pullRef(d.in, d.inRef)
 		if !ok {
 			d.release()
-			return nil, false
+			return ref{}, false
 		}
-		if n, isNode := ctx.(NodeItem); isNode {
-			v, present, supported := d.ev.store.InlinedChildText(n.ID, d.st.Name)
+		if id, isNode := ctx.node(); isNode {
+			v, present, supported := d.ev.store.InlinedChildText(id, d.st.Name)
 			if supported {
 				if present {
-					return StrItem(v), true
+					return ref{val: v, text: true}, true
 				}
 				continue
 			}
 		}
 		d.inner = &flatMapIter{
-			outer: d.ev.candidates(ctx, d.st),
+			outer: d.ev.candidates(ctx.box(), d.st),
 			fn:    func(c Item) Iterator { return d.ev.candidates(c, textStepPlan) },
 		}
 	}
 }
 
 // attrIndexStep answers a child step with an attribute-equality predicate
-// from the value index. ok is false when the store has no index, the
-// context is not a sorted node set, or candidates cannot be validated
-// cheaply — the caller then evaluates normally.
-func (ev *evaluator) attrIndexStep(ctx Seq, tag, aname, value string) (Seq, bool) {
-	candidates, supported := ev.store.AttrLookup(aname, value)
+// from the value index, draining the context stream in. ok is false when
+// the store has no index or the context is not a document-ordered node
+// set (parent membership is a binary search over it); the returned
+// iterator then replays the whole context for navigation.
+func (ev *evaluator) attrIndexStep(in Iterator, sp *plan.StepPlan) (Iterator, bool) {
+	candidates, supported := ev.attrCandidates(sp)
 	if !supported {
-		return nil, false
+		return in, false
 	}
-	// The context must be a monotone node set so parent membership can be
-	// answered by binary search.
-	ids := make([]tree.NodeID, len(ctx))
-	for i, it := range ctx {
-		n, isNode := it.(NodeItem)
-		if !isNode {
-			return nil, false
+	sess := ev.sess
+	ids := sess.getBatchBuf(0)
+	ri := asRefs(in)
+	for {
+		r, more := pullRef(in, ri)
+		if !more {
+			break
 		}
-		if i > 0 && n.ID <= ids[i-1] {
-			return nil, false
+		id, isNode := r.node()
+		if !isNode || (len(ids) > 0 && id <= ids[len(ids)-1]) {
+			ctx := make(Seq, 0, len(ids)+1)
+			for _, id := range ids {
+				ctx = append(ctx, NodeItem{ID: id})
+			}
+			ctx = append(append(ctx, r.box()), materialize(in)...)
+			sess.putBatchBuf(ids)
+			return ev.newVarIter(ctx), false
 		}
-		ids[i] = n.ID
+		ids = append(ids, id)
 	}
 	var out Seq
 	for _, c := range candidates {
-		if ev.store.Tag(c) != tag {
+		if ev.store.Tag(c) != sp.Name {
 			continue
 		}
-		p := ev.store.Parent(c)
-		j := sort.Search(len(ids), func(k int) bool { return ids[k] >= p })
-		if j < len(ids) && ids[j] == p {
+		if _, found := slices.BinarySearch(ids, ev.store.Parent(c)); found {
 			out = append(out, NodeItem{ID: c})
 		}
 	}
-	return out, true
+	sess.putBatchBuf(ids)
+	return ev.newVarIter(out), true
+}
+
+// attrCandidates is the store's index answer for an attribute-index step,
+// memoized per session for the request: it depends only on the store and
+// the step's literal, and a step under a FLWOR probes once per tuple.
+func (ev *evaluator) attrCandidates(sp *plan.StepPlan) ([]tree.NodeID, bool) {
+	sess := ev.sess
+	if ids, ok := sess.attrCache[sp]; ok {
+		return ids, true
+	}
+	ids, supported := ev.store.AttrLookup(sp.IdxAttr, sp.IdxValue)
+	if supported {
+		if sess.attrCache == nil {
+			sess.attrCache = make(map[*plan.StepPlan][]tree.NodeID)
+		}
+		sess.attrCache[sp] = ids
+	}
+	return ids, supported
 }
 
 func stepFromConstructed(c *Constructed, sp *plan.StepPlan) Seq {
@@ -918,11 +1121,52 @@ func (s *singleTupleIter) Next() (*bindings, bool) {
 	return s.tp, true
 }
 
+// slot is the binding a for, let or join operator extends each tuple
+// with. A tuple stream nothing retains is consumed one tuple at a time:
+// the consumer is done with a tuple, and with every binding chained onto
+// it downstream, before it pulls the next. There the operator rebinds one
+// binding in place, and a tuple costs no allocation. Below an order by
+// (fresh set) every tuple gets a binding of its own.
+type slot struct {
+	fresh bool
+	b     *bindings
+}
+
+// take returns the binding that extends parent with name, value unset.
+func (sl *slot) take(parent *bindings, name string) *bindings {
+	b := sl.b
+	if b == nil || sl.fresh {
+		b = new(bindings)
+		if !sl.fresh {
+			sl.b = b
+		}
+	}
+	*b = bindings{name: name, parent: parent}
+	return b
+}
+
+// bind extends parent with name bound to the one item r.
+func (sl *slot) bind(parent *bindings, name string, r ref) *bindings {
+	b := sl.take(parent, name)
+	b.setRef(r)
+	return b
+}
+
+// bindSeq extends parent with name bound to the sequence s.
+func (sl *slot) bindSeq(parent *bindings, name string, s Seq) *bindings {
+	b := sl.take(parent, name)
+	b.val = s
+	return b
+}
+
 // buildTuples realizes the plan's tuple-operator chain as a pipeline of
 // tuple iterators: the physical side of the FLWOR plan the optimizer
 // shaped (clause order, join strategies, residual selections, sorting).
-func (ev *evaluator) buildTuples(n *plan.Node, env *bindings) tupleIter {
-	t := ev.buildTuplesNode(n, env)
+// retained is set below an order by, which keeps every tuple it pulls;
+// everywhere else a consumer is done with a tuple before it pulls the
+// next, so the binding operators rebind in place (see slot).
+func (ev *evaluator) buildTuples(n *plan.Node, env *bindings, retained bool) tupleIter {
+	t := ev.buildTuplesNode(n, env, retained)
 	if ev.prof != nil && n.Op != plan.OpTupleSrc {
 		if st := ev.prof.statsFor(n); st != nil {
 			return &profTuple{in: t, st: st}
@@ -931,12 +1175,21 @@ func (ev *evaluator) buildTuples(n *plan.Node, env *bindings) tupleIter {
 	return t
 }
 
-func (ev *evaluator) buildTuplesNode(n *plan.Node, env *bindings) tupleIter {
+func (ev *evaluator) buildTuplesNode(n *plan.Node, env *bindings, retained bool) tupleIter {
+	var in tupleIter
 	switch n.Op {
 	case plan.OpTupleSrc:
 		return &singleTupleIter{tp: env}
+	case plan.OpOrderBy:
+		// Order by is a pipeline breaker: materialize, sort, replay.
+		return ev.sortTuples(ev.buildTuples(n.Input, env, true), n.Keys)
+	default:
+		in = ev.buildTuples(n.Input, env, retained)
+	}
+	sl := slot{fresh: retained}
+	switch n.Op {
 	case plan.OpLet:
-		l := &letTupleIter{ev: ev, in: ev.buildTuples(n.Input, env), name: n.Var, seq: n.Seq}
+		l := &letTupleIter{ev: ev, in: in, name: n.Var, seq: n.Seq, slot: sl}
 		// A count-only let binds its join's match count; batch size 1 keeps
 		// materializing the match sequence through the tuple operators.
 		if n.CountOnly && ev.batchSize > 1 {
@@ -947,29 +1200,29 @@ func (ev *evaluator) buildTuplesNode(n *plan.Node, env *bindings) tupleIter {
 		// Vectorized bindings come straight off the sequence's NodeID
 		// batches; batch size 1 keeps the plain tuple expansion.
 		if n.Vectorized && ev.batchSize > 1 {
-			return &batchForTupleIter{ev: ev, in: ev.buildTuples(n.Input, env), node: n}
+			return &batchForTupleIter{ev: ev, in: in, node: n, slot: sl}
 		}
-		return &forTupleIter{ev: ev, in: ev.buildTuples(n.Input, env), name: n.Var, seq: n.Seq}
+		return &forTupleIter{ev: ev, in: in, name: n.Var, seq: n.Seq, slot: sl}
 	case plan.OpNLJoin:
 		// The vectorized theta join memoizes the inner side per session
 		// and hoists the outer comparison operand per tuple; conjuncts it
 		// cannot prove (and batch size 1) keep the for+where expansion.
 		if n.Vectorized && ev.batchSize > 1 {
-			if t := ev.newThetaJoinIter(ev.buildTuples(n.Input, env), n); t != nil {
+			if t := ev.newThetaJoinIter(in, n); t != nil {
+				t.slot = sl
 				return t
 			}
 		}
 		// The nested-loop join expands the clause and filters on the
 		// consumed conjunct right after the binding.
-		var t tupleIter = &forTupleIter{ev: ev, in: ev.buildTuples(n.Input, env), name: n.Var, seq: n.Seq}
+		var t tupleIter = &forTupleIter{ev: ev, in: in, name: n.Var, seq: n.Seq, slot: sl}
 		return &whereTupleIter{ev: ev, in: t, cond: n.Cond}
 	case plan.OpHashJoin:
-		return ev.newHashJoinIter(ev.buildTuples(n.Input, env), n)
+		j := ev.newHashJoinIter(in, n)
+		j.slot = sl
+		return j
 	case plan.OpWhere:
-		return &whereTupleIter{ev: ev, in: ev.buildTuples(n.Input, env), cond: n.Cond}
-	case plan.OpOrderBy:
-		// Order by is a pipeline breaker: materialize, sort, replay.
-		return ev.sortTuples(ev.buildTuples(n.Input, env), n.Keys)
+		return &whereTupleIter{ev: ev, in: in, cond: n.Cond}
 	}
 	errf("unhandled tuple operator %v", n.Op)
 	return nil
@@ -990,6 +1243,7 @@ type letTupleIter struct {
 	// of its matches.
 	join    *plan.Node
 	counter matchCounter
+	slot    slot
 }
 
 // matchCounter is a join operator's count-only form: how many bindings it
@@ -1013,10 +1267,14 @@ func (l *letTupleIter) Next() (*bindings, bool) {
 	}
 	if l.join != nil {
 		if c, ok := l.countMatches(tp); ok {
-			return tp.bind(l.name, Seq{matchCount(c)}), true
+			return l.slot.bind(tp, l.name, ref{item: matchCount(c)}), true
 		}
 	}
-	return tp.bind(l.name, l.ev.eval(l.seq, tp)), true
+	r, s, single := l.ev.bindingValue(l.seq, tp)
+	if single {
+		return l.slot.bind(tp, l.name, r), true
+	}
+	return l.slot.bindSeq(tp, l.name, s), true
 }
 
 // countMatches answers the tuple's match count from the join operator; ok
@@ -1054,19 +1312,21 @@ func (l *letTupleIter) countMatches(tp *bindings) (int, bool) {
 // forTupleIter expands each tuple by the items of the for sequence: the
 // streaming nested loop of plain clause expansion.
 type forTupleIter struct {
-	ev    *evaluator
-	in    tupleIter
-	name  string
-	seq   *plan.Node
-	tp    *bindings
-	items Iterator
+	ev       *evaluator
+	in       tupleIter
+	name     string
+	seq      *plan.Node
+	tp       *bindings
+	items    Iterator
+	itemsRef refIterator // items' ref form: stored nodes bind as NodeIDs
+	slot     slot
 }
 
 func (f *forTupleIter) Next() (*bindings, bool) {
 	for {
 		if f.items != nil {
-			if it, ok := f.items.Next(); ok {
-				return f.tp.bind(f.name, Seq{it}), true
+			if r, ok := pullRef(f.items, f.itemsRef); ok {
+				return f.slot.bind(f.tp, f.name, r), true
 			}
 			f.items = nil
 		}
@@ -1076,6 +1336,7 @@ func (f *forTupleIter) Next() (*bindings, bool) {
 		}
 		f.tp = tp
 		f.items = f.ev.iter(f.seq, tp)
+		f.itemsRef = asRefs(f.items)
 	}
 }
 
@@ -1121,6 +1382,23 @@ type flatMapTupleIter struct {
 	in  tupleIter
 	ret *plan.Node
 	cur Iterator
+}
+
+// count drains the return clause's stream per tuple with drainCount, so a
+// count() over a FLWOR boxes none of the returned nodes.
+func (m *flatMapTupleIter) count() int {
+	total := 0
+	if m.cur != nil {
+		total = drainCount(m.cur)
+		m.cur = nil
+	}
+	for {
+		tp, ok := m.in.Next()
+		if !ok {
+			return total
+		}
+		total += drainCount(m.ev.iter(m.ret, tp))
+	}
 }
 
 func (m *flatMapTupleIter) Next() (Item, bool) {
@@ -1269,6 +1547,7 @@ type hashJoinTupleIter struct {
 	tp      *bindings
 	matches []int
 	mi      int
+	slot    slot
 }
 
 // newHashJoinIter executes the planned hash join. The index materializes
@@ -1291,7 +1570,7 @@ func (ev *evaluator) newHashJoinIter(in tupleIter, n *plan.Node) *hashJoinTupleI
 			items := ev.eval(n.Seq, &bindings{})
 			idx = &joinIndex{items: items, byKey: make(map[string][]int), probe: n.Probe}
 			for i, it := range items {
-				envI := (&bindings{}).bind(n.Var, Seq{it})
+				envI := noBindings.bindOne(n.Var, it)
 				// An item whose key expression yields the same value twice
 				// (e.g. two interests in one category) must be indexed once:
 				// general comparison is existential, not multiplicative.
@@ -1316,7 +1595,7 @@ func (j *hashJoinTupleIter) Next() (*bindings, bool) {
 		if j.mi < len(j.matches) {
 			i := j.matches[j.mi]
 			j.mi++
-			return j.tp.bind(j.node.Var, Seq{j.idx.items[i]}), true
+			return j.slot.bind(j.tp, j.node.Var, ref{item: j.idx.items[i]}), true
 		}
 		tp, ok := j.in.Next()
 		if !ok {
@@ -1376,19 +1655,22 @@ func (ev *evaluator) evalQuantified(n *plan.Node, env *bindings, i int) bool {
 		return ev.evalBool(n.Cond, env)
 	}
 	it := ev.iter(n.Kids[i], env)
+	ri := asRefs(it)
+	// Each candidate is decided before the next is bound, so one binding
+	// serves the whole range, rebound in place (the slot discipline).
+	var sl slot
 	for {
-		v, more := it.Next()
+		v, more := pullRef(it, ri)
 		if !more {
 			break
 		}
-		ok := ev.evalQuantified(n, env.bind(q.Vars[i], Seq{v}), i+1)
-		if q.Every && !ok {
-			return false
-		}
-		if !q.Every && ok {
-			// The satisfied witness ends the search; the rest of the
-			// binding stream is never generated.
-			return true
+		ok := ev.evalQuantified(n, sl.bind(env, q.Vars[i], v), i+1)
+		if q.Every != ok {
+			// A counterexample (every) or the satisfied witness (some)
+			// ends the search; the rest of the binding stream is never
+			// generated.
+			drop(it)
+			return ok
 		}
 	}
 	return q.Every
@@ -1435,7 +1717,7 @@ func (ev *evaluator) evalBool(n *plan.Node, env *bindings) bool {
 				return ev.evalBool(n.Kids[0], env)
 			case "empty":
 				ev.argc(c, 1)
-				_, ok := ev.iter(n.Kids[0], env).Next()
+				_, ok := ev.first(n.Kids[0], env)
 				return !ok
 			}
 		}
@@ -1447,17 +1729,17 @@ func (ev *evaluator) iterBinary(n *plan.Node, env *bindings) Iterator {
 	b := n.Expr.(*xquery.Binary)
 	switch b.Op {
 	case xquery.OpOr, xquery.OpAnd:
-		return one(BoolItem(ev.evalBool(n, env)))
+		return ev.one(BoolItem(ev.evalBool(n, env)))
 	case xquery.OpBefore, xquery.OpAfter:
 		res, nonEmpty := ev.orderCompare(n, env)
 		if !nonEmpty {
 			return emptyIter{}
 		}
-		return one(BoolItem(res))
+		return ev.one(BoolItem(res))
 	case xquery.OpAdd, xquery.OpSub, xquery.OpMul, xquery.OpDiv, xquery.OpMod:
 		return ev.iterArithmetic(n, env)
 	default:
-		return one(BoolItem(ev.generalCompare(n, env)))
+		return ev.one(BoolItem(ev.generalCompare(n, env)))
 	}
 }
 
@@ -1466,13 +1748,13 @@ func (ev *evaluator) iterBinary(n *plan.Node, env *bindings) Iterator {
 // when either operand is the empty sequence.
 func (ev *evaluator) orderCompare(n *plan.Node, env *bindings) (res, nonEmpty bool) {
 	b := n.Expr.(*xquery.Binary)
-	l, lok := ev.iter(n.Kids[0], env).Next()
-	r, rok := ev.iter(n.Kids[1], env).Next()
+	l, lok := ev.first(n.Kids[0], env)
+	r, rok := ev.first(n.Kids[1], env)
 	if !lok || !rok {
 		return false, false
 	}
-	ln, lnOK := nodeID(l)
-	rn, rnOK := nodeID(r)
+	ln, lnOK := refOwner(l)
+	rn, rnOK := refOwner(r)
 	if !lnOK || !rnOK {
 		errf("operands of %s must be stored nodes", b.Op)
 	}
@@ -1482,8 +1764,13 @@ func (ev *evaluator) orderCompare(n *plan.Node, env *bindings) (res, nonEmpty bo
 	return ln > rn, true
 }
 
-func nodeID(it Item) (tree.NodeID, bool) {
-	switch v := it.(type) {
+// refOwner is the stored node a ref is or belongs to: the node itself, or
+// a stored attribute's owner.
+func refOwner(r ref) (tree.NodeID, bool) {
+	if r.item == nil {
+		return r.id, !r.text
+	}
+	switch v := r.item.(type) {
 	case NodeItem:
 		return v.ID, true
 	case AttrItem:
@@ -1494,31 +1781,61 @@ func nodeID(it Item) (tree.NodeID, bool) {
 	return tree.Nil, false
 }
 
+// first evaluates n and returns only its first item, as a ref; the rest of
+// the stream is never generated, and its operators recycle.
+func (ev *evaluator) first(n *plan.Node, env *bindings) (ref, bool) {
+	in := ev.iter(n, env)
+	r, ok := pullRef(in, asRefs(in))
+	if ok {
+		drop(in)
+	}
+	return r, ok
+}
+
 // firstTwo pulls at most two items from in: enough to distinguish empty,
-// singleton and longer sequences.
-func firstTwo(in Iterator) (first, second Item, n int) {
-	first, ok := in.Next()
+// singleton and longer sequences. It returns the first as a ref.
+func firstTwo(in Iterator) (first ref, n int) {
+	ri := asRefs(in)
+	first, ok := pullRef(in, ri)
 	if !ok {
-		return nil, nil, 0
+		return ref{}, 0
 	}
-	second, ok = in.Next()
-	if !ok {
-		return first, nil, 1
+	if _, ok = pullRef(in, ri); !ok {
+		return first, 1
 	}
-	return first, second, 2
+	return first, 2
+}
+
+// operandAtom evaluates one arithmetic operand to its single atom; cnt is
+// 0 for the empty sequence and 2 for a longer one. A literal operand is
+// read from the plan without an iterator.
+func (ev *evaluator) operandAtom(n *plan.Node, env *bindings) (a atom, cnt int) {
+	if lit, ok := literalAtom(n); ok {
+		return lit, 1
+	}
+	in := ev.iter(n, env)
+	r, cnt := firstTwo(in)
+	switch cnt {
+	case 0:
+		return atom{}, 0
+	case 2:
+		drop(in)
+		return atom{}, 2
+	}
+	return ev.atomOf(r), 1
 }
 
 func (ev *evaluator) iterArithmetic(n *plan.Node, env *bindings) Iterator {
 	b := n.Expr.(*xquery.Binary)
-	l, _, ln := firstTwo(ev.iter(n.Kids[0], env))
-	r, _, rn := firstTwo(ev.iter(n.Kids[1], env))
+	l, ln := ev.operandAtom(n.Kids[0], env)
+	r, rn := ev.operandAtom(n.Kids[1], env)
 	if ln == 0 || rn == 0 {
 		return emptyIter{}
 	}
 	if ln > 1 || rn > 1 {
 		errf("arithmetic over a sequence of more than one item")
 	}
-	x, y := toNumber(ev.atomize(l)), toNumber(ev.atomize(r))
+	x, y := l.num(), r.num()
 	var res float64
 	switch b.Op {
 	case xquery.OpAdd:
@@ -1532,31 +1849,90 @@ func (ev *evaluator) iterArithmetic(n *plan.Node, env *bindings) Iterator {
 	case xquery.OpMod:
 		res = math.Mod(x, y)
 	}
-	return one(NumItem(res))
+	return ev.one(NumItem(res))
 }
 
-var cmpOpOf = map[xquery.BinOp]compareOp{
-	xquery.OpEq: cmpEq, xquery.OpNeq: cmpNeq, xquery.OpLt: cmpLt,
-	xquery.OpLe: cmpLe, xquery.OpGt: cmpGt, xquery.OpGe: cmpGe,
+// literalAtom is the atom of a literal plan node, read from its Val; ok is
+// false for every other node.
+func literalAtom(n *plan.Node) (atom, bool) {
+	if n.Op != plan.OpLiteral {
+		return atom{}, false
+	}
+	switch v := n.Expr.(type) {
+	case *xquery.StringLit:
+		return strAtom(v.Val), true
+	case *xquery.NumberLit:
+		return numAtom(v.Val), true
+	}
+	return atom{}, false
 }
 
-// generalCompare applies existential general-comparison semantics: the
-// right side materializes, the left side streams and stops at the first
-// matching pair.
+// generalCompare applies existential general-comparison semantics through
+// the comparison kernel. A literal operand on either side is one atom read
+// from the plan and the other side streams as refs, stopping at the first
+// match; otherwise the right side's atoms are pushed on the session's atom
+// stack and the left side streams against them.
 func (ev *evaluator) generalCompare(n *plan.Node, env *bindings) bool {
-	op := cmpOpOf[n.Expr.(*xquery.Binary).Op]
-	r := ev.atomizeSeq(ev.eval(n.Kids[1], env))
-	l := ev.iter(n.Kids[0], env)
+	op, _ := cmpOpOf(n.Expr.(*xquery.Binary).Op)
+	if lit, ok := literalAtom(n.Kids[1]); ok {
+		return ev.anyAtom(n.Kids[0], env, op, &lit, false)
+	}
+	if lit, ok := literalAtom(n.Kids[0]); ok {
+		return ev.anyAtom(n.Kids[1], env, op, &lit, true)
+	}
+	sess := ev.sess
+	base := len(sess.atoms)
+	in := ev.iter(n.Kids[1], env)
+	ri := asRefs(in)
 	for {
-		a, ok := l.Next()
+		r, ok := pullRef(in, ri)
+		if !ok {
+			break
+		}
+		sess.atoms = append(sess.atoms, ev.atomOf(r))
+	}
+	// The left side may run comparisons of its own, which push above
+	// base+k and may move the stack; index it afresh per comparison.
+	k := len(sess.atoms) - base
+	in = ev.iter(n.Kids[0], env)
+	ri = asRefs(in)
+	for {
+		r, ok := pullRef(in, ri)
+		if !ok {
+			sess.atoms = sess.atoms[:base]
+			return false
+		}
+		a := ev.atomOf(r)
+		for i := 0; i < k; i++ {
+			if compareAtoms(op, &a, &sess.atoms[base+i]) {
+				drop(in)
+				sess.atoms = sess.atoms[:base]
+				return true
+			}
+		}
+	}
+}
+
+// anyAtom reports whether some item of n compares op-true against the
+// atom lit, which stands on the left when flip is set.
+func (ev *evaluator) anyAtom(n *plan.Node, env *bindings, op compareOp, lit *atom, flip bool) bool {
+	in := ev.iter(n, env)
+	ri := asRefs(in)
+	for {
+		r, ok := pullRef(in, ri)
 		if !ok {
 			return false
 		}
-		aa := ev.atomize(a)
-		for _, c := range r {
-			if compareAtomics(op, aa, c) {
-				return true
-			}
+		a := ev.atomOf(r)
+		var hit bool
+		if flip {
+			hit = compareAtoms(op, lit, &a)
+		} else {
+			hit = compareAtoms(op, &a, lit)
+		}
+		if hit {
+			drop(in)
+			return true
 		}
 	}
 }
@@ -1565,27 +1941,9 @@ func (ev *evaluator) generalCompare(n *plan.Node, env *bindings) bool {
 
 func (ev *evaluator) construct(n *plan.Node, env *bindings) *Constructed {
 	c := n.Expr.(*xquery.ElementCtor)
-	out := &Constructed{Tag: c.Tag}
+	out := newConstructed(c.Tag, len(c.Attrs))
 	for ai, a := range c.Attrs {
-		var val []byte
-		for _, part := range n.CtorAttrs[ai] {
-			if lit, ok := part.Expr.(*xquery.StringLit); ok && part.Op == plan.OpLiteral {
-				val = append(val, lit.Val...)
-				continue
-			}
-			it := ev.iter(part, env)
-			for i := 0; ; i++ {
-				v, ok := it.Next()
-				if !ok {
-					break
-				}
-				if i > 0 {
-					val = append(val, ' ')
-				}
-				val = append(val, itemString(ev.atomize(v))...)
-			}
-		}
-		out.Attrs = append(out.Attrs, tree.Attr{Name: a.Name, Value: string(val)})
+		out.Attrs[ai] = tree.Attr{Name: a.Name, Value: ev.attrValue(n.CtorAttrs[ai], env)}
 	}
 	for _, part := range n.Content {
 		switch {
@@ -1616,6 +1974,85 @@ func (ev *evaluator) construct(n *plan.Node, env *bindings) *Constructed {
 		}
 	}
 	return out
+}
+
+// newConstructed allocates an element with nAttrs attribute slots. The
+// common small element — at most one attribute, a first child — is one
+// allocation: the attribute and the first child live beside the element,
+// and only a second child moves the children to a slice of their own.
+func newConstructed(tag string, nAttrs int) *Constructed {
+	switch nAttrs {
+	case 0:
+		cell := &struct {
+			c    Constructed
+			kids [1]Item
+		}{c: Constructed{Tag: tag}}
+		cell.c.Children = cell.kids[:0]
+		return &cell.c
+	case 1:
+		cell := &struct {
+			c     Constructed
+			attrs [1]tree.Attr
+			kids  [1]Item
+		}{c: Constructed{Tag: tag}}
+		cell.c.Attrs, cell.c.Children = cell.attrs[:], cell.kids[:0]
+		return &cell.c
+	}
+	return &Constructed{Tag: tag, Attrs: make([]tree.Attr, nAttrs)}
+}
+
+// attrValue evaluates the parts of one constructor attribute's value: the
+// literals and the atomized items of the enclosed expressions, items of
+// one expression separated by a space. A value of a single piece is that
+// piece's string itself — a stored text or attribute value is not copied.
+func (ev *evaluator) attrValue(parts []*plan.Node, env *bindings) string {
+	var v attrBuilder
+	for _, part := range parts {
+		if lit, ok := part.Expr.(*xquery.StringLit); ok && part.Op == plan.OpLiteral {
+			v.add(lit.Val)
+			continue
+		}
+		in := ev.iter(part, env)
+		ri := asRefs(in)
+		for i := 0; ; i++ {
+			r, ok := pullRef(in, ri)
+			if !ok {
+				break
+			}
+			if i > 0 {
+				v.add(" ")
+			}
+			a := ev.atomOf(r)
+			v.add(a.str())
+		}
+	}
+	return v.String()
+}
+
+// attrBuilder concatenates string pieces, copying only once there are two.
+type attrBuilder struct {
+	first  string
+	buf    []byte
+	pieces int
+}
+
+func (b *attrBuilder) add(s string) {
+	switch b.pieces {
+	case 0:
+		b.first = s
+	case 1:
+		b.buf = append(append(b.buf, b.first...), s...)
+	default:
+		b.buf = append(b.buf, s...)
+	}
+	b.pieces++
+}
+
+func (b *attrBuilder) String() string {
+	if b.pieces == 1 {
+		return b.first
+	}
+	return string(b.buf)
 }
 
 // contentItem adapts an evaluated item for inclusion in constructed

@@ -29,11 +29,15 @@ func builtinNames() map[string]bool {
 func (ev *evaluator) iterCall(n *plan.Node, env *bindings) Iterator {
 	c := n.Expr.(*xquery.Call)
 	if fd, ok := ev.funcs[c.Name]; ok {
-		inner := &bindings{}
+		var inner *bindings
 		for i, param := range fd.Params {
-			inner = inner.bind(param, ev.eval(n.Kids[i], env))
+			inner = ev.bindEval(inner, param, n.Kids[i], env)
 		}
-		return ev.eval(fd.Body, inner).Iter()
+		r, s, single := ev.bindingValue(fd.Body, inner)
+		if single {
+			return ev.oneRef(r)
+		}
+		return ev.newVarIter(s)
 	}
 	switch c.Name {
 	case "count":
@@ -42,17 +46,17 @@ func (ev *evaluator) iterCall(n *plan.Node, env *bindings) Iterator {
 		// it like any other arity error, and fall back to draining if a
 		// well-formed call ever lands here.
 		ev.argc(c, 1)
-		return one(NumItem(float64(drainCount(ev.iter(n.Kids[0], env)))))
+		return ev.one(NumItem(float64(drainCount(ev.iter(n.Kids[0], env)))))
 	case "empty":
 		ev.argc(c, 1)
-		_, ok := ev.iter(n.Kids[0], env).Next()
-		return one(BoolItem(!ok))
+		_, ok := ev.first(n.Kids[0], env)
+		return ev.one(BoolItem(!ok))
 	case "not":
 		ev.argc(c, 1)
-		return one(BoolItem(!ev.evalBool(n.Kids[0], env)))
+		return ev.one(BoolItem(!ev.evalBool(n.Kids[0], env)))
 	case "boolean":
 		ev.argc(c, 1)
-		return one(BoolItem(ev.evalBool(n.Kids[0], env)))
+		return ev.one(BoolItem(ev.evalBool(n.Kids[0], env)))
 	case "contains":
 		ev.argc(c, 2)
 		hay := ev.strArg(n.Kids[0], env)
@@ -61,74 +65,79 @@ func (ev *evaluator) iterCall(n *plan.Node, env *bindings) Iterator {
 			// Single-byte needles scan with IndexByte — the same fast path
 			// the serializer's escape scan uses — instead of the generic
 			// substring search setup.
-			return one(BoolItem(strings.IndexByte(hay, needle[0]) >= 0))
+			return ev.one(BoolItem(strings.IndexByte(hay, needle[0]) >= 0))
 		}
-		return one(BoolItem(strings.Contains(hay, needle)))
+		return ev.one(BoolItem(strings.Contains(hay, needle)))
 	case "starts-with":
 		ev.argc(c, 2)
-		return one(BoolItem(strings.HasPrefix(ev.strArg(n.Kids[0], env), ev.strArg(n.Kids[1], env))))
+		return ev.one(BoolItem(strings.HasPrefix(ev.strArg(n.Kids[0], env), ev.strArg(n.Kids[1], env))))
 	case "string":
 		ev.argc(c, 1)
-		return one(StrItem(ev.strArg(n.Kids[0], env)))
+		return ev.one(StrItem(ev.strArg(n.Kids[0], env)))
 	case "string-length":
 		ev.argc(c, 1)
-		return one(NumItem(float64(len(ev.strArg(n.Kids[0], env)))))
+		return ev.one(NumItem(float64(len(ev.strArg(n.Kids[0], env)))))
 	case "concat":
 		var b strings.Builder
 		for _, a := range n.Kids {
 			b.WriteString(ev.strArg(a, env))
 		}
-		return one(StrItem(b.String()))
+		return ev.one(StrItem(b.String()))
 	case "string-join":
 		ev.argc(c, 2)
 		sep := ev.strArg(n.Kids[1], env)
 		var b strings.Builder
 		it := ev.iter(n.Kids[0], env)
+		ri := asRefs(it)
 		for i := 0; ; i++ {
-			v, ok := it.Next()
+			r, ok := pullRef(it, ri)
 			if !ok {
 				break
 			}
 			if i > 0 {
 				b.WriteString(sep)
 			}
-			b.WriteString(itemString(ev.atomize(v)))
+			a := ev.atomOf(r)
+			b.WriteString(a.str())
 		}
-		return one(StrItem(b.String()))
+		return ev.one(StrItem(b.String()))
 	case "number":
 		ev.argc(c, 1)
-		v, ok := ev.iter(n.Kids[0], env).Next()
+		r, ok := ev.first(n.Kids[0], env)
 		if !ok {
-			return one(NumItem(nan()))
+			return ev.one(NumItem(nan()))
 		}
-		return one(NumItem(toNumber(ev.atomize(v))))
+		a := ev.atomOf(r)
+		return ev.one(NumItem(a.num()))
 	case "sum":
 		ev.argc(c, 1)
 		total := 0.0
 		it := ev.iter(n.Kids[0], env)
+		ri := asRefs(it)
 		for {
-			v, ok := it.Next()
+			r, ok := pullRef(it, ri)
 			if !ok {
 				break
 			}
-			total += toNumber(ev.atomize(v))
+			a := ev.atomOf(r)
+			total += a.num()
 		}
-		return one(NumItem(total))
+		return ev.one(NumItem(total))
 	case "zero-or-one":
 		ev.argc(c, 1)
 		it := ev.iter(n.Kids[0], env)
-		first, _, cnt := firstTwo(it)
+		first, cnt := firstTwo(it)
 		if cnt > 1 {
 			errf("zero-or-one() applied to a sequence of %d items", cnt+drainCount(it))
 		}
 		if cnt == 0 {
 			return emptyIter{}
 		}
-		return one(first)
+		return ev.oneRef(first)
 	case "exactly-one":
 		ev.argc(c, 1)
 		it := ev.iter(n.Kids[0], env)
-		first, _, cnt := firstTwo(it)
+		first, cnt := firstTwo(it)
 		if cnt == 0 {
 			// The exhausted iterator must not be drained further:
 			// iterators are single-use once Next returns false.
@@ -137,7 +146,7 @@ func (ev *evaluator) iterCall(n *plan.Node, env *bindings) Iterator {
 		if cnt > 1 {
 			errf("exactly-one() applied to a sequence of %d items", cnt+drainCount(it))
 		}
-		return one(first)
+		return ev.oneRef(first)
 	case "distinct-values":
 		ev.argc(c, 1)
 		var out Seq
@@ -161,32 +170,33 @@ func (ev *evaluator) iterCall(n *plan.Node, env *bindings) Iterator {
 		if !ev.hasFocus {
 			errf("last() used outside a predicate")
 		}
-		return one(NumItem(float64(ev.focus.size)))
+		return ev.one(NumItem(float64(ev.focus.size)))
 	case "position":
 		ev.argc(c, 0)
 		if !ev.hasFocus {
 			errf("position() used outside a predicate")
 		}
-		return one(NumItem(float64(ev.focus.pos)))
+		return ev.one(NumItem(float64(ev.focus.pos)))
 	case "document", "doc":
 		// The benchmark's single document: document("auction.xml") is the
 		// loaded store's document node (paper §5).
-		return one(DocItem{})
+		return ev.one(DocItem{})
 	case "name":
 		ev.argc(c, 1)
-		s, ok := ev.iter(n.Kids[0], env).Next()
+		r, ok := ev.first(n.Kids[0], env)
 		if !ok {
-			return one(StrItem(""))
+			return ev.one(StrItem(""))
 		}
-		switch v := s.(type) {
-		case NodeItem:
-			return one(StrItem(ev.store.Tag(v.ID)))
+		if id, isNode := r.node(); isNode {
+			return ev.one(StrItem(ev.store.Tag(id)))
+		}
+		switch v := r.box().(type) {
 		case AttrItem:
-			return one(StrItem(v.Name))
+			return ev.one(StrItem(v.Name))
 		case *Constructed:
-			return one(StrItem(v.Tag))
+			return ev.one(StrItem(v.Tag))
 		}
-		return one(StrItem(""))
+		return ev.one(StrItem(""))
 	default:
 		errf("unknown function %s()", c.Name)
 		return nil
@@ -201,18 +211,18 @@ func (ev *evaluator) iterCount(n *plan.Node, env *bindings) Iterator {
 	switch n.CountMode {
 	case plan.CountCatalogPath:
 		if c, ok := ev.store.CountPath(n.Path); ok {
-			return one(NumItem(float64(c)))
+			return ev.one(NumItem(float64(c)))
 		}
 	case plan.CountCatalogDesc:
 		if total, ok := ev.countDescendants(n, env); ok {
-			return one(NumItem(float64(total)))
+			return ev.one(NumItem(float64(total)))
 		}
 	case plan.CountMatches:
 		// The variable's let bound its join's match count, unless this
 		// execution runs tuple-at-a-time and bound the matches themselves.
-		if s := env.lookup(n.Kids[0].Var); len(s) == 1 {
-			if c, ok := s[0].(matchCount); ok {
-				return one(NumItem(float64(c)))
+		if b := env.find(n.Kids[0].Var); len(b.val) == 1 {
+			if c, ok := b.val[0].(matchCount); ok {
+				return ev.one(NumItem(float64(c)))
 			}
 		}
 	}
@@ -224,19 +234,19 @@ func (ev *evaluator) iterCount(n *plan.Node, env *bindings) Iterator {
 		// would probe the store's partition split a second time) —
 		// vector-at-a-time when the sub-pipeline is batchable.
 		if total, ok := ev.gatherCount(arg, env); ok {
-			return one(NumItem(float64(total)))
+			return ev.one(NumItem(float64(total)))
 		}
 		if bi := ev.batchOf(arg.Input, env); bi != nil {
-			return one(NumItem(float64(drainBatchCount(bi))))
+			return ev.one(NumItem(float64(drainBatchCount(bi))))
 		}
-		return one(NumItem(float64(drainCount(ev.iter(arg.Input, env)))))
+		return ev.one(NumItem(float64(drainCount(ev.iter(arg.Input, env)))))
 	}
 	// A vectorized count sums batch lengths: no id is ever boxed into an
 	// item on the way to the total.
 	if bi := ev.batchOf(n.Kids[0], env); bi != nil {
-		return one(NumItem(float64(drainBatchCount(bi))))
+		return ev.one(NumItem(float64(drainBatchCount(bi))))
 	}
-	return one(NumItem(float64(drainCount(ev.iter(n.Kids[0], env)))))
+	return ev.one(NumItem(float64(drainCount(ev.iter(n.Kids[0], env)))))
 }
 
 // countDescendants sums CountDescendants over the truncated context path:
@@ -273,11 +283,24 @@ func (ev *evaluator) countDescendants(n *plan.Node, env *bindings) (int, bool) {
 	}
 }
 
-// drainCount exhausts in and returns the item count.
+// drainCount exhausts in and returns the item count. Step chains sum
+// their candidate buffers and other node producers yield refs, so no item
+// is boxed on the way to the total.
 func drainCount(in Iterator) int {
+	switch v := in.(type) {
+	case *stepIter:
+		return v.count()
+	case *varIter:
+		n := v.remaining()
+		v.release()
+		return n
+	case *flatMapTupleIter:
+		return v.count()
+	}
+	ri := asRefs(in)
 	n := 0
 	for {
-		if _, ok := in.Next(); !ok {
+		if _, ok := pullRef(in, ri); !ok {
 			return n
 		}
 		n++
@@ -298,9 +321,13 @@ func (ev *evaluator) argc(c *xquery.Call, want int) {
 // strArg evaluates an argument to its string value: the first item of the
 // argument stream, atomized; the empty sequence is the empty string.
 func (ev *evaluator) strArg(n *plan.Node, env *bindings) string {
-	v, ok := ev.iter(n, env).Next()
+	if lit, ok := n.Expr.(*xquery.StringLit); ok && n.Op == plan.OpLiteral {
+		return lit.Val
+	}
+	r, ok := ev.first(n, env)
 	if !ok {
 		return ""
 	}
-	return itemString(ev.atomize(v))
+	a := ev.atomOf(r)
+	return a.str()
 }

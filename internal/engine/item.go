@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"repro/internal/tree"
+	"repro/internal/xquery"
 )
 
 // Item is one XQuery data model item: a stored node, an attribute node, a
@@ -124,26 +125,18 @@ func (ev *evaluator) atomizeSeq(s Seq) Seq {
 	return out
 }
 
-// toNumber casts an atomic to a number; untyped strings parse as doubles,
-// unparsable strings become NaN per XQuery's xs:double cast rules.
-func toNumber(it Item) float64 {
-	switch v := it.(type) {
-	case NumItem:
-		return float64(v)
-	case StrItem:
-		f, err := strconv.ParseFloat(strings.TrimSpace(string(v)), 64)
-		if err != nil {
-			return math.NaN()
-		}
-		return f
-	case BoolItem:
-		if v {
-			return 1
-		}
-		return 0
-	default:
+// parseNumber is the xs:double cast of an untyped string. The empty
+// string is answered before ParseFloat, whose error value allocates.
+func parseNumber(s string) float64 {
+	s = strings.TrimSpace(s)
+	if s == "" {
 		return math.NaN()
 	}
+	f, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		return math.NaN()
+	}
+	return f
 }
 
 // itemString renders an atomic as a string.
@@ -178,52 +171,103 @@ func formatNumber(f float64) string {
 	return strconv.FormatFloat(f, 'g', -1, 64)
 }
 
-// effectiveBool computes the effective boolean value of a sequence.
-func (ev *evaluator) effectiveBool(s Seq) bool {
-	if len(s) == 0 {
-		return false
-	}
-	switch v := s[0].(type) {
-	case NodeItem, DocItem, AttrItem, *Constructed:
-		return true
+// itemBool is the effective boolean value of a one-item sequence. Longer
+// sequences never reach it: their effective boolean value is true (nodes
+// are true, and multi-item atomic sequences, which have no EBV in the
+// spec, count as true since the benchmark queries never rely on them).
+func itemBool(it Item) bool {
+	switch v := it.(type) {
 	case BoolItem:
-		if len(s) == 1 {
-			return bool(v)
-		}
+		return bool(v)
 	case NumItem:
-		if len(s) == 1 {
-			return float64(v) != 0 && !math.IsNaN(float64(v))
-		}
+		return float64(v) != 0 && !math.IsNaN(float64(v))
 	case StrItem:
-		if len(s) == 1 {
-			return len(v) > 0
-		}
+		return len(v) > 0
 	}
-	// Multi-item atomic sequences have no EBV in the spec; the benchmark
-	// queries never rely on it, so any non-empty sequence counts as true.
 	return true
 }
 
-// compareAtomics applies a general-comparison operator to two atomics
-// following the untyped-data rules: if either side is numeric, compare
-// numerically; otherwise compare as strings.
-func compareAtomics(op compareOp, a, b Item) bool {
-	_, aNum := a.(NumItem)
-	_, bNum := b.(NumItem)
-	if aNum || bNum {
-		return compareNumbers(op, toNumber(a), toNumber(b))
+// atomKind is the type of an atom: the three atomic types of the subset.
+type atomKind uint8
+
+const (
+	atomStr atomKind = iota
+	atomNum
+	atomBool
+)
+
+// atom is one atomized value held unboxed: the operand of the comparison
+// kernel. A string atom is read straight from where the value lives (a
+// stored node's string value, an attribute's value, a literal's Val), so
+// atomizing allocates nothing except for constructed elements.
+type atom struct {
+	s      string
+	f      float64 // atomNum; 1 or 0 for atomBool; atomStr once parsed
+	kind   atomKind
+	parsed bool
+}
+
+func strAtom(s string) atom { return atom{s: s} }
+
+func numAtom(f float64) atom { return atom{f: f, kind: atomNum} }
+
+// atomicAtom holds an atomic item (or any item atomize leaves as is) as an
+// atom.
+func atomicAtom(it Item) atom {
+	switch v := it.(type) {
+	case NumItem:
+		return numAtom(float64(v))
+	case BoolItem:
+		a := atom{kind: atomBool}
+		if v {
+			a.f = 1
+		}
+		return a
+	default:
+		return strAtom(itemString(it))
 	}
-	if ab, ok := a.(BoolItem); ok {
-		if bb, ok2 := b.(BoolItem); ok2 {
-			switch op {
-			case cmpEq:
-				return ab == bb
-			case cmpNeq:
-				return ab != bb
-			}
+}
+
+// num is the atom as a number: a string casts to xs:double (NaN when it
+// does not parse) at most once, a boolean is 1 or 0.
+func (a *atom) num() float64 {
+	if a.kind == atomStr && !a.parsed {
+		a.f, a.parsed = parseNumber(a.s), true
+	}
+	return a.f
+}
+
+// str is the atom as a string (itemString's rules).
+func (a *atom) str() string {
+	switch a.kind {
+	case atomNum:
+		return formatNumber(a.f)
+	case atomBool:
+		if a.f != 0 {
+			return "true"
+		}
+		return "false"
+	}
+	return a.s
+}
+
+// compareAtoms is the comparison kernel: a general-comparison operator
+// applied to two atoms under the untyped-data rules. If either side is
+// numeric the comparison is numeric; two booleans compare for (in)equality
+// as booleans; everything else compares as strings.
+func compareAtoms(op compareOp, a, b *atom) bool {
+	if a.kind == atomNum || b.kind == atomNum {
+		return compareNumbers(op, a.num(), b.num())
+	}
+	if a.kind == atomBool && b.kind == atomBool {
+		switch op {
+		case cmpEq:
+			return a.f == b.f
+		case cmpNeq:
+			return a.f != b.f
 		}
 	}
-	x, y := itemString(a), itemString(b)
+	x, y := a.str(), b.str()
 	switch op {
 	case cmpEq:
 		return x == y
@@ -271,6 +315,26 @@ const (
 	cmpGt
 	cmpGe
 )
+
+// cmpOpOf maps a value-comparison operator to the kernel's operator; ok is
+// false for every other binary operator.
+func cmpOpOf(op xquery.BinOp) (compareOp, bool) {
+	switch op {
+	case xquery.OpEq:
+		return cmpEq, true
+	case xquery.OpNeq:
+		return cmpNeq, true
+	case xquery.OpLt:
+		return cmpLt, true
+	case xquery.OpLe:
+		return cmpLe, true
+	case xquery.OpGt:
+		return cmpGt, true
+	case xquery.OpGe:
+		return cmpGe, true
+	}
+	return 0, false
+}
 
 // stringValue returns the string value of a stored node, optionally making
 // a defensive copy (System G's embedded-processor overhead, NaiveStrings).

@@ -46,13 +46,19 @@ type Session struct {
 	// request and clears it afterwards, since Sessions outlive requests.
 	Trace *obs.Span
 
-	// stepFree, inlineFree and varFree recycle exhausted iterators (with
-	// their grown buffers): per-tuple paths in FLWOR return clauses
-	// re-evaluate constantly, and reuse makes their steady state
-	// allocation-free.
+	// stepFree, inlineFree, varFree and oneFree recycle iterators (with
+	// their grown buffers) once they are exhausted or dropped by a
+	// consumer that stopped early: per-tuple paths in FLWOR return and
+	// where clauses re-evaluate constantly, and reuse keeps the operators
+	// themselves out of the steady state's allocations.
 	stepFree   []*stepIter
 	inlineFree []*inlineTextIter
 	varFree    []*varIter
+	oneFree    []*singleIter
+	// atoms is the stack of materialized comparison operands: a general
+	// comparison without a literal side pushes its right operand's atoms,
+	// compares, and pops them, so nested comparisons share one buffer.
+	atoms []atom
 	// batchFree recycles the NodeID vectors of exhausted batch operators,
 	// so steady-state vectorized execution allocates no batch buffers.
 	batchFree [][]tree.NodeID
@@ -62,6 +68,9 @@ type Session struct {
 	// thetaCache memoizes the inner items and key values of planned
 	// non-equality joins (Q11/Q12), keyed like joinCache.
 	thetaCache map[*plan.Node]*thetaIndex
+	// attrCache memoizes the value-index candidates of attribute-index
+	// steps, keyed by the step: a step under a FLWOR probes per tuple.
+	attrCache map[*plan.StepPlan][]tree.NodeID
 }
 
 // NewSession returns an empty Session for one worker goroutine.
@@ -69,7 +78,8 @@ func NewSession() *Session { return &Session{} }
 
 // Reset drops the session's memoized join state: the hash-join and
 // theta-join caches, whose entries retain materialized build sides (and,
-// through them, whole item sequences) for the life of the worker. A
+// through them, whole item sequences) for the life of the worker, and
+// the attribute-index candidates. A
 // service executor calls it between requests so one request's joins are
 // never pinned while the worker sits idle — the retention policy is "for
 // the duration of a request", not "for the life of the worker". The
@@ -79,6 +89,7 @@ func NewSession() *Session { return &Session{} }
 func (s *Session) Reset() {
 	s.joinCache = nil
 	s.thetaCache = nil
+	s.attrCache = nil
 	s.Trace = nil
 }
 

@@ -62,6 +62,10 @@ type Edge struct {
 	nNodes   int
 	root     tree.NodeID
 
+	// filters memoizes the pushed-down filter lists compiled against the
+	// dictionary and the symbol table, one per plan step.
+	filters filterMemo
+
 	// text is the document's text heap, kept when the Doc is dropped: a
 	// text segment clustered in document order beside the relation, which
 	// answers StringValue as one span.
@@ -428,14 +432,14 @@ func (s *Edge) InlinedChildText(tree.NodeID, string) (string, bool, bool) {
 // edgePostingCursor streams the id column of a posting list, keeping rows
 // whose kind (and optionally tag) columns match — a select-project over
 // contiguous column vectors. wantTag < 0 accepts any tag; wantKind < 0
-// accepts everything but attribute rows; extra (optional) evaluates
-// pushed-down value predicates.
+// accepts everything but attribute rows; cfs (optional) are pushed-down
+// value predicates every kept row must satisfy.
 type edgePostingCursor struct {
 	s        *Edge
 	rows     []int32
 	wantKind int32
 	wantTag  int32
-	extra    func(row int32) bool
+	cfs      []codedFilter
 }
 
 func (c *edgePostingCursor) keep(row int32) bool {
@@ -451,7 +455,7 @@ func (c *edgePostingCursor) keep(row int32) bool {
 			return false
 		}
 	}
-	return c.extra == nil || c.extra(row)
+	return len(c.cfs) == 0 || c.s.matchCoded(tree.NodeID(c.s.ids[row]), c.cfs)
 }
 
 func (c *edgePostingCursor) Next() (tree.NodeID, bool) {
@@ -565,19 +569,39 @@ func (s *Edge) PathExtentCursor([]string) (nodestore.Cursor, bool) { return nil,
 // ChildrenByTagFilteredCursor implements nodestore.Store:
 // pushed-down value predicates evaluate inside the posting-list select, so
 // rows a predicate rejects never leave the heap relation. The predicates
-// are compiled against the dictionary once per cursor: equality filters
-// compare int codes against the value column and decode nothing.
+// compile once per plan step against the dictionary and the symbol table:
+// equality filters compare int codes against the value column and decode
+// nothing, and no row probes the symbol map.
 func (s *Edge) ChildrenByTagFilteredCursor(n tree.NodeID, tag string, fs []nodestore.ValueFilter) (nodestore.Cursor, bool) {
 	sym := s.sym(tag)
 	if sym < 0 {
 		return nodestore.EmptyCursor{}, true
 	}
-	cfs := compileFilters(s.table.Dict(), fs)
 	return &edgePostingCursor{
 		s: s, rows: s.parentIdx.LookupInt(int64(n)),
-		wantKind: rowElement, wantTag: sym,
-		extra: func(row int32) bool { return s.matchCoded(tree.NodeID(s.ids[row]), cfs) },
+		wantKind: rowElement, wantTag: sym, cfs: s.compiled(fs),
 	}, true
+}
+
+// compiled returns fs compiled against the store, from the memo when a
+// cursor of the same plan step compiled it before.
+func (s *Edge) compiled(fs []nodestore.ValueFilter) []codedFilter {
+	if cfs, ok := s.filters.lookup(fs); ok {
+		return cfs
+	}
+	cfs := compileFilters(s.table.Dict(), fs)
+	for i := range cfs {
+		cf := &cfs[i]
+		cf.childSym, cf.attrSym = -1, -1
+		if cf.f.Child != "" {
+			cf.childSym = s.sym(cf.f.Child)
+		}
+		if cf.f.Attr != "" {
+			cf.attrSym = s.sym("@" + cf.f.Attr)
+		}
+	}
+	s.filters.store(fs, cfs)
+	return cfs
 }
 
 // matchCoded answers compiled pushed-down predicates from the heap:
@@ -595,7 +619,7 @@ func (s *Edge) matchCoded(n tree.NodeID, cfs []codedFilter) bool {
 
 func (s *Edge) matchCodedOne(n tree.NodeID, cf *codedFilter) bool {
 	if cf.f.Child != "" {
-		sym := s.sym(cf.f.Child)
+		sym := cf.childSym
 		if sym < 0 {
 			return false
 		}
@@ -612,7 +636,7 @@ func (s *Edge) matchCodedOne(n tree.NodeID, cf *codedFilter) bool {
 
 func (s *Edge) matchCodedValueAt(n tree.NodeID, cf *codedFilter) bool {
 	if cf.f.Attr != "" {
-		sym := s.sym("@" + cf.f.Attr)
+		sym := cf.attrSym
 		if sym < 0 {
 			return false
 		}

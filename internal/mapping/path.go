@@ -79,6 +79,10 @@ type Path struct {
 	// string value is one span however many fragments its text rows are
 	// scattered over.
 	text tree.TextHeap
+
+	// filters memoizes the pushed-down filter lists compiled against the
+	// dictionary, one per plan step.
+	filters filterMemo
 }
 
 // NewPath bulkloads the document into the fragmenting path mapping
@@ -554,18 +558,25 @@ func (s *Path) InlinedChildText(n tree.NodeID, tag string) (string, bool, bool) 
 
 // colIDCursor streams the id column of one fragment over a posting list,
 // optionally filtering rows — the typed-column replacement for scanning
-// materialized rows.
+// materialized rows. With cfs set, a row is kept when the fragment row
+// satisfies every compiled pushed-down filter (s and frag locate them).
 type colIDCursor struct {
-	ids   []int32 // the fragment's contiguous id column
-	rows  []int32
-	match func(row int32) bool // optional
+	ids  []int32 // the fragment's contiguous id column
+	rows []int32
+	s    *Path
+	frag *pathTable
+	cfs  []codedFilter
+}
+
+func (c *colIDCursor) match(row int32) bool {
+	return len(c.cfs) == 0 || c.s.fragMatchCoded(c.frag, tree.NodeID(c.ids[row]), c.cfs)
 }
 
 func (c *colIDCursor) Next() (tree.NodeID, bool) {
 	for len(c.rows) > 0 {
 		row := c.rows[0]
 		c.rows = c.rows[1:]
-		if c.match == nil || c.match(row) {
+		if c.match(row) {
 			return tree.NodeID(c.ids[row]), true
 		}
 	}
@@ -578,7 +589,7 @@ func (c *colIDCursor) NextBatch(dst []tree.NodeID) int {
 	for len(c.rows) > 0 && n < len(dst) {
 		row := c.rows[0]
 		c.rows = c.rows[1:]
-		if c.match == nil || c.match(row) {
+		if c.match(row) {
 			dst[n] = tree.NodeID(c.ids[row])
 			n++
 		}
@@ -632,23 +643,30 @@ func (s *Path) PathExtentCursor(path []string) (nodestore.Cursor, bool) {
 // pushed-down predicates evaluate against the child fragment's own
 // attribute tables (and its #text child fragment) while the posting list
 // streams, so the engine never sees rejected rows. The predicates compile
-// against the store dictionary once per cursor.
+// against the store dictionary once per plan step.
 func (s *Path) ChildrenByTagFilteredCursor(n tree.NodeID, tag string, fs []nodestore.ValueFilter) (nodestore.Cursor, bool) {
 	pt := s.entryOf(n)
 	for _, c := range pt.children {
 		if c.tag != tag {
 			continue
 		}
-		frag := c
-		cfs := compileFilters(s.dict, fs)
 		return &colIDCursor{
 			ids: c.table.IntCol(pID), rows: c.parentIdx.LookupInt(int64(n)),
-			match: func(row int32) bool {
-				return s.fragMatchCoded(frag, tree.NodeID(frag.table.Int(int(row), pID)), cfs)
-			},
+			s: s, frag: c, cfs: s.compiled(fs),
 		}, true
 	}
 	return nodestore.EmptyCursor{}, true
+}
+
+// compiled returns fs compiled against the store's dictionary, from the
+// memo when a cursor of the same plan step compiled it before.
+func (s *Path) compiled(fs []nodestore.ValueFilter) []codedFilter {
+	if cfs, ok := s.filters.lookup(fs); ok {
+		return cfs
+	}
+	cfs := compileFilters(s.dict, fs)
+	s.filters.store(fs, cfs)
+	return cfs
 }
 
 // fragMatchCoded evaluates compiled pushed-down filters against one row of
@@ -728,11 +746,11 @@ func (s *Path) PathExtentFilteredCursor(path []string, fs []nodestore.ValueFilte
 
 // filteredCursor scans one run of a fragment's clustered id column with
 // the pushed-down filters answered from the fragment's own tables. The
-// filters compile once per cursor, so the selection vector fills by
+// filters compile once per plan step, so the selection vector fills by
 // comparing dictionary codes against the attribute tables' contiguous
 // value columns.
 func (s *Path) filteredCursor(pt *pathTable, ids []tree.NodeID, fs []nodestore.ValueFilter) nodestore.Cursor {
-	cfs := compileFilters(s.dict, fs)
+	cfs := s.compiled(fs)
 	return nodestore.NewMatchSliceCursor(ids, func(id tree.NodeID) bool {
 		return s.fragMatchCoded(pt, id, cfs)
 	})

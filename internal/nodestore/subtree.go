@@ -6,10 +6,10 @@ import (
 
 // TextChildLister is the text-step navigation capability: a store that
 // can append the text-node children of n in document order without
-// materializing (and kind-filtering) the full child list. The vectorized
-// constructor probes for it on text() steps — the per-element leaf probes
-// of reconstruction queries — and falls back to Children plus a kind
-// filter.
+// materializing (and kind-filtering) the full child list. The text()
+// steps of the tuple evaluator and of the vectorized constructor probe for
+// it — the per-element leaf probes of reconstruction queries and of value
+// predicates — and fall back to Children plus a kind filter.
 type TextChildLister interface {
 	TextChildren(n tree.NodeID, buf []tree.NodeID) []tree.NodeID
 }

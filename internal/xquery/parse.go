@@ -1,6 +1,7 @@
 package xquery
 
 import (
+	"bytes"
 	"fmt"
 	"strconv"
 	"strings"
@@ -16,11 +17,32 @@ func (e *ParseError) Error() string {
 	return fmt.Sprintf("xquery: parse error at %d: %s", e.Pos, e.Msg)
 }
 
+// MaxDepth bounds how deeply a query may nest expressions: parenthesized
+// and enclosed expressions, predicates, arguments, clauses, element
+// constructors and unary minus each open one level. The parser recurses
+// once per level, and an unbounded depth lets one request pin a worker on
+// stack growth alone; the benchmark queries nest well under a tenth of it.
+const MaxDepth = 256
+
 type parser struct {
-	lx  *lexer
-	tok Token
-	err error
+	lx    *lexer
+	tok   Token
+	err   error
+	depth int
 }
+
+// enter opens one nesting level, failing the parse past MaxDepth; every
+// enter is paired with a leave.
+func (p *parser) enter() bool {
+	p.depth++
+	if p.depth > MaxDepth {
+		p.fail("query nests deeper than the limit of %d levels", MaxDepth)
+		return false
+	}
+	return true
+}
+
+func (p *parser) leave() { p.depth-- }
 
 // Parse parses a query module: zero or more function declarations followed
 // by the body expression.
@@ -111,6 +133,10 @@ func (p *parser) parseFuncDecl() *FuncDecl {
 // parseExpr parses a full (single) expression, dispatching on the FLWOR,
 // quantified and conditional keywords.
 func (p *parser) parseExpr() Expr {
+	defer p.leave()
+	if !p.enter() {
+		return &Sequence{}
+	}
 	switch {
 	case p.keyword("for") || p.keyword("let"):
 		return p.parseFLWOR()
@@ -214,6 +240,10 @@ func (p *parser) parseIf() Expr {
 
 // parseSingle parses one expression without the top-level comma operator.
 func (p *parser) parseSingle() Expr {
+	defer p.leave()
+	if !p.enter() {
+		return &Sequence{}
+	}
 	switch {
 	case p.keyword("for") || p.keyword("let"):
 		return p.parseFLWOR()
@@ -298,6 +328,10 @@ func (p *parser) parseMultiplicative() Expr {
 
 func (p *parser) parseUnary() Expr {
 	if p.tok.Kind == TokMinus {
+		defer p.leave()
+		if !p.enter() {
+			return &Sequence{}
+		}
 		p.advance()
 		return &Unary{Operand: p.parseUnary()}
 	}
@@ -483,6 +517,10 @@ func (p *parser) parseConstructor() Expr {
 }
 
 func (p *parser) scanCtor() *ElementCtor {
+	defer p.leave()
+	if !p.enter() {
+		return nil
+	}
 	lx := p.lx
 	if lx.pos >= len(lx.src) || lx.src[lx.pos] != '<' {
 		p.fail("expected constructor")
@@ -500,7 +538,7 @@ func (p *parser) scanCtor() *ElementCtor {
 		}
 		c := lx.src[lx.pos]
 		if c == '/' {
-			if !strings.HasPrefix(string(lx.src[lx.pos:]), "/>") {
+			if !bytes.HasPrefix(lx.src[lx.pos:], []byte("/>")) {
 				p.fail("malformed empty constructor")
 			}
 			lx.pos += 2
@@ -538,7 +576,7 @@ func (p *parser) scanCtor() *ElementCtor {
 		}
 		switch lx.src[lx.pos] {
 		case '<':
-			if strings.HasPrefix(string(lx.src[lx.pos:]), "</") {
+			if bytes.HasPrefix(lx.src[lx.pos:], []byte("</")) {
 				flushText(lx.pos)
 				lx.pos += 2
 				closing := p.scanRawName()
