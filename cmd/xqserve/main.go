@@ -16,19 +16,13 @@
 // exposes net/http/pprof under /debug/pprof/ — off by default — so
 // batch-vs-tuple CPU profiles can be captured from the running service.
 //
-// -shards N partitions the document across N disjoint shards and serves
-// /query by scatter-gather: decomposable queries fan out to every shard
-// and merge in document order, the rest fall back to a global unsharded
-// replica. -shard-retries, -shard-deadline and -shard-policy tune the
-// coordinator's robustness (see the /shards endpoint for live counters).
-//
 // Every /query response carries an X-Request-ID (echoing the caller's, or
 // freshly generated), X-Query-Wait, X-Query-Compile (the parse and plan time
 // of an ad-hoc text, 0s on a plan-cache hit) and X-Query-Exec, and, when the
 // query's compile surfaced diagnostics, an X-Query-Warnings header. -log
 // writes one structured access-log line per request; /debug/slowlog keeps
 // the -slowlog K slowest requests with their span trees (queue wait, exec,
-// per-shard attempts, gather morsels).
+// gather morsels).
 //
 // Endpoints:
 //
@@ -38,7 +32,6 @@
 //	GET /analyze?system=D&q=8             EXPLAIN ANALYZE: plan + runtime counters
 //	GET /stats                            executor metrics as JSON
 //	GET /metrics                          Prometheus text format metrics
-//	GET /shards                           shard topology + fault counters
 //	GET /debug/slowlog                    top-K slowest requests + span trees
 //	GET /healthz                          readiness + catalog load status
 //
@@ -73,15 +66,11 @@ import (
 	"repro/internal/engine"
 	"repro/internal/obs"
 	"repro/internal/service"
-	"repro/internal/shard"
 	"repro/internal/xmark"
 )
 
 // server holds the service state behind the HTTP handlers. The catalog
 // loads asynchronously; cat/ex flip from nil exactly once under mu.
-// In sharded mode (-shards > 1) co routes /query through the
-// scatter-gather coordinator while cat/ex point at its global unsharded
-// replica, so /explain and /stats keep working unchanged.
 type server struct {
 	factor  float64
 	start   time.Time
@@ -96,7 +85,6 @@ type server struct {
 	mu      sync.RWMutex
 	cat     *service.Catalog
 	ex      *service.Executor
-	co      *shard.Coordinator
 	loadErr error
 }
 
@@ -109,7 +97,6 @@ func (s *server) routes(pprofOn bool) *http.ServeMux {
 	mux.HandleFunc("/analyze", s.handleAnalyze)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/shards", s.handleShards)
 	mux.HandleFunc("/debug/slowlog", s.handleSlowlog)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	if pprofOn {
@@ -178,10 +165,6 @@ func main() {
 	batch := flag.Int("batch", 0, "batch-at-a-time vector width on the workers (0 = engine default, 1 = tuple-at-a-time)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline; slow queries answer 504 (0 = none)")
 	systems := flag.String("systems", "", "systems to load, e.g. ABD (empty = all seven)")
-	shards := flag.Int("shards", 0, "partition the document across N shards and scatter-gather queries (0 or 1 = unsharded)")
-	shardRetries := flag.Int("shard-retries", 1, "sharded mode: retries per transiently failed shard sub-query")
-	shardDeadline := flag.Duration("shard-deadline", 0, "sharded mode: per-shard sub-query deadline (0 = none)")
-	shardPolicy := flag.String("shard-policy", "fail-fast", "sharded mode: degraded-mode policy, fail-fast | partial")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
 	accessLog := flag.Bool("log", false, "write one structured access-log line per /query request to stderr")
 	slowK := flag.Int("slowlog", 32, "slow-query log size: keep the K slowest requests for /debug/slowlog")
@@ -189,14 +172,6 @@ func main() {
 
 	loaded, err := selectSystems(*systems)
 	check(err)
-	policy := shard.FailFast
-	switch *shardPolicy {
-	case "fail-fast":
-	case "partial":
-		policy = shard.PartialResults
-	default:
-		check(fmt.Errorf("unknown -shard-policy %q (want fail-fast or partial)", *shardPolicy))
-	}
 
 	s := &server{factor: *factor, start: time.Now(), timeout: *timeout, slow: obs.NewSlowLog(*slowK)}
 	if *accessLog {
@@ -215,31 +190,6 @@ func main() {
 	// Load in the background so /healthz can report progress from the
 	// first moment; readiness flips atomically when the catalog is up.
 	go func() {
-		exec := service.Config{Workers: *workers, QueueDepth: *queue, Parallel: *degree, BatchSize: *batch}
-		if *shards > 1 {
-			scat, err := shard.Load(*factor, *shards, loaded)
-			s.mu.Lock()
-			defer s.mu.Unlock()
-			if err == nil {
-				s.co, err = shard.NewCoordinator(scat, shard.Config{
-					Exec:          exec,
-					ShardDeadline: *shardDeadline,
-					Retries:       *shardRetries,
-					Policy:        policy,
-					Injector:      nil,
-				})
-			}
-			if err != nil {
-				s.loadErr = err
-				fmt.Fprintln(os.Stderr, "xqserve: sharded catalog load failed:", err)
-				return
-			}
-			s.cat = scat.Global
-			s.ex = s.co.Global()
-			fmt.Printf("xqserve: ready — %d shards, %d systems, %.1f MB document, loaded in %v (global replica: %s)\n",
-				s.co.Shards(), len(scat.Global.Systems()), float64(scat.Global.DocBytes)/1e6, scat.LoadTime, loadPhases(scat.Global))
-			return
-		}
 		cat, err := service.Load(*factor, loaded)
 		s.mu.Lock()
 		defer s.mu.Unlock()
@@ -249,7 +199,7 @@ func main() {
 			return
 		}
 		s.cat = cat
-		s.ex = service.NewExecutor(cat, exec)
+		s.ex = service.NewExecutor(cat, service.Config{Workers: *workers, QueueDepth: *queue, Parallel: *degree, BatchSize: *batch})
 		fmt.Printf("xqserve: ready — %d systems, %.1f MB document, loaded in %v (%s)\n",
 			len(cat.Systems()), float64(cat.DocBytes)/1e6, cat.LoadTime, loadPhases(cat))
 	}()
@@ -262,12 +212,9 @@ func main() {
 	defer cancel()
 	_ = srv.Shutdown(ctx)
 	s.mu.RLock()
-	ex, co := s.ex, s.co
+	ex := s.ex
 	s.mu.RUnlock()
-	if co != nil {
-		// Closes every shard executor and the global replica's (s.ex).
-		co.Close()
-	} else if ex != nil {
+	if ex != nil {
 		ex.Close()
 	}
 }
@@ -289,14 +236,13 @@ func loadPhases(cat *service.Catalog) string {
 // when the load failed. Drivers poll this instead of sleeping.
 func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 	s.mu.RLock()
-	cat, co, loadErr := s.cat, s.co, s.loadErr
+	cat, loadErr := s.cat, s.loadErr
 	s.mu.RUnlock()
 
 	type health struct {
 		Status    string   `json:"status"`
 		Factor    float64  `json:"factor"`
 		UptimeSec float64  `json:"uptime_sec"`
-		Shards    int      `json:"shards,omitempty"`
 		Systems   []string `json:"systems,omitempty"`
 		LoadMs    float64  `json:"load_ms,omitempty"`
 		// StoreBytes reports the attributed size of each system's store.
@@ -309,9 +255,6 @@ func (s *server) handleHealthz(w http.ResponseWriter, _ *http.Request) {
 		Error      string                    `json:"error,omitempty"`
 	}
 	h := health{Factor: s.factor, UptimeSec: time.Since(s.start).Seconds()}
-	if co != nil {
-		h.Shards = co.Shards()
-	}
 	code := http.StatusOK
 	switch {
 	case loadErr != nil:
@@ -403,9 +346,9 @@ func queryLabel(req service.Request) string {
 // client connection, so a dropped client cancels the query. Every request
 // gets an ID (the caller's X-Request-ID or a fresh one), echoed back in
 // the response and threaded through the span tree: queue wait and exec on
-// the executor, per-shard attempts on the coordinator, morsels on the
-// engine's gather workers. Completed requests feed the slow-query log;
-// with -log set, each request leaves one structured access-log line.
+// the executor, morsels on the engine's gather workers. Completed requests
+// feed the slow-query log; with -log set, each request leaves one
+// structured access-log line.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	reqID := r.Header.Get("X-Request-ID")
 	if reqID == "" {
@@ -417,12 +360,11 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var (
 		req                 service.Request
 		wait, compile, exec time.Duration
-		shardNote           = "-"
 	)
 	if s.accessLog != nil {
 		defer func() {
-			s.accessLog.Printf("req=%s system=%s q=%q status=%d wait=%s compile=%s exec=%s shard=%s",
-				reqID, req.System, queryLabel(req), sw.status, wait, compile, exec, shardNote)
+			s.accessLog.Printf("req=%s system=%s q=%q status=%d wait=%s compile=%s exec=%s",
+				reqID, req.System, queryLabel(req), sw.status, wait, compile, exec)
 		}()
 	}
 
@@ -449,45 +391,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	start := time.Now()
 
-	s.mu.RLock()
-	co := s.co
-	s.mu.RUnlock()
-	if co != nil {
-		// Sharded mode: scatter-gather through the coordinator (the
-		// non-decomposable queries fall back to the global replica inside).
-		var res shard.Result
-		if req.QueryID != 0 {
-			res, err = co.Query(ctx, req.System, req.QueryID)
-		} else {
-			res, err = co.QueryText(ctx, req.System, req.Text)
-		}
-		if s.writeQueryError(sw, r, ctx, err, start) {
-			return
-		}
-		exec = res.Elapsed
-		shardNote = fmt.Sprintf("scattered=%t,merge=%s", res.Scattered, res.Merge)
-		if res.Partial {
-			shardNote += fmt.Sprintf(",partial=%d", res.Failed)
-		}
-		sw.Header().Set("Content-Type", "text/plain; charset=utf-8")
-		sw.Header().Set("X-Shard-Scattered", strconv.FormatBool(res.Scattered))
-		sw.Header().Set("X-Shard-Merge", res.Merge.String())
-		if res.Partial {
-			sw.Header().Set("X-Shard-Partial", fmt.Sprint(res.Failed))
-		}
-		// The coordinator compiles on the global replica's catalog, so its
-		// compile-time diagnostics apply to every shard's identical plan.
-		if req.QueryID != 0 {
-			if prep, perr := cat.Prepared(req.System, req.QueryID); perr == nil && len(prep.Diagnostics) > 0 {
-				sw.Header().Set("X-Query-Warnings", strings.Join(prep.Diagnostics, "; "))
-			}
-		}
-		root.End()
-		s.observeSlow(reqID, req, sw.status, 0, exec, root)
-		writeBody(sw, res.Output)
-		return
-	}
-
 	resp, err := ex.Execute(ctx, req)
 	if s.writeQueryError(sw, r, ctx, err, start) {
 		return
@@ -501,22 +404,17 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		sw.Header().Set("X-Query-Warnings", strings.Join(resp.Warnings, "; "))
 	}
 	root.End()
-	s.observeSlow(reqID, req, sw.status, wait, exec, root)
-	writeBody(sw, resp.Output)
-}
-
-// observeSlow offers a completed request to the slow-query log.
-func (s *server) observeSlow(reqID string, req service.Request, status int, wait, exec time.Duration, root *obs.Span) {
 	s.slow.Observe(obs.SlowLogEntry{
 		RequestID: reqID,
 		System:    string(req.System),
 		Query:     queryLabel(req),
 		When:      time.Now().UTC(),
-		Status:    status,
+		Status:    sw.status,
 		WaitMs:    float64(wait) / float64(time.Millisecond),
 		ExecMs:    float64(exec) / float64(time.Millisecond),
 		Trace:     root.View(),
 	})
+	writeBody(sw, resp.Output)
 }
 
 // writeQueryError maps an execution error to its HTTP answer, reporting
@@ -542,25 +440,6 @@ func (s *server) writeQueryError(w http.ResponseWriter, r *http.Request, ctx con
 		http.Error(w, err.Error(), http.StatusBadRequest)
 	}
 	return true
-}
-
-// handleShards reports the scatter-gather topology and fault counters;
-// 404 when the server runs unsharded.
-func (s *server) handleShards(w http.ResponseWriter, _ *http.Request) {
-	s.mu.RLock()
-	co := s.co
-	s.mu.RUnlock()
-	if co == nil {
-		if _, _, ok := s.ready(w); !ok {
-			return
-		}
-		http.Error(w, "sharding disabled (start with -shards N)", http.StatusNotFound)
-		return
-	}
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(co.Status())
 }
 
 // prepFor resolves a request to its compiled plan: the catalog's cached
@@ -645,9 +524,8 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, a.Report)
 }
 
-// handleMetrics renders the executor's counters and latency histograms —
-// plus the shard coordinator's robustness counters when sharded — in the
-// Prometheus text exposition format.
+// handleMetrics renders the executor's counters and latency histograms in
+// the Prometheus text exposition format.
 func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	cat, ex, ok := s.ready(w)
 	if !ok {
@@ -656,12 +534,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	ex.Metrics().WriteProm(w)
 	cat.WriteProm(w)
-	s.mu.RLock()
-	co := s.co
-	s.mu.RUnlock()
-	if co != nil {
-		co.WriteProm(w)
-	}
 }
 
 // handleSlowlog reports the top-K slowest requests with their span trees.

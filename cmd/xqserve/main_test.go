@@ -364,6 +364,23 @@ func TestDeepQueryIs400(t *testing.T) {
 	}
 }
 
+// TestDescendantTextOrAttributeIs400 sends the // forms the engine has no
+// step for: each is a parse error naming the construct, answered 400
+// rather than a wrong result with 200.
+func TestDescendantTextOrAttributeIs400(t *testing.T) {
+	s := newTestServer(t)
+	mux := s.routes(false)
+	for q, construct := range map[string]string{
+		"count(/site//text())": "//text()",
+		"count(//@id)":         "//@",
+	} {
+		rec := get(t, mux, "/query?"+url.Values{"system": {"D"}, "q": {q}}.Encode(), nil)
+		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), construct) {
+			t.Errorf("%s: status %d, body %.80q; want 400 naming %s", q, rec.Code, rec.Body.String(), construct)
+		}
+	}
+}
+
 // TestQueryLabelCutsOnRuneBoundary pins the truncation of ad-hoc query
 // labels (access log, span attribute, slowlog, /explain): a multi-byte
 // rune straddling the 57-byte cut is dropped whole, never split.

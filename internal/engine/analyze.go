@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"io"
-	"sort"
 	"strings"
 	"time"
 
@@ -238,56 +237,13 @@ func fmtNs(ns int64) string {
 }
 
 // Analysis is the outcome of one instrumented execution: the EXPLAIN tree
-// annotated with runtime counters, plus a flat hottest-first breakdown for
-// callers that aggregate across queries.
+// annotated with runtime counters.
 type Analysis struct {
 	// Report is the annotated EXPLAIN tree: the plan rendering with a
 	// {rows=…, time=…} counter block appended to every operator that ran.
 	Report string
 	// Exec is the wall time of the instrumented execution.
 	Exec time.Duration `json:"exec_ns"`
-	// Ops is the per-operator breakdown, hottest (inclusive time) first.
-	Ops []OpBreakdown `json:"ops"`
-}
-
-// OpBreakdown is one operator's counters under its EXPLAIN label.
-type OpBreakdown struct {
-	Op      string `json:"op"`
-	Rows    int64  `json:"rows,omitempty"`
-	Nexts   int64  `json:"nexts,omitempty"`
-	Batches int64  `json:"batches,omitempty"`
-	IDs     int64  `json:"ids,omitempty"`
-	Tuples  int64  `json:"tuples,omitempty"`
-	Ns      int64  `json:"ns"`
-}
-
-// analysis renders the collected counters against the plan.
-func (pr *profile) analysis(pl *plan.Plan) Analysis {
-	var ops []OpBreakdown
-	for n, st := range pr.ops {
-		if *st == (opStats{}) {
-			continue
-		}
-		ops = append(ops, OpBreakdown{
-			Op:      plan.NodeLabel(n),
-			Rows:    st.rows,
-			Nexts:   st.nexts,
-			Batches: st.batches,
-			IDs:     st.ids,
-			Tuples:  st.tuples,
-			Ns:      st.ns,
-		})
-	}
-	sort.Slice(ops, func(i, j int) bool {
-		if ops[i].Ns != ops[j].Ns {
-			return ops[i].Ns > ops[j].Ns
-		}
-		if ops[i].Op != ops[j].Op {
-			return ops[i].Op < ops[j].Op
-		}
-		return ops[i].Rows > ops[j].Rows
-	})
-	return Analysis{Report: pl.ExplainAnnotated(pr.annotate), Ops: ops}
 }
 
 // ExplainAnalyze executes the prepared query with per-operator
@@ -305,8 +261,6 @@ func (p *Prepared) ExplainAnalyze(w io.Writer, sess *Session) (Analysis, error) 
 	if err != nil {
 		return Analysis{}, err
 	}
-	a := prof.analysis(p.plan)
-	a.Exec = exec
-	a.Report += fmt.Sprintf("analyze: exec %s\n", fmtNs(int64(exec)))
-	return a, nil
+	report := p.plan.ExplainAnnotated(prof.annotate) + fmt.Sprintf("analyze: exec %s\n", fmtNs(int64(exec)))
+	return Analysis{Report: report, Exec: exec}, nil
 }

@@ -226,9 +226,8 @@ func (b *batchSelectIter) nextBatch() []tree.NodeID {
 	}
 }
 
-// fromBatchIter adapts a batch pipeline back into the item pipeline: the
-// half of the adapter pair that lets every unvectorized operator consume a
-// vectorized prefix unchanged.
+// fromBatchIter adapts a batch pipeline back into the item pipeline, so
+// every unvectorized operator consumes a vectorized prefix unchanged.
 type fromBatchIter struct {
 	in  batchIterator
 	cur []tree.NodeID
@@ -250,46 +249,6 @@ func (f *fromBatchIter) nextRef() (ref, bool) {
 			return ref{}, false
 		}
 	}
-}
-
-// toBatch adapts an item stream into the batch pipeline: the inverse half
-// of the adapter pair, for callers that want vector-granular consumption
-// (batch counting) of a source that only streams items. ok is false when
-// a pulled item is not a stored node; the unconsumed stream then resumes
-// through rest.
-type toBatchIter struct {
-	ev  *evaluator
-	in  Iterator
-	buf []tree.NodeID
-}
-
-func (ev *evaluator) newToBatch(in Iterator) *toBatchIter {
-	return &toBatchIter{ev: ev, in: in, buf: ev.sess.getBatchBuf(ev.batchSize)}
-}
-
-func (t *toBatchIter) nextBatch() []tree.NodeID {
-	n := 0
-	for n < len(t.buf) {
-		v, ok := t.in.Next()
-		if !ok {
-			break
-		}
-		nd, isNode := v.(NodeItem)
-		if !isNode {
-			// Mixed content cannot batch; callers that may see non-node
-			// items must not use the adapter (the engine only points it at
-			// provably node-only streams).
-			errf("toBatch over a non-node item")
-		}
-		t.buf[n] = nd.ID
-		n++
-	}
-	if n == 0 {
-		t.ev.sess.putBatchBuf(t.buf)
-		t.buf = nil
-		return nil
-	}
-	return t.buf[:n]
 }
 
 // constructBatch assembles one marked constructor content part — a

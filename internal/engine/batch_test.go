@@ -191,38 +191,3 @@ func TestBatchSessionWidthMix(t *testing.T) {
 		}
 	}
 }
-
-// TestToBatchAdapter exercises the inverse adapter over a node-only item
-// stream, including the non-node error contract.
-func TestToBatchAdapter(t *testing.T) {
-	e := batchEngine(t)
-	prep, err := e.Prepare(`/site/people/person`)
-	if err != nil {
-		t.Fatal(err)
-	}
-	seq, err := prep.Run()
-	if err != nil {
-		t.Fatal(err)
-	}
-	ev := &evaluator{store: e.Store(), sess: NewSession(), batchSize: 7}
-	tb := ev.newToBatch(seq.Iter())
-	total := 0
-	for {
-		ids := tb.nextBatch()
-		if ids == nil {
-			break
-		}
-		total += len(ids)
-	}
-	if total != len(seq) {
-		t.Fatalf("toBatch yielded %d ids, want %d", total, len(seq))
-	}
-
-	defer func() {
-		if recover() == nil {
-			t.Fatal("toBatch over atomic items did not panic")
-		}
-	}()
-	bad := ev.newToBatch(Seq{StrItem("x")}.Iter())
-	bad.nextBatch()
-}

@@ -182,7 +182,7 @@ func (p *Prepared) execute(sess *Session, prof *profile, consume func(*evaluator
 		funcs:     p.plan.Funcs,
 		sess:      sess,
 		degree:    sess.Degree,
-		batchSize: resolveBatchSize(sess.BatchSize, p.engine.opts.BatchSize),
+		batchSize: resolveBatchSize(sess.BatchSize),
 		prof:      prof,
 	}
 	// Registered after the recover defer, so it runs first during panic
@@ -192,18 +192,14 @@ func (p *Prepared) execute(sess *Session, prof *profile, consume func(*evaluator
 	return consume(ev, ev.iter(p.plan.Root, &bindings{}))
 }
 
-// resolveBatchSize picks one execution's vector width: the Session
-// override when set, else the engine Options, else the nodestore default.
-// Anything at or below 1 means strict tuple-at-a-time execution.
-func resolveBatchSize(sess, opts int) int {
-	switch {
-	case sess != 0:
+// resolveBatchSize picks one execution's vector width: the Session's
+// when set, else the nodestore default. Anything at or below 1 means
+// strict tuple-at-a-time execution.
+func resolveBatchSize(sess int) int {
+	if sess != 0 {
 		return sess
-	case opts != 0:
-		return opts
-	default:
-		return nodestore.DefaultBatchSize
 	}
+	return nodestore.DefaultBatchSize
 }
 
 // Query compiles and runs src in one call.

@@ -31,9 +31,8 @@ type Session struct {
 	// request a degree from a shared pool before running it.
 	Degree int
 
-	// BatchSize overrides the vector width of batch-at-a-time execution
-	// for runs under this Session: 0 keeps the engine's configured width
-	// (Options.BatchSize, defaulting to nodestore.DefaultBatchSize), 1
+	// BatchSize sets the vector width of batch-at-a-time execution for
+	// runs under this Session: 0 means nodestore.DefaultBatchSize, 1
 	// forces strict tuple-at-a-time execution (the benchmark baseline),
 	// and any larger value runs the plan's vectorized prefixes at that
 	// width. Output is byte-identical at every width.

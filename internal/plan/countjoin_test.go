@@ -81,8 +81,10 @@ func TestCountJoinFires(t *testing.T) {
 }
 
 func TestCountJoinBlockers(t *testing.T) {
+	// Without path extents no scan starts a batch pipeline, so the join
+	// stays unvectorized: the way Systems A, E and F plan it.
 	tuple := vectorOpts()
-	tuple.BatchSize = 1
+	tuple.PathExtents = false
 	for name, tc := range map[string]struct {
 		src  string
 		opts Options

@@ -50,50 +50,6 @@ func annotatedBelow(n *Node, annot func(*Node) string) bool {
 	return found
 }
 
-// NodeLabel names a node the way the EXPLAIN tree renders its primary
-// line, for flat per-operator breakdowns (engine.Analysis.Ops) that
-// cannot carry tree context.
-func NodeLabel(n *Node) string {
-	switch n.Op {
-	case OpPathScan:
-		return pathScanLabel(n)
-	case OpPartitionedScan:
-		return partScanLabel(n)
-	case OpIndexProbe:
-		return indexProbeLabel(n)
-	case OpNavigate:
-		if s, ok := stepsString(n.Steps); ok && s != "" {
-			return "Navigate " + s
-		}
-		return "Navigate"
-	case OpSelect:
-		if n.Vectorized {
-			return "BatchSelect"
-		}
-		return "Select"
-	case OpGather:
-		return fmt.Sprintf("Gather [degree <= %d]", n.Degree)
-	case OpFor, OpLet:
-		return clauseLabel(n)
-	case OpNLJoin, OpHashJoin:
-		return fmt.Sprintf("%s $%s", joinName(n), n.Var)
-	case OpCount:
-		switch n.CountMode {
-		case CountCatalogPath:
-			return "Count [catalog /" + strings.Join(n.Path, "/") + "]"
-		case CountCatalogDesc:
-			return "Count [catalog //" + n.CountTag + "]"
-		}
-		return "Count"
-	case OpCall:
-		return "Call " + n.Expr.(*xquery.Call).Name
-	case OpCtor:
-		return ctorLabel(n)
-	default:
-		return n.Op.String()
-	}
-}
-
 // ctorLabel renders a constructor: ones the vectorize rule marked render
 // as BatchConstruct — marked content parts assemble their children
 // vector-at-a-time, but the element built is byte-identical.

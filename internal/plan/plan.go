@@ -63,14 +63,6 @@ type Options struct {
 	// candidates only pre-filter; the original predicate always
 	// re-verifies, so the option changes plans, never results.
 	FulltextIndex bool
-	// BatchSize selects the vector width of batch-at-a-time execution:
-	// the vectorize rule marks batchable scan→step→select prefixes and
-	// the evaluator runs them over NodeID vectors of this many ids.
-	// 0 means the engine default (nodestore.DefaultBatchSize); 1 disables
-	// vectorization entirely (strict tuple-at-a-time, the pre-batch
-	// engine); an execution may override the width — but not re-enable a
-	// disabled rule — through its Session.
-	BatchSize int
 }
 
 // Op enumerates the logical operators of the plan IR.

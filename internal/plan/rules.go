@@ -29,7 +29,7 @@ func (p *Plan) Optimize(opts Options, store nodestore.Store) {
 	ruleJoins(p, opts)
 	ruleOrderByElim(p)
 	ruleParallelize(p, opts, store)
-	ruleVectorize(p, opts, store)
+	ruleVectorize(p, store)
 	ruleCountJoin(p)
 	ruleFulltext(p, opts, store)
 }

@@ -46,18 +46,16 @@ import (
 // The rule composes under Gather: it marks the PartitionedScan leaf inside
 // a gathered sub-pipeline, so every morsel worker rips through its
 // partition's vectors, and the ordered gather (or the partial-sum count)
-// recombines exactly as before. BatchSize 1 in the system profile keeps
-// the rule off and the engine strictly tuple-at-a-time.
+// recombines exactly as before. The marks only permit batching: an
+// execution at width 1 (Session.BatchSize) runs every node
+// tuple-at-a-time.
 //
 // The firing is cost-gated like every other catalog decision: the rule
 // probes the extent size (a compile-time metadata access, counted toward
 // the plan's probes) and leaves scans below minBatchExtent tuple-at-a-time
 // — a one-node container scan gains nothing from vector machinery and the
 // microsecond-scale queries over them would only pay its fixed setup.
-func ruleVectorize(p *Plan, opts Options, store nodestore.Store) {
-	if opts.BatchSize == 1 {
-		return
-	}
+func ruleVectorize(p *Plan, store nodestore.Store) {
 	vz := &vectorizer{p: p, store: store}
 	p.walk(func(n *Node) { vz.batched(n) })
 }

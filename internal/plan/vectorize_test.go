@@ -174,16 +174,9 @@ func TestVectorizeDescendantRules(t *testing.T) {
 }
 
 func TestVectorizeGates(t *testing.T) {
-	// BatchSize 1 turns the rule off entirely.
-	opts := vectorOpts()
-	opts.BatchSize = 1
-	p := compileOpt(t, `for $p in /site/people/person return $p`, opts, vectorStore(t))
-	if fired(p, "vectorize") != 0 {
-		t.Fatalf("vectorize fired with BatchSize 1: %v", p.Fired)
-	}
 	// Extents below minBatchExtent stay tuple-at-a-time: the fixed batch
 	// setup would cost more than the scan.
-	p = compileOpt(t, `for $p in /site/people/person return $p`, vectorOpts(), testStore(t))
+	p := compileOpt(t, `for $p in /site/people/person return $p`, vectorOpts(), testStore(t))
 	if fired(p, "vectorize") != 0 {
 		t.Fatalf("vectorize fired on a tiny extent: %v", p.Fired)
 	}

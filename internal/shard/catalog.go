@@ -18,10 +18,8 @@
 // Each shard carries its own stores, plan cache, and bounded worker
 // pool (a service.Catalog + service.Executor); the Coordinator plans a
 // query once (the shardability analysis plan.ShardableQuery), scatters
-// per-shard sub-queries, and merges in global document order — with
-// per-shard deadlines, bounded retries, and a fail-fast or
-// partial-results degraded mode, all driven through a deterministic
-// FaultInjector seam.
+// per-shard sub-queries, and merges in global document order. A failed
+// shard fails the whole query.
 package shard
 
 import (
@@ -60,8 +58,6 @@ type Shard struct {
 // deployment: N shard catalogs plus one unsharded global replica that
 // serves the queries the shardability analysis cannot decompose.
 type ShardedCatalog struct {
-	Factor float64
-	Card   xmlgen.Cardinalities
 	Shards []*Shard
 	// Global is the unsharded replica: byte-identical reference for the
 	// scatter path and the execution target of non-shardable queries.
@@ -128,7 +124,7 @@ func Load(factor float64, nshards int, systems []xmark.System) (*ShardedCatalog,
 		cum += perFile[i]
 	}
 
-	sc := &ShardedCatalog{Factor: factor, Card: bench.Card, Shards: make([]*Shard, nshards)}
+	sc := &ShardedCatalog{Shards: make([]*Shard, nshards)}
 	for i, group := range groups {
 		merged, err := xmark.MergeCollection(group)
 		if err != nil {

@@ -37,30 +37,3 @@ func TestShardTerritories(t *testing.T) {
 		t.Fatal("no entities distributed")
 	}
 }
-
-func TestCoordinatorStatus(t *testing.T) {
-	cat := loadCatalog(t, 0.002, 4, sysD(t))
-	co, err := NewCoordinator(cat, Config{Retries: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer co.Close()
-
-	st := co.Status()
-	if st.Shards != 4 || len(st.PerShard) != 4 {
-		t.Fatalf("status shards = %d/%d, want 4/4", st.Shards, len(st.PerShard))
-	}
-	if st.Policy != "fail-fast" || st.Retries != 2 {
-		t.Fatalf("status policy/retries = %q/%d", st.Policy, st.Retries)
-	}
-	for q, mode := range map[string]string{"Q1": "concat", "Q5": "sum", "Q8": "none"} {
-		if st.MergeModes[q] != mode {
-			t.Errorf("status merge mode %s = %q, want %q", q, st.MergeModes[q], mode)
-		}
-	}
-	for i, sh := range st.PerShard {
-		if sh.TerritoryLo > sh.TerritoryHi {
-			t.Errorf("shard %d territory inverted: [%d,%d)", i, sh.TerritoryLo, sh.TerritoryHi)
-		}
-	}
-}

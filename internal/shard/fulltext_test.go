@@ -96,9 +96,7 @@ func TestFulltextByteIdentical(t *testing.T) {
 			}
 			for _, s := range systems {
 				for _, qid := range queryIDs {
-					// QueryText handles the hybrid IDs too: the coordinator's
-					// benchmark plan cache only spans Q1-Q20.
-					res, err := co.QueryText(ctx, s.ID, bench.QueryText(qid))
+					res, err := co.Query(ctx, s.ID, qid)
 					if err != nil {
 						co.Close()
 						t.Fatalf("%s/Q%d at %d shards (parallel=%d): %v", s.ID, qid, nshards, exec.Parallel, err)

@@ -394,6 +394,12 @@ func (p *parser) parseStep(axis Axis) *Step {
 	st := &Step{Axis: axis}
 	switch p.tok.Kind {
 	case TokAt:
+		if axis == AxisDescendant {
+			// The engine has no descendant-or-self attribute step; an
+			// attribute axis here would silently run as a child step.
+			p.fail("descendant attribute step //@ is not supported")
+			return st
+		}
 		p.advance()
 		st.Axis = AxisAttribute
 		st.Name = p.expect(TokName, "attribute name").Text
@@ -404,6 +410,11 @@ func (p *parser) parseStep(axis Axis) *Step {
 		name := p.tok.Text
 		p.advance()
 		if name == "text" && p.tok.Kind == TokLParen {
+			if axis == AxisDescendant {
+				// As for //@: no descendant-or-self text step exists.
+				p.fail("descendant text step //text() is not supported")
+				return st
+			}
 			p.advance()
 			p.expect(TokRParen, ")")
 			st.Axis = AxisText
