@@ -373,6 +373,7 @@ func TestDescendantTextOrAttributeIs400(t *testing.T) {
 	for q, construct := range map[string]string{
 		"count(/site//text())": "//text()",
 		"count(//@id)":         "//@",
+		"count(//item[1])":     "//item[",
 	} {
 		rec := get(t, mux, "/query?"+url.Values{"system": {"D"}, "q": {q}}.Encode(), nil)
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), construct) {

@@ -15,7 +15,7 @@ import (
 // when a profile is present: the caller asked for one execution's counters
 // through Prepared.ExplainAnalyze. The normal path carries a nil
 // profile and pays exactly one pointer check per operator *construction*
-// (never per Next call), so instrumentation-off execution is unchanged.
+// (never per next call), so instrumentation-off execution is unchanged.
 //
 // Counter semantics: every figure is inclusive — an operator's time
 // contains the time of everything beneath it in the pipeline, exactly like
@@ -31,7 +31,7 @@ import (
 // workers do not carry a profile and report through gatherStats slots
 // instead.
 type opStats struct {
-	nexts   int64 // Next() calls answered (item stream)
+	nexts   int64 // next() calls answered (item stream)
 	rows    int64 // items produced
 	batches int64 // nextBatch() fills answered (vector stream)
 	ids     int64 // NodeIDs produced across all batches
@@ -95,15 +95,15 @@ type profIter struct {
 	st *opStats
 }
 
-func (p *profIter) Next() (Item, bool) {
+func (p *profIter) next() (ref, bool) {
 	start := time.Now()
-	v, ok := p.in.Next()
+	r, ok := p.in.next()
 	p.st.ns += int64(time.Since(start))
 	p.st.nexts++
 	if ok {
 		p.st.rows++
 	}
-	return v, ok
+	return r, ok
 }
 
 // profBatch times and counts a vector pipeline operator. Producer-owned

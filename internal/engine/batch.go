@@ -10,9 +10,9 @@ import (
 // This file is the physical side of the planner's vectorize rule:
 // batch-at-a-time execution. The marked scan→step→select pipeline prefixes
 // run over NodeID vectors — one NextBatch fill, one tight loop per
-// operator — instead of paying a virtual Next dispatch and an interface
-// boxing per node, and fall back to the item iterators behind the
-// fromBatch adapter for everything the marks do not cover. Batch operators
+// operator — instead of paying a virtual next dispatch per node, and fall
+// back to the item iterators behind the fromBatch adapter for everything
+// the marks do not cover. Batch operators
 // are output-equivalent to the tuple operators they replace (the plan rule
 // only marks prefixes where that is provable), so execution at any batch
 // size is byte-identical to tuple-at-a-time execution.
@@ -108,7 +108,7 @@ func (b *batchStepIter) nextBatch() []tree.NodeID {
 		for len(b.ctx) > 0 {
 			id := b.ctx[0]
 			b.ctx = b.ctx[1:]
-			b.expand(id)
+			b.out = b.ev.appendStep(b.out, id, b.st, b.env)
 			if len(b.out) >= b.ev.batchSize {
 				return b.out
 			}
@@ -135,52 +135,6 @@ func (b *batchStepIter) nextBatch() []tree.NodeID {
 		b.out = nil
 	}
 	return nil
-}
-
-// expand appends the step candidates of one context node to the output
-// vector, mirroring stepIter.expand for stored nodes.
-func (b *batchStepIter) expand(id tree.NodeID) {
-	ev, st, s := b.ev, b.st, b.ev.store
-	switch st.Axis {
-	case xquery.AxisChild:
-		switch {
-		case st.Name == "*":
-			b.appendKind(id, tree.Element)
-		case len(st.Filters) > 0:
-			if cur, ok := s.ChildrenByTagFilteredCursor(id, st.Name, st.Filters); ok {
-				b.out = drainCursor(cur, b.out)
-			} else {
-				// The store lost the capability the planner probed for
-				// (cannot happen for planned pushdowns); evaluate the
-				// pushed predicates here, like the tuple operator.
-				start := len(b.out)
-				b.out = s.ChildrenByTag(id, st.Name, b.out)
-				kept := ev.filterIDs(b.out[start:], st.Pushed, b.env)
-				b.out = b.out[:start+kept]
-			}
-		default:
-			b.out = s.ChildrenByTag(id, st.Name, b.out)
-		}
-	case xquery.AxisText:
-		b.appendKind(id, tree.Text)
-	case xquery.AxisDescendant:
-		b.out = drainCursor(s.DescendantsCursor(id, st.Name), b.out)
-	}
-}
-
-// appendKind appends the children of one node keeping a single node kind,
-// compacting in place over the freshly appended region.
-func (b *batchStepIter) appendKind(id tree.NodeID, kind tree.Kind) {
-	start := len(b.out)
-	b.out = b.ev.store.Children(id, b.out)
-	w := start
-	for _, c := range b.out[start:] {
-		if b.ev.store.Kind(c) == kind {
-			b.out[w] = c
-			w++
-		}
-	}
-	b.out = b.out[:w]
 }
 
 // batchSelectIter applies rank-independent whole-sequence predicates to
@@ -233,11 +187,7 @@ type fromBatchIter struct {
 	cur []tree.NodeID
 }
 
-func (f *fromBatchIter) Next() (Item, bool) {
-	return boxed(f.nextRef())
-}
-
-func (f *fromBatchIter) nextRef() (ref, bool) {
+func (f *fromBatchIter) next() (ref, bool) {
 	for {
 		if len(f.cur) > 0 {
 			id := f.cur[0]
@@ -285,7 +235,6 @@ func (ev *evaluator) constructBatch(part *plan.Node, env *bindings, out []Item) 
 		}
 	}
 	s := ev.store
-	txt, hasTxt := s.(nodestore.TextChildLister)
 	steps := part.Steps
 	// A final attribute step emits its values as string content directly —
 	// the tuple pipeline's contentItem turns attribute nodes into text.
@@ -295,39 +244,13 @@ func (ev *evaluator) constructBatch(part *plan.Node, env *bindings, out []Item) 
 	}
 	for si, sp := range steps {
 		next := sess.getBatchBuf(0)
-		switch {
-		case sp.Axis == xquery.AxisChild && sp.Name != "*":
-			if len(cur) == 1 && si < len(ev.ctorKids) {
-				next = ev.memoChildrenByTag(&ev.ctorKids[si], cur[0], sp.Name, next)
-			} else {
-				for _, id := range cur {
-					next = s.ChildrenByTag(id, sp.Name, next)
-				}
-			}
-		case sp.Axis == xquery.AxisChild:
+		if sp.Axis == xquery.AxisChild && sp.Name != "*" && len(cur) == 1 && si < len(ev.ctorKids) {
+			next = ev.memoChildrenByTag(&ev.ctorKids[si], cur[0], sp.Name, next)
+		} else {
+			// ctorPartBatchable admits only child and text steps here.
 			for _, id := range cur {
-				base := len(next)
-				next = s.Children(id, next)
-				next = keepKind(s, next, base, tree.Element)
+				next = ev.appendStep(next, id, sp, env)
 			}
-		case sp.Axis == xquery.AxisText:
-			if hasTxt {
-				for _, id := range cur {
-					next = txt.TextChildren(id, next)
-				}
-			} else {
-				for _, id := range cur {
-					base := len(next)
-					next = s.Children(id, next)
-					next = keepKind(s, next, base, tree.Text)
-				}
-			}
-		default:
-			// ctorPartBatchable admits only child, text and (final)
-			// attribute axes.
-			sess.putBatchBuf(next)
-			sess.putBatchBuf(cur)
-			return out, false
 		}
 		sess.putBatchBuf(cur)
 		cur = next
@@ -376,18 +299,6 @@ func (ev *evaluator) memoChildrenByTag(slot *kidSlot, parent tree.NodeID, tag st
 	slot.valid, slot.parent, slot.tag = true, parent, tag
 	slot.ids = append(slot.ids[:0], buf[base:]...)
 	return buf
-}
-
-// keepKind compacts buf[base:] in place to the ids of one node kind.
-func keepKind(s nodestore.Store, buf []tree.NodeID, base int, k tree.Kind) []tree.NodeID {
-	w := base
-	for _, id := range buf[base:] {
-		if s.Kind(id) == k {
-			buf[w] = id
-			w++
-		}
-	}
-	return buf[:w]
 }
 
 // drainBatchCount exhausts a batch pipeline and returns the id count: the

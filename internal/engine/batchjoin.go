@@ -68,8 +68,8 @@ func (f *batchForTupleIter) Next() (*bindings, bool) {
 			f.bi = nil
 		}
 		if f.items != nil {
-			if it, ok := f.items.Next(); ok {
-				return f.slot.bind(f.tp, f.node.Var, ref{item: it}), true
+			if r, ok := f.items.next(); ok {
+				return f.slot.bind(f.tp, f.node.Var, r), true
 			}
 			f.items = nil
 		}
@@ -140,25 +140,12 @@ func navAttrPath(e *plan.Node) (v string, tags []string, attr string, ok bool) {
 // int32 code — code equality is string equality within one store, so the
 // match sets are identical to the string-keyed build, in the same order.
 func (ev *evaluator) newBatchJoinIndex(n *plan.Node) *joinIndex {
-	env := &bindings{}
-	var items Seq
+	items := ev.buildItems(n)
 	allNodes := true
-	if bi := ev.batchOf(n.Seq, env); bi != nil {
-		if n.BuildCard > 0 {
-			items = make(Seq, 0, n.BuildCard)
-		}
-		for ids := bi.nextBatch(); ids != nil; ids = bi.nextBatch() {
-			for _, id := range ids {
-				items = append(items, NodeItem{ID: id})
-			}
-		}
-	} else {
-		items = ev.eval(n.Seq, env)
-		for _, it := range items {
-			if _, ok := it.(NodeItem); !ok {
-				allNodes = false
-				break
-			}
+	for _, it := range items {
+		if _, ok := it.(NodeItem); !ok {
+			allNodes = false
+			break
 		}
 	}
 	idx := &joinIndex{items: items, probe: n.Probe}
@@ -178,6 +165,26 @@ func (ev *evaluator) newBatchJoinIndex(n *plan.Node) *joinIndex {
 	}
 	ev.fillKeyIndex(idx, n)
 	return idx
+}
+
+// buildItems materializes a join's variable-independent sequence, filling
+// it straight from NodeID vectors when the sequence batches.
+func (ev *evaluator) buildItems(n *plan.Node) Seq {
+	env := &bindings{}
+	bi := ev.batchOf(n.Seq, env)
+	if bi == nil {
+		return ev.eval(n.Seq, env)
+	}
+	var items Seq
+	if n.BuildCard > 0 {
+		items = make(Seq, 0, n.BuildCard)
+	}
+	for ids := bi.nextBatch(); ids != nil; ids = bi.nextBatch() {
+		for _, id := range ids {
+			items = append(items, NodeItem{ID: id})
+		}
+	}
+	return items
 }
 
 // leafMatches returns the bucket of one key leaf: an AttrCode read and an
@@ -224,49 +231,32 @@ func (j *hashJoinTupleIter) fastMatches(tp *bindings) ([]int, bool) {
 		return j.leafMatches(ni.ID), true
 	}
 	ev := j.ev
-	frontier := ev.sess.getBatchBuf(rampStart)[:0]
-	next := ev.sess.getBatchBuf(rampStart)[:0]
-	frontier = append(frontier, ni.ID)
-	for _, tag := range idx.probeTags {
-		next = next[:0]
-		for _, id := range frontier {
-			next = ev.store.ChildrenByTag(id, tag, next)
-		}
-		frontier, next = next, frontier
-	}
+	frontier := append(ev.sess.getBatchBuf(rampStart)[:0], ni.ID)
+	frontier, next := ev.walkTags(frontier, ev.sess.getBatchBuf(rampStart)[:0], idx.probeTags)
 	var matches []int
 	if len(frontier) == 1 {
 		// The common single-leaf case short-circuits the dedup machinery.
 		matches = j.leafMatches(frontier[0])
 	} else {
-		matches = j.multiLeafMatches(frontier)
+		matches = j.unionMatches(len(frontier), func(k int) []int { return j.leafMatches(frontier[k]) })
 	}
 	ev.sess.putBatchBuf(frontier)
 	ev.sess.putBatchBuf(next)
 	return matches, true
 }
 
-// multiLeafMatches merges the buckets of several key leaves with the
-// existential dedup and ascending-position order the generic multi-key
-// probe guarantees.
-func (j *hashJoinTupleIter) multiLeafMatches(leaves []tree.NodeID) []int {
-	if j.seen == nil {
-		j.seen = make(map[int]bool)
-	}
-	for k := range j.seen {
-		delete(j.seen, k)
-	}
-	var matches []int
-	for _, leaf := range leaves {
-		for _, i := range j.leafMatches(leaf) {
-			if !j.seen[i] {
-				j.seen[i] = true
-				matches = append(matches, i)
-			}
+// walkTags replaces the nodes of frontier by the nodes their child path
+// tags reaches, with next as scratch, and returns the two buffers as the
+// walk leaves them.
+func (ev *evaluator) walkTags(frontier, next []tree.NodeID, tags []string) ([]tree.NodeID, []tree.NodeID) {
+	for _, tag := range tags {
+		next = next[:0]
+		for _, id := range frontier {
+			next = ev.store.ChildrenByTag(id, tag, next)
 		}
+		frontier, next = next, frontier
 	}
-	sort.Ints(matches)
-	return matches
+	return frontier, next
 }
 
 // fillCodeIndex keys the index by dictionary code, walking the key path
@@ -283,14 +273,7 @@ func (ev *evaluator) fillCodeIndex(idx *joinIndex, n *plan.Node, tags []string, 
 	next := ev.sess.getBatchBuf(rampStart)[:0]
 	var codes []int32 // per-item key codes, deduplicated existentially
 	for i, it := range idx.items {
-		frontier = append(frontier[:0], it.(NodeItem).ID)
-		for _, tag := range tags {
-			next = next[:0]
-			for _, id := range frontier {
-				next = ev.store.ChildrenByTag(id, tag, next)
-			}
-			frontier, next = next, frontier
-		}
+		frontier, next = ev.walkTags(append(frontier[:0], it.(NodeItem).ID), next, tags)
 		codes = codes[:0]
 		for _, leaf := range frontier {
 			c, ok := ac.AttrCode(leaf, attr)
@@ -319,17 +302,18 @@ func (ev *evaluator) fillCodeIndex(idx *joinIndex, n *plan.Node, tags []string, 
 	ev.sess.putBatchBuf(next)
 }
 
-// fillKeyIndex is the generic string-keyed build — the same per-item
-// evaluation the tuple build runs, kept for key shapes the code index
-// cannot prove (computed keys, text() keys, non-node build items).
+// fillKeyIndex is the generic string-keyed build: the tuple build, and the
+// batch build for key shapes the code index cannot prove (computed keys,
+// text() keys, non-node build items).
 func (ev *evaluator) fillKeyIndex(idx *joinIndex, n *plan.Node) {
-	size := n.BuildCard
-	if size == 0 {
-		size = len(idx.items)
-	}
-	idx.byKey = make(map[string][]int, size)
+	// Sized by the catalog's estimate where the planner made one (batch
+	// builds); keys can be far fewer than items, so no guess otherwise.
+	idx.byKey = make(map[string][]int, n.BuildCard)
 	for i, it := range idx.items {
 		envI := noBindings.bindOne(n.Var, it)
+		// An item whose key expression yields the same value twice (two
+		// interests in one category) must be indexed once: general
+		// comparison is existential, not multiplicative.
 		seen := map[string]bool{}
 		for _, k := range ev.atomizeSeq(ev.eval(n.Probe, envI)) {
 			ks := itemString(k)
@@ -392,20 +376,7 @@ func (ev *evaluator) thetaIndexFor(n *plan.Node) *thetaIndex {
 	if idx := ev.sess.thetaCache[n]; idx != nil && idx.keyPlan == n.Probe {
 		return idx
 	}
-	env := &bindings{}
-	var items Seq
-	if bi := ev.batchOf(n.Seq, env); bi != nil {
-		if n.BuildCard > 0 {
-			items = make(Seq, 0, n.BuildCard)
-		}
-		for ids := bi.nextBatch(); ids != nil; ids = bi.nextBatch() {
-			for _, id := range ids {
-				items = append(items, NodeItem{ID: id})
-			}
-		}
-	} else {
-		items = ev.eval(n.Seq, env)
-	}
+	items := ev.buildItems(n)
 	idx := &thetaIndex{items: items, keys: make([]Seq, len(items)), keyPlan: n.Probe, numKeys: n.NumKeys}
 	single := idx.numKeys
 	for i, it := range items {
@@ -487,7 +458,7 @@ func (idx *thetaIndex) match(k int, pr *thetaProbe) bool {
 	if idx.keys == nil {
 		x := idx.nums[k]
 		for _, b := range pr.nums {
-			if compareNumbers(pr.op, x, b) {
+			if compareValues(pr.op, x, b) {
 				return true
 			}
 		}
@@ -496,7 +467,7 @@ func (idx *thetaIndex) match(k int, pr *thetaProbe) bool {
 	for _, p := range idx.keys[k] {
 		if idx.numKeys {
 			for _, b := range pr.nums {
-				if compareNumbers(pr.op, float64(p.(NumItem)), b) {
+				if compareValues(pr.op, float64(p.(NumItem)), b) {
 					return true
 				}
 			}

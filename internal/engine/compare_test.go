@@ -31,7 +31,7 @@ func refCompareAtomics(op compareOp, a, b Item) bool {
 	_, aNum := a.(NumItem)
 	_, bNum := b.(NumItem)
 	if aNum || bNum {
-		return compareNumbers(op, refToNumber(a), refToNumber(b))
+		return compareValues(op, refToNumber(a), refToNumber(b))
 	}
 	if ab, ok := a.(BoolItem); ok {
 		if bb, ok2 := b.(BoolItem); ok2 {

@@ -123,11 +123,8 @@ func (p *Prepared) Stream(fn func(Item) bool) error {
 func (p *Prepared) StreamSession(sess *Session, fn func(Item) bool) error {
 	return p.execute(sess, nil, func(_ *evaluator, it Iterator) error {
 		for {
-			v, ok := it.Next()
-			if !ok {
-				return nil
-			}
-			if !fn(v) {
+			r, ok := it.next()
+			if !ok || !fn(r.box()) {
 				return nil
 			}
 		}

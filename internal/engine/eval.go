@@ -73,32 +73,19 @@ func (ev *evaluator) bindEval(b *bindings, name string, n *plan.Node, env *bindi
 // as a sequence.
 func (ev *evaluator) bindingValue(n *plan.Node, env *bindings) (r ref, s Seq, single bool) {
 	in := ev.iter(n, env)
-	switch v := in.(type) {
-	case *seqIter:
+	if v, ok := in.(*varIter); ok && !v.one {
+		// Already materialized: bind without copying.
 		return ref{}, materialize(in), false
-	case *varIter:
-		if !v.isNode {
-			// Already materialized: bind without copying.
-			return ref{}, materialize(in), false
-		}
 	}
-	ri := asRefs(in)
-	first, ok := pullRef(in, ri)
+	first, ok := in.next()
 	if !ok {
 		return ref{}, nil, false
 	}
-	second, ok := pullRef(in, ri)
+	second, ok := in.next()
 	if !ok {
 		return first, nil, true
 	}
-	s = Seq{first.box(), second.box()}
-	for {
-		v, ok := in.Next()
-		if !ok {
-			return ref{}, s, false
-		}
-		s = append(s, v)
-	}
+	return ref{}, appendAll(Seq{first.box(), second.box()}, in), false
 }
 
 // find returns the binding of name.
@@ -319,15 +306,17 @@ func (ev *evaluator) pathScanCursor(n *plan.Node) nodestore.Cursor {
 	return nil
 }
 
-// varIter streams a bound (materialized) value: the recyclable
-// counterpart of seqIter for the hot variable-reference case. Over a
-// NodeID binding it yields the node as a ref, unboxed.
+// varIter streams a materialized value: a variable's binding, a single
+// item, or any sequence an operator had to materialize, recycled through
+// the session. A Seq may be streamed any number of times, each by its own
+// varIter. A single item (one set) is held as its ref, so a stored node
+// bound as a NodeID or a context node streams unboxed.
 type varIter struct {
 	ev       *evaluator
 	s        Seq
 	i        int
-	node     tree.NodeID // the binding's node when isNode
-	isNode   bool
+	r        ref // the item when one is set
+	one      bool
 	released bool
 }
 
@@ -344,18 +333,29 @@ func (ev *evaluator) newVarIter(s Seq) *varIter {
 	return &varIter{ev: ev, s: s}
 }
 
-// varIterOf streams the value of binding b.
-func (ev *evaluator) varIterOf(b *bindings) *varIter {
-	v := ev.newVarIter(b.val)
-	v.node, v.isNode = b.node, b.isNode
+// one returns an iterator over a single item.
+func (ev *evaluator) one(it Item) Iterator { return ev.oneRef(ref{item: it}) }
+
+// oneRef returns an iterator over a single ref.
+func (ev *evaluator) oneRef(r ref) *varIter {
+	v := ev.newVarIter(nil)
+	v.r, v.one = r, true
 	return v
 }
 
-func (v *varIter) nextRef() (ref, bool) {
-	if v.isNode {
+// varIterOf streams the value of binding b.
+func (ev *evaluator) varIterOf(b *bindings) *varIter {
+	if b.isNode {
+		return ev.oneRef(ref{id: b.node})
+	}
+	return ev.newVarIter(b.val)
+}
+
+func (v *varIter) next() (ref, bool) {
+	if v.one {
 		if v.i == 0 {
 			v.i = 1
-			return ref{id: v.node}, true
+			return v.r, true
 		}
 	} else if v.i < len(v.s) {
 		it := v.s[v.i]
@@ -366,38 +366,34 @@ func (v *varIter) nextRef() (ref, bool) {
 	return ref{}, false
 }
 
-func (v *varIter) Next() (Item, bool) {
-	return boxed(v.nextRef())
-}
-
 // remaining is how many items the iterator has yet to yield.
 func (v *varIter) remaining() int {
-	if v.isNode {
+	if v.one {
 		return 1 - v.i
 	}
 	return len(v.s) - v.i
 }
 
 // rest returns the items not yet pulled as a sequence, without copying a
-// sequence binding.
+// materialized sequence.
 func (v *varIter) rest() Seq {
-	if !v.isNode {
+	if !v.one {
 		return v.s[v.i:]
 	}
 	if v.i == 0 {
-		return Seq{NodeItem{ID: v.node}}
+		return Seq{v.r.box()}
 	}
 	return nil
 }
 
-// release is idempotent: a stray Next after exhaustion must not insert
+// release is idempotent: a stray next after exhaustion must not insert
 // the iterator into the free list twice (two pipelines would then share
 // one object and interleave).
 func (v *varIter) release() {
 	if v.released {
 		return
 	}
-	v.s, v.i, v.isNode, v.released = nil, 0, false, true
+	v.s, v.i, v.r, v.one, v.released = nil, 0, ref{}, false, true
 	v.ev.sess.varFree = append(v.ev.sess.varFree, v)
 }
 
@@ -410,16 +406,16 @@ type sequenceIter struct {
 	cur   Iterator
 }
 
-func (s *sequenceIter) Next() (Item, bool) {
+func (s *sequenceIter) next() (ref, bool) {
 	for {
 		if s.cur != nil {
-			if v, ok := s.cur.Next(); ok {
-				return v, true
+			if r, ok := s.cur.next(); ok {
+				return r, true
 			}
 			s.cur = nil
 		}
 		if len(s.items) == 0 {
-			return nil, false
+			return ref{}, false
 		}
 		s.cur = s.ev.iter(s.items[0], s.env)
 		s.items = s.items[1:]
@@ -480,17 +476,16 @@ func (ev *evaluator) newStepIter(in Iterator, sp *plan.StepPlan, env *bindings) 
 	} else {
 		d = &stepIter{ev: ev, in: in, st: sp, env: env}
 	}
-	d.inRef = asRefs(in)
 	d.ft, d.ftOn = ev.stepFT(sp)
 	return d
 }
 
 // release returns a stepIter to the evaluator's free list, once it is
-// exhausted or its consumer dropped it. Iterators are single-use: Next
+// exhausted or its consumer dropped it. Iterators are single-use: next
 // must not be called again after it has returned false, which is what
 // makes self-recycling safe.
 func (d *stepIter) release() {
-	d.in, d.inRef, d.st, d.env = nil, nil, nil, nil
+	d.in, d.st, d.env = nil, nil, nil
 	d.inner = nil
 	d.pending, d.attrVal = false, ""
 	d.bi, d.bn = 0, 0
@@ -507,15 +502,13 @@ func (d *stepIter) release() {
 // filter (constructed elements, the document node) evaluate them here.
 //
 // Stored nodes and attributes travel unboxed: the step pulls its contexts
-// as refs from a ref-producing input (a chained step, a variable, the
-// context item) and hands its own candidates on as refs, so a chain of
-// steps boxes an item only for a consumer that asks for one through Next.
+// as refs and hands its own candidates on as refs, so a chain of steps
+// boxes an item only where the item leaves the stream.
 type stepIter struct {
-	ev    *evaluator
-	in    Iterator
-	inRef refIterator // in's ref form, nil when in yields only items
-	st    *plan.StepPlan
-	env   *bindings
+	ev  *evaluator
+	in  Iterator
+	st  *plan.StepPlan
+	env *bindings
 
 	buf     []tree.NodeID // scratch candidates of the current stored node
 	bi, bn  int
@@ -531,11 +524,7 @@ type stepIter struct {
 	ftOn bool
 }
 
-func (d *stepIter) Next() (Item, bool) {
-	return boxed(d.nextRef())
-}
-
-func (d *stepIter) nextRef() (ref, bool) {
+func (d *stepIter) next() (ref, bool) {
 	for {
 		if d.bi < d.bn {
 			id := d.buf[d.bi]
@@ -547,12 +536,12 @@ func (d *stepIter) nextRef() (ref, bool) {
 			return ref{id: d.owner, name: d.st.Name, val: d.attrVal}, true
 		}
 		if d.inner != nil {
-			if v, ok := d.inner.Next(); ok {
-				return ref{item: v}, true
+			if r, ok := d.inner.next(); ok {
+				return r, true
 			}
 			d.inner = nil
 		}
-		ctx, ok := pullRef(d.in, d.inRef)
+		ctx, ok := d.in.next()
 		if !ok {
 			d.release()
 			return ref{}, false
@@ -576,7 +565,7 @@ func (d *stepIter) count() int {
 			total += drainCount(d.inner)
 			d.inner = nil
 		}
-		ctx, ok := pullRef(d.in, d.inRef)
+		ctx, ok := d.in.next()
 		if !ok {
 			d.release()
 			return total
@@ -591,52 +580,17 @@ func (d *stepIter) expand(ctx ref) {
 	ev, st := d.ev, d.st
 	id, isNode := ctx.node()
 	if !isNode {
-		cands := materialize(ev.candidates(ctx.box(), st))
-		if preds := st.AllPreds(); len(preds) > 0 {
-			cands = ev.applyPredicates(cands, preds, d.env)
-		}
-		d.inner = cands.Iter()
+		d.inner = ev.filterCandidates(ev.candidates(ctx.box(), st), st.AllPreds(), d.env)
 		return
 	}
-	s := ev.store
 	d.bi, d.bn = 0, 0
-	switch st.Axis {
-	case xquery.AxisChild:
-		switch {
-		case st.Name == "*":
-			d.buf = s.Children(id, d.buf[:0])
-			d.filterKind(tree.Element)
-		case len(st.Filters) > 0:
-			if cur, ok := s.ChildrenByTagFilteredCursor(id, st.Name, st.Filters); ok {
-				d.buf = drainCursor(cur, d.buf[:0])
-				d.bn = len(d.buf)
-			} else {
-				// The store lost the capability the planner probed for
-				// (cannot happen for planned pushdowns); evaluate the
-				// pushed predicates here instead.
-				d.buf = s.ChildrenByTag(id, st.Name, d.buf[:0])
-				d.bn = ev.filterIDs(d.buf, st.Pushed, d.env)
-			}
-		default:
-			d.buf = s.ChildrenByTag(id, st.Name, d.buf[:0])
-			d.bn = len(d.buf)
-		}
-	case xquery.AxisText:
-		if txt, ok := s.(nodestore.TextChildLister); ok {
-			d.buf = txt.TextChildren(id, d.buf[:0])
-			d.bn = len(d.buf)
-		} else {
-			d.buf = s.Children(id, d.buf[:0])
-			d.filterKind(tree.Text)
-		}
-	case xquery.AxisAttribute:
-		if v, ok := s.Attr(id, st.Name); ok {
+	if st.Axis == xquery.AxisAttribute {
+		if v, ok := ev.store.Attr(id, st.Name); ok {
 			if ev.opts.NaiveStrings {
 				v = string(append([]byte(nil), v...))
 			}
-			if len(st.Preds) > 0 {
-				item := AttrItem{Owner: id, Name: st.Name, Value: v}
-				if len(ev.applyPredicates(Seq{item}, st.Preds, d.env)) == 0 {
+			for _, pred := range st.Preds {
+				if !ev.predMatch(pred, d.env, ref{id: id, name: st.Name, val: v}, 1, 1) {
 					return
 				}
 			}
@@ -644,6 +598,8 @@ func (d *stepIter) expand(ctx ref) {
 		}
 		return
 	}
+	d.buf = ev.appendStep(d.buf[:0], id, st, d.env)
+	d.bn = len(d.buf)
 	if d.ftOn {
 		// The probed predicates reject every non-candidate, and the step's
 		// predicates are all boolean-shaped (the rule's gate), so dropping
@@ -655,6 +611,51 @@ func (d *stepIter) expand(ctx ref) {
 	}
 }
 
+// appendStep appends the candidates of one stored node for a child,
+// text() or descendant step to buf, with the step's pushed-down filters
+// applied and its other predicates not: the navigation the tuple step, the
+// batch step and the vectorized constructor share.
+func (ev *evaluator) appendStep(buf []tree.NodeID, id tree.NodeID, st *plan.StepPlan, env *bindings) []tree.NodeID {
+	s, base := ev.store, len(buf)
+	switch st.Axis {
+	case xquery.AxisChild:
+		switch {
+		case st.Name == "*":
+			return keepKind(s, s.Children(id, buf), base, tree.Element)
+		case len(st.Filters) > 0:
+			if cur, ok := s.ChildrenByTagFilteredCursor(id, st.Name, st.Filters); ok {
+				return drainCursor(cur, buf)
+			}
+			// The store lost the capability the planner probed for
+			// (cannot happen for planned pushdowns); evaluate the pushed
+			// predicates here instead.
+			buf = s.ChildrenByTag(id, st.Name, buf)
+			return buf[:base+ev.filterIDs(buf[base:], st.Pushed, env)]
+		}
+		return s.ChildrenByTag(id, st.Name, buf)
+	case xquery.AxisText:
+		if txt, ok := s.(nodestore.TextChildLister); ok {
+			return txt.TextChildren(id, buf)
+		}
+		return keepKind(s, s.Children(id, buf), base, tree.Text)
+	case xquery.AxisDescendant:
+		return drainCursor(s.DescendantsCursor(id, st.Name), buf)
+	}
+	return buf
+}
+
+// keepKind compacts buf[base:] in place to the ids of one node kind.
+func keepKind(s nodestore.Store, buf []tree.NodeID, base int, k tree.Kind) []tree.NodeID {
+	w := base
+	for _, id := range buf[base:] {
+		if s.Kind(id) == k {
+			buf[w] = id
+			w++
+		}
+	}
+	return buf[:w]
+}
+
 // drainCursor appends every id of cur to buf.
 func drainCursor(cur nodestore.Cursor, buf []tree.NodeID) []tree.NodeID {
 	for {
@@ -664,18 +665,6 @@ func drainCursor(cur nodestore.Cursor, buf []tree.NodeID) []tree.NodeID {
 		}
 		buf = append(buf, id)
 	}
-}
-
-// filterKind keeps only the buffered candidates of one node kind.
-func (d *stepIter) filterKind(k tree.Kind) {
-	w := 0
-	for _, id := range d.buf {
-		if d.ev.store.Kind(id) == k {
-			d.buf[w] = id
-			w++
-		}
-	}
-	d.bn = w
 }
 
 // filterIDs applies the step predicates to a materialized candidate buffer
@@ -697,22 +686,6 @@ func (ev *evaluator) filterIDs(ids []tree.NodeID, preds []*plan.Node, env *bindi
 	return n
 }
 
-// applyPredicates filters a materialized sequence by each predicate in
-// turn with positional semantics.
-func (ev *evaluator) applyPredicates(items Seq, preds []*plan.Node, env *bindings) Seq {
-	for _, pred := range preds {
-		var kept Seq
-		size := len(items)
-		for i, it := range items {
-			if ev.predMatch(pred, env, ref{item: it}, i+1, size) {
-				kept = append(kept, it)
-			}
-		}
-		items = kept
-	}
-	return items
-}
-
 // descendantStepIter evaluates a descendant step. Descendant steps from
 // nested context nodes can produce duplicates out of document order, which
 // the data model forbids; when the (materialized) context is a document-
@@ -732,9 +705,9 @@ func (ev *evaluator) descendantStepIter(in Iterator, sp *plan.StepPlan, env *bin
 		if ftOn {
 			cand = &ftFilterIter{in: cand, ids: ft}
 		}
-		out = append(out, materialize(ev.filterCandidates(cand, sp.Preds, env))...)
+		out = appendAll(out, ev.filterCandidates(cand, sp.Preds, env))
 	}
-	return dedupNodes(out).Iter()
+	return ev.newVarIter(dedupNodes(out))
 }
 
 // descStreamIter streams a descendant step over a document-order context.
@@ -749,21 +722,16 @@ type descStreamIter struct {
 	st     *plan.StepPlan
 	env    *bindings
 	cur    Iterator
-	curRef refIterator // cur's ref form, when it has one
 	maxEnd tree.NodeID
 	skip   bool
 	ft     []tree.NodeID
 	ftOn   bool
 }
 
-func (d *descStreamIter) Next() (Item, bool) {
-	return boxed(d.nextRef())
-}
-
-func (d *descStreamIter) nextRef() (ref, bool) {
+func (d *descStreamIter) next() (ref, bool) {
 	for {
 		if d.cur != nil {
-			if r, ok := pullRef(d.cur, d.curRef); ok {
+			if r, ok := d.cur.next(); ok {
 				return r, true
 			}
 			d.cur = nil
@@ -787,19 +755,20 @@ func (d *descStreamIter) nextRef() (ref, bool) {
 			cand = &ftFilterIter{in: cand, ids: d.ft}
 		}
 		d.cur = d.ev.filterCandidates(cand, d.st.Preds, d.env)
-		d.curRef = asRefs(d.cur)
 	}
 }
 
 // candidates returns the axis candidates of one context item as a stream.
+// A stored context reaches it only for a descendant step: stepIter
+// navigates child, text() and attribute steps of stored nodes itself.
 func (ev *evaluator) candidates(it Item, sp *plan.StepPlan) Iterator {
 	switch n := it.(type) {
 	case NodeItem:
-		return ev.storedCandidates(n, sp)
+		return ev.storedDescendants(n, sp)
 	case DocItem:
 		return ev.docCandidates(sp)
 	case *Constructed:
-		return stepFromConstructed(n, sp).Iter()
+		return ev.newVarIter(stepFromConstructed(n, sp))
 	case AttrItem:
 		return emptyIter{}
 	default:
@@ -820,7 +789,7 @@ func (ev *evaluator) docCandidates(sp *plan.StepPlan) Iterator {
 		}
 		return emptyIter{}
 	case xquery.AxisDescendant:
-		rest := ev.storedCandidates(NodeItem{ID: root}, sp)
+		rest := ev.storedDescendants(NodeItem{ID: root}, sp)
 		if sp.Name == "*" || sp.Name == rootTag {
 			return &concatIter{parts: []Iterator{ev.one(NodeItem{ID: root}), rest}}
 		}
@@ -830,57 +799,16 @@ func (ev *evaluator) docCandidates(sp *plan.StepPlan) Iterator {
 	}
 }
 
-// storedCandidates streams one axis step from a stored node, pulling from
-// the store's cursors so no candidate id slice materializes.
-func (ev *evaluator) storedCandidates(n NodeItem, sp *plan.StepPlan) Iterator {
-	s := ev.store
-	switch sp.Axis {
-	case xquery.AxisChild:
-		if sp.Name == "*" {
-			return &kindFilterIter{store: s, cur: s.ChildrenCursor(n.ID), kind: tree.Element}
-		}
-		return &nodeCursorIter{cur: s.ChildrenByTagCursor(n.ID, sp.Name)}
-	case xquery.AxisDescendant:
-		if sp.Name == "*" {
-			return ev.wildcardDescendants(n).Iter()
-		}
-		return &nodeCursorIter{cur: s.DescendantsCursor(n.ID, sp.Name)}
-	case xquery.AxisAttribute:
-		if v, ok := s.Attr(n.ID, sp.Name); ok {
-			if ev.opts.NaiveStrings {
-				v = string(append([]byte(nil), v...))
-			}
-			return ev.one(AttrItem{Owner: n.ID, Name: sp.Name, Value: v})
-		}
-		return emptyIter{}
-	case xquery.AxisText:
-		return &kindFilterIter{store: s, cur: s.ChildrenCursor(n.ID), kind: tree.Text}
+// storedDescendants streams a descendant step from a stored node, pulling
+// from the store's cursor so no candidate id slice materializes.
+func (ev *evaluator) storedDescendants(n NodeItem, sp *plan.StepPlan) Iterator {
+	if sp.Axis != xquery.AxisDescendant {
+		errf("unexpected %v step from a stored node", sp.Axis)
 	}
-	return emptyIter{}
-}
-
-// kindFilterIter streams the children of one node keeping a single node
-// kind: element children for child::*, text children for text().
-type kindFilterIter struct {
-	store nodestore.Store
-	cur   nodestore.Cursor
-	kind  tree.Kind
-}
-
-func (k *kindFilterIter) Next() (Item, bool) {
-	return boxed(k.nextRef())
-}
-
-func (k *kindFilterIter) nextRef() (ref, bool) {
-	for {
-		id, ok := k.cur.Next()
-		if !ok {
-			return ref{}, false
-		}
-		if k.store.Kind(id) == k.kind {
-			return ref{id: id}, true
-		}
+	if sp.Name == "*" {
+		return ev.newVarIter(ev.wildcardDescendants(n))
 	}
+	return &nodeCursorIter{cur: ev.store.DescendantsCursor(n.ID, sp.Name)}
 }
 
 // wildcardDescendants collects every element in the subtree of n in
@@ -917,7 +845,6 @@ var textStepPlan = &plan.StepPlan{Axis: xquery.AxisText}
 type inlineTextIter struct {
 	ev    *evaluator
 	in    Iterator
-	inRef refIterator // in's ref form, nil when in yields only items
 	st    *plan.StepPlan
 	inner Iterator // navigation fallback for one context item
 }
@@ -928,30 +855,26 @@ func (ev *evaluator) newInlineTextIter(in Iterator, sp *plan.StepPlan) *inlineTe
 		d := free[n-1]
 		ev.sess.inlineFree = free[:n-1]
 		// Rebind ev for the same reason as newStepIter.
-		d.ev, d.in, d.inRef, d.st = ev, in, asRefs(in), sp
+		d.ev, d.in, d.st = ev, in, sp
 		return d
 	}
-	return &inlineTextIter{ev: ev, in: in, inRef: asRefs(in), st: sp}
+	return &inlineTextIter{ev: ev, in: in, st: sp}
 }
 
 func (d *inlineTextIter) release() {
-	d.in, d.inRef, d.st, d.inner = nil, nil, nil, nil
+	d.in, d.st, d.inner = nil, nil, nil
 	d.ev.sess.inlineFree = append(d.ev.sess.inlineFree, d)
 }
 
-func (d *inlineTextIter) Next() (Item, bool) {
-	return boxed(d.nextRef())
-}
-
-func (d *inlineTextIter) nextRef() (ref, bool) {
+func (d *inlineTextIter) next() (ref, bool) {
 	for {
 		if d.inner != nil {
-			if v, ok := d.inner.Next(); ok {
-				return ref{item: v}, true
+			if r, ok := d.inner.next(); ok {
+				return r, true
 			}
 			d.inner = nil
 		}
-		ctx, ok := pullRef(d.in, d.inRef)
+		ctx, ok := d.in.next()
 		if !ok {
 			d.release()
 			return ref{}, false
@@ -965,10 +888,8 @@ func (d *inlineTextIter) nextRef() (ref, bool) {
 				continue
 			}
 		}
-		d.inner = &flatMapIter{
-			outer: d.ev.candidates(ctx.box(), d.st),
-			fn:    func(c Item) Iterator { return d.ev.candidates(c, textStepPlan) },
-		}
+		child := d.ev.newStepIter(d.ev.oneRef(ctx), d.st, nil)
+		d.inner = d.ev.newStepIter(child, textStepPlan, nil)
 	}
 }
 
@@ -984,9 +905,8 @@ func (ev *evaluator) attrIndexStep(in Iterator, sp *plan.StepPlan) (Iterator, bo
 	}
 	sess := ev.sess
 	ids := sess.getBatchBuf(0)
-	ri := asRefs(in)
 	for {
-		r, more := pullRef(in, ri)
+		r, more := in.next()
 		if !more {
 			break
 		}
@@ -996,7 +916,7 @@ func (ev *evaluator) attrIndexStep(in Iterator, sp *plan.StepPlan) (Iterator, bo
 			for _, id := range ids {
 				ctx = append(ctx, NodeItem{ID: id})
 			}
-			ctx = append(append(ctx, r.box()), materialize(in)...)
+			ctx = appendAll(append(ctx, r.box()), in)
 			sess.putBatchBuf(ids)
 			return ev.newVarIter(ctx), false
 		}
@@ -1312,20 +1232,19 @@ func (l *letTupleIter) countMatches(tp *bindings) (int, bool) {
 // forTupleIter expands each tuple by the items of the for sequence: the
 // streaming nested loop of plain clause expansion.
 type forTupleIter struct {
-	ev       *evaluator
-	in       tupleIter
-	name     string
-	seq      *plan.Node
-	tp       *bindings
-	items    Iterator
-	itemsRef refIterator // items' ref form: stored nodes bind as NodeIDs
-	slot     slot
+	ev    *evaluator
+	in    tupleIter
+	name  string
+	seq   *plan.Node
+	tp    *bindings
+	items Iterator
+	slot  slot
 }
 
 func (f *forTupleIter) Next() (*bindings, bool) {
 	for {
 		if f.items != nil {
-			if r, ok := pullRef(f.items, f.itemsRef); ok {
+			if r, ok := f.items.next(); ok {
 				return f.slot.bind(f.tp, f.name, r), true
 			}
 			f.items = nil
@@ -1336,7 +1255,6 @@ func (f *forTupleIter) Next() (*bindings, bool) {
 		}
 		f.tp = tp
 		f.items = f.ev.iter(f.seq, tp)
-		f.itemsRef = asRefs(f.items)
 	}
 }
 
@@ -1384,34 +1302,17 @@ type flatMapTupleIter struct {
 	cur Iterator
 }
 
-// count drains the return clause's stream per tuple with drainCount, so a
-// count() over a FLWOR boxes none of the returned nodes.
-func (m *flatMapTupleIter) count() int {
-	total := 0
-	if m.cur != nil {
-		total = drainCount(m.cur)
-		m.cur = nil
-	}
-	for {
-		tp, ok := m.in.Next()
-		if !ok {
-			return total
-		}
-		total += drainCount(m.ev.iter(m.ret, tp))
-	}
-}
-
-func (m *flatMapTupleIter) Next() (Item, bool) {
+func (m *flatMapTupleIter) next() (ref, bool) {
 	for {
 		if m.cur != nil {
-			if v, ok := m.cur.Next(); ok {
-				return v, true
+			if r, ok := m.cur.next(); ok {
+				return r, true
 			}
 			m.cur = nil
 		}
 		tp, ok := m.in.Next()
 		if !ok {
-			return nil, false
+			return ref{}, false
 		}
 		m.cur = m.ev.iter(m.ret, tp)
 	}
@@ -1567,23 +1468,8 @@ func (ev *evaluator) newHashJoinIter(in tupleIter, n *plan.Node) *hashJoinTupleI
 			// int32 code instead of key string.
 			idx = ev.newBatchJoinIndex(n)
 		} else {
-			items := ev.eval(n.Seq, &bindings{})
-			idx = &joinIndex{items: items, byKey: make(map[string][]int), probe: n.Probe}
-			for i, it := range items {
-				envI := noBindings.bindOne(n.Var, it)
-				// An item whose key expression yields the same value twice
-				// (e.g. two interests in one category) must be indexed once:
-				// general comparison is existential, not multiplicative.
-				seen := map[string]bool{}
-				for _, k := range ev.atomizeSeq(ev.eval(n.Probe, envI)) {
-					ks := itemString(k)
-					if seen[ks] {
-						continue
-					}
-					seen[ks] = true
-					idx.byKey[ks] = append(idx.byKey[ks], i)
-				}
-			}
+			idx = &joinIndex{items: ev.eval(n.Seq, &bindings{}), probe: n.Probe}
+			ev.fillKeyIndex(idx, n)
 		}
 		ev.sess.joinCache[n] = idx
 	}
@@ -1626,17 +1512,20 @@ func (j *hashJoinTupleIter) tupleMatches(tp *bindings) []int {
 	if len(keys) == 1 {
 		return j.idx.lookup(keys[0])
 	}
-	// Multiple keys: existential semantics with per-tuple dedup. The seen
-	// set is allocated on first use — single-key probes never pay for it.
+	return j.unionMatches(len(keys), func(k int) []int { return j.idx.lookup(keys[k]) })
+}
+
+// unionMatches merges the buckets of n keys with existential semantics:
+// each position once, in ascending order like a single bucket. The seen
+// set is allocated on first use, so single-key probes never pay for it.
+func (j *hashJoinTupleIter) unionMatches(n int, bucket func(k int) []int) []int {
 	if j.seen == nil {
 		j.seen = make(map[int]bool)
 	}
-	for k := range j.seen {
-		delete(j.seen, k)
-	}
+	clear(j.seen)
 	var matches []int
-	for _, k := range keys {
-		for _, i := range j.idx.lookup(k) {
+	for k := 0; k < n; k++ {
+		for _, i := range bucket(k) {
 			if !j.seen[i] {
 				j.seen[i] = true
 				matches = append(matches, i)
@@ -1655,12 +1544,11 @@ func (ev *evaluator) evalQuantified(n *plan.Node, env *bindings, i int) bool {
 		return ev.evalBool(n.Cond, env)
 	}
 	it := ev.iter(n.Kids[i], env)
-	ri := asRefs(it)
 	// Each candidate is decided before the next is bound, so one binding
 	// serves the whole range, rebound in place (the slot discipline).
 	var sl slot
 	for {
-		v, more := pullRef(it, ri)
+		v, more := it.next()
 		if !more {
 			break
 		}
@@ -1785,7 +1673,7 @@ func refOwner(r ref) (tree.NodeID, bool) {
 // the stream is never generated, and its operators recycle.
 func (ev *evaluator) first(n *plan.Node, env *bindings) (ref, bool) {
 	in := ev.iter(n, env)
-	r, ok := pullRef(in, asRefs(in))
+	r, ok := in.next()
 	if ok {
 		drop(in)
 	}
@@ -1795,12 +1683,11 @@ func (ev *evaluator) first(n *plan.Node, env *bindings) (ref, bool) {
 // firstTwo pulls at most two items from in: enough to distinguish empty,
 // singleton and longer sequences. It returns the first as a ref.
 func firstTwo(in Iterator) (first ref, n int) {
-	ri := asRefs(in)
-	first, ok := pullRef(in, ri)
+	first, ok := in.next()
 	if !ok {
 		return ref{}, 0
 	}
-	if _, ok = pullRef(in, ri); !ok {
+	if _, ok = in.next(); !ok {
 		return first, 1
 	}
 	return first, 2
@@ -1883,9 +1770,8 @@ func (ev *evaluator) generalCompare(n *plan.Node, env *bindings) bool {
 	sess := ev.sess
 	base := len(sess.atoms)
 	in := ev.iter(n.Kids[1], env)
-	ri := asRefs(in)
 	for {
-		r, ok := pullRef(in, ri)
+		r, ok := in.next()
 		if !ok {
 			break
 		}
@@ -1895,9 +1781,8 @@ func (ev *evaluator) generalCompare(n *plan.Node, env *bindings) bool {
 	// base+k and may move the stack; index it afresh per comparison.
 	k := len(sess.atoms) - base
 	in = ev.iter(n.Kids[0], env)
-	ri = asRefs(in)
 	for {
-		r, ok := pullRef(in, ri)
+		r, ok := in.next()
 		if !ok {
 			sess.atoms = sess.atoms[:base]
 			return false
@@ -1917,9 +1802,8 @@ func (ev *evaluator) generalCompare(n *plan.Node, env *bindings) bool {
 // atom lit, which stands on the left when flip is set.
 func (ev *evaluator) anyAtom(n *plan.Node, env *bindings, op compareOp, lit *atom, flip bool) bool {
 	in := ev.iter(n, env)
-	ri := asRefs(in)
 	for {
-		r, ok := pullRef(in, ri)
+		r, ok := in.next()
 		if !ok {
 			return false
 		}
@@ -1958,7 +1842,7 @@ func (ev *evaluator) construct(n *plan.Node, env *bindings) *Constructed {
 		case part.Vectorized && ev.batchSize > 1:
 			// The vectorize rule marked this part: assemble its children
 			// vector-at-a-time from the binding's NodeID batches instead of
-			// one boxed item per Next dispatch.
+			// one item per next dispatch.
 			if kids, ok := ev.constructBatch(part, env, out.Children); ok {
 				out.Children = kids
 				continue
@@ -1966,11 +1850,11 @@ func (ev *evaluator) construct(n *plan.Node, env *bindings) *Constructed {
 		}
 		it := ev.iter(part, env)
 		for {
-			v, ok := it.Next()
+			r, ok := it.next()
 			if !ok {
 				break
 			}
-			out.Children = append(out.Children, ev.contentItem(v))
+			out.Children = append(out.Children, ev.contentItem(r.box()))
 		}
 	}
 	return out
@@ -2013,9 +1897,8 @@ func (ev *evaluator) attrValue(parts []*plan.Node, env *bindings) string {
 			continue
 		}
 		in := ev.iter(part, env)
-		ri := asRefs(in)
 		for i := 0; ; i++ {
-			r, ok := pullRef(in, ri)
+			r, ok := in.next()
 			if !ok {
 				break
 			}

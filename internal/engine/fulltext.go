@@ -68,14 +68,14 @@ type ftFilterIter struct {
 	ids []tree.NodeID
 }
 
-func (f *ftFilterIter) Next() (Item, bool) {
+func (f *ftFilterIter) next() (ref, bool) {
 	for {
-		v, ok := f.in.Next()
+		r, ok := f.in.next()
 		if !ok {
-			return nil, false
+			return ref{}, false
 		}
-		if n, isNode := v.(NodeItem); !isNode || ftMember(f.ids, n.ID) {
-			return v, true
+		if id, isNode := r.node(); !isNode || ftMember(f.ids, id) {
+			return r, true
 		}
 	}
 }

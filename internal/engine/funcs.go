@@ -88,9 +88,8 @@ func (ev *evaluator) iterCall(n *plan.Node, env *bindings) Iterator {
 		sep := ev.strArg(n.Kids[1], env)
 		var b strings.Builder
 		it := ev.iter(n.Kids[0], env)
-		ri := asRefs(it)
 		for i := 0; ; i++ {
-			r, ok := pullRef(it, ri)
+			r, ok := it.next()
 			if !ok {
 				break
 			}
@@ -113,9 +112,8 @@ func (ev *evaluator) iterCall(n *plan.Node, env *bindings) Iterator {
 		ev.argc(c, 1)
 		total := 0.0
 		it := ev.iter(n.Kids[0], env)
-		ri := asRefs(it)
 		for {
-			r, ok := pullRef(it, ri)
+			r, ok := it.next()
 			if !ok {
 				break
 			}
@@ -140,7 +138,7 @@ func (ev *evaluator) iterCall(n *plan.Node, env *bindings) Iterator {
 		first, cnt := firstTwo(it)
 		if cnt == 0 {
 			// The exhausted iterator must not be drained further:
-			// iterators are single-use once Next returns false.
+			// iterators are single-use once next returns false.
 			errf("exactly-one() applied to an empty sequence")
 		}
 		if cnt > 1 {
@@ -153,18 +151,18 @@ func (ev *evaluator) iterCall(n *plan.Node, env *bindings) Iterator {
 		seen := make(map[string]bool)
 		it := ev.iter(n.Kids[0], env)
 		for {
-			v, ok := it.Next()
+			r, ok := it.next()
 			if !ok {
 				break
 			}
-			av := ev.atomize(v)
+			av := ev.atomize(r.box())
 			k := itemString(av)
 			if !seen[k] {
 				seen[k] = true
 				out = append(out, av)
 			}
 		}
-		return out.Iter()
+		return ev.newVarIter(out)
 	case "last":
 		ev.argc(c, 0)
 		if !ev.hasFocus {
@@ -257,23 +255,21 @@ func (ev *evaluator) countDescendants(n *plan.Node, env *bindings) (int, bool) {
 	ctx := ev.iter(n.CountCtx, env)
 	total := 0
 	for {
-		it, ok := ctx.Next()
+		r, ok := ctx.next()
 		if !ok {
 			return total, true
 		}
-		var id = ev.store.Root()
-		switch v := it.(type) {
-		case NodeItem:
-			id = v.ID
-		case DocItem:
+		id, isNode := r.node()
+		if !isNode {
+			if _, isDoc := r.item.(DocItem); !isDoc {
+				return 0, false
+			}
 			// The descendant axis from the document node includes the
 			// root element itself when the tag matches (docCandidates);
 			// CountDescendants excludes the origin, so add it back.
-			if ev.store.Tag(id) == n.CountTag {
+			if id = ev.store.Root(); ev.store.Tag(id) == n.CountTag {
 				total++
 			}
-		default:
-			return 0, false
 		}
 		cnt, supported := ev.store.CountDescendants(id, n.CountTag)
 		if !supported {
@@ -283,9 +279,9 @@ func (ev *evaluator) countDescendants(n *plan.Node, env *bindings) (int, bool) {
 	}
 }
 
-// drainCount exhausts in and returns the item count. Step chains sum
-// their candidate buffers and other node producers yield refs, so no item
-// is boxed on the way to the total.
+// drainCount exhausts in and returns the item count. A step chain sums its
+// candidate buffers and a materialized value reports its length; anything
+// else is pulled as refs, so no item is boxed on the way to the total.
 func drainCount(in Iterator) int {
 	switch v := in.(type) {
 	case *stepIter:
@@ -294,13 +290,10 @@ func drainCount(in Iterator) int {
 		n := v.remaining()
 		v.release()
 		return n
-	case *flatMapTupleIter:
-		return v.count()
 	}
-	ri := asRefs(in)
 	n := 0
 	for {
-		if _, ok := pullRef(in, ri); !ok {
+		if _, ok := in.next(); !ok {
 			return n
 		}
 		n++

@@ -17,6 +17,7 @@
 package engine
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"strconv"
@@ -257,7 +258,7 @@ func (a *atom) str() string {
 // as booleans; everything else compares as strings.
 func compareAtoms(op compareOp, a, b *atom) bool {
 	if a.kind == atomNum || b.kind == atomNum {
-		return compareNumbers(op, a.num(), b.num())
+		return compareValues(op, a.num(), b.num())
 	}
 	if a.kind == atomBool && b.kind == atomBool {
 		switch op {
@@ -267,27 +268,12 @@ func compareAtoms(op compareOp, a, b *atom) bool {
 			return a.f != b.f
 		}
 	}
-	x, y := a.str(), b.str()
-	switch op {
-	case cmpEq:
-		return x == y
-	case cmpNeq:
-		return x != y
-	case cmpLt:
-		return x < y
-	case cmpLe:
-		return x <= y
-	case cmpGt:
-		return x > y
-	case cmpGe:
-		return x >= y
-	}
-	return false
+	return compareValues(op, a.str(), b.str())
 }
 
-// compareNumbers is the numeric general comparison (IEEE semantics: NaN
-// satisfies only !=).
-func compareNumbers(op compareOp, x, y float64) bool {
+// compareValues applies op to two numbers or two strings; numbers compare
+// under IEEE semantics, where NaN satisfies only !=.
+func compareValues[T cmp.Ordered](op compareOp, x, y T) bool {
 	switch op {
 	case cmpEq:
 		return x == y

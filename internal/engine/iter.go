@@ -12,69 +12,55 @@ import (
 // consumer that stops pulling (an existential test, a serializer writing a
 // bounded prefix) never pays for the rest of the sequence.
 //
+// Every operator hands its items on as refs: a stored node, an attribute
+// of one or an inlined text value travels unboxed, and anything else rides
+// in ref.item. A ref becomes an Item only where it leaves the stream: a
+// materialized sequence, the Stream callback, the serializer, constructor
+// content and user-function arguments.
+//
 // Iterators are single-use and not safe for concurrent use; re-evaluating
-// an expression yields a fresh Iterator, and Next must not be called again
+// an expression yields a fresh Iterator, and next must not be called again
 // once it has returned false (exhausted operators may recycle themselves
 // into the evaluator's free lists). Materialization happens only at the
 // operators whose semantics require the whole sequence: sorting (order
 // by, document-order restoration after descendant steps), duplicate
 // elimination, last(), and variable binding.
 type Iterator interface {
-	// Next returns the next item and true, or nil and false when the
-	// sequence is exhausted.
-	Next() (Item, bool)
+	// next returns the next item and true, or a zero ref and false when
+	// the sequence is exhausted.
+	next() (ref, bool)
 }
 
-// Iter returns a fresh single-use iterator over the materialized sequence.
-// A Seq may be iterated any number of times.
-func (s Seq) Iter() Iterator { return &seqIter{s: s} }
-
-type seqIter struct {
-	s Seq
-	i int
-}
-
-func (it *seqIter) Next() (Item, bool) {
-	if it.i >= len(it.s) {
-		return nil, false
-	}
-	v := it.s[it.i]
-	it.i++
-	return v, true
-}
-
-// materialize drains in into a Seq.
+// materialize drains in into a Seq. A variable's stream hands over its
+// bound sequence without copying.
 func materialize(in Iterator) Seq {
-	// The common wrappers around already-materialized data unwrap without
-	// copying.
-	if si, ok := in.(*seqIter); ok && si.i == 0 {
-		si.i = len(si.s)
-		return si.s
-	}
 	if vi, ok := in.(*varIter); ok {
 		s := vi.rest()
 		vi.release()
 		return s
 	}
-	var out Seq
+	return appendAll(nil, in)
+}
+
+// appendAll drains in onto s, boxing each item.
+func appendAll(s Seq, in Iterator) Seq {
 	for {
-		v, ok := in.Next()
+		r, ok := in.next()
 		if !ok {
-			return out
+			return s
 		}
-		out = append(out, v)
+		s = append(s, r.box())
 	}
 }
 
 type emptyIter struct{}
 
-func (emptyIter) Next() (Item, bool) { return nil, false }
+func (emptyIter) next() (ref, bool) { return ref{}, false }
 
 // ref is one item of a stream, handed over unboxed where the producer can:
 // a stored node, an attribute of one, or an inlined text value. Converting
-// a NodeItem, an AttrItem or a StrItem to an Item allocates, so consumers
-// that only count, compare or navigate further pull refs and never pay
-// for the box.
+// a NodeItem, an AttrItem or a StrItem to an Item allocates, so a consumer
+// that only counts, compares or navigates further never pays for the box.
 type ref struct {
 	item Item        // the item when it is already boxed (any kind), else nil
 	id   tree.NodeID // the stored node, or the attribute's owner
@@ -96,14 +82,6 @@ func (r ref) box() Item {
 	return NodeItem{ID: r.id}
 }
 
-// boxed is a nextRef result as a Next result.
-func boxed(r ref, ok bool) (Item, bool) {
-	if !ok {
-		return nil, false
-	}
-	return r.box(), true
-}
-
 // node reports the stored node a ref designates, boxed or not.
 func (r ref) node() (tree.NodeID, bool) {
 	if r.item == nil {
@@ -111,30 +89,6 @@ func (r ref) node() (tree.NodeID, bool) {
 	}
 	n, ok := r.item.(NodeItem)
 	return n.ID, ok
-}
-
-// refIterator is an Iterator that can also yield its items as refs. The
-// operators that produce stored nodes implement it (path steps, variable
-// and single-item streams, scan cursors, the batch adapter), and the
-// counting, comparing and navigating consumers pull through it.
-type refIterator interface {
-	Iterator
-	nextRef() (ref, bool)
-}
-
-// asRefs returns in's ref form, or nil when in only yields boxed items.
-func asRefs(in Iterator) refIterator {
-	ri, _ := in.(refIterator)
-	return ri
-}
-
-// pullRef pulls the next item of in as a ref; ri is asRefs(in).
-func pullRef(in Iterator, ri refIterator) (ref, bool) {
-	if ri != nil {
-		return ri.nextRef()
-	}
-	it, ok := in.Next()
-	return ref{item: it}, ok
 }
 
 // atomOf atomizes one ref without boxing it: a stored node is its string
@@ -166,7 +120,7 @@ func (ev *evaluator) itemAtom(it Item) atom {
 // drop recycles an iterator its consumer stops pulling before exhaustion:
 // an existential test that has its answer, or a scalar that needs only its
 // first item. Only the consumer that built the iterator may drop it, and
-// only while its last Next returned true (an exhausted operator has
+// only while its last next returned true (an exhausted operator has
 // already recycled itself). Step operators drop their input chain with
 // them; every other operator is left to the garbage collector.
 func drop(it Iterator) {
@@ -181,112 +135,34 @@ func drop(it Iterator) {
 		drop(in)
 	case *varIter:
 		v.release()
-	case *singleIter:
-		v.release()
 	}
-}
-
-// one returns an iterator over a single item.
-func (ev *evaluator) one(it Item) Iterator { return ev.oneRef(ref{item: it}) }
-
-// oneRef returns an iterator over a single ref, recycled through the
-// session like varIter.
-func (ev *evaluator) oneRef(r ref) *singleIter {
-	free := ev.sess.oneFree
-	if n := len(free); n > 0 {
-		s := free[n-1]
-		ev.sess.oneFree = free[:n-1]
-		s.sess, s.r, s.done, s.released = ev.sess, r, false, false
-		return s
-	}
-	return &singleIter{sess: ev.sess, r: r}
-}
-
-type singleIter struct {
-	sess     *Session
-	r        ref
-	done     bool
-	released bool
-}
-
-func (s *singleIter) nextRef() (ref, bool) {
-	if s.done {
-		s.release()
-		return ref{}, false
-	}
-	s.done = true
-	return s.r, true
-}
-
-func (s *singleIter) Next() (Item, bool) {
-	return boxed(s.nextRef())
-}
-
-// release is idempotent for the same reason as varIter.release.
-func (s *singleIter) release() {
-	if s.released {
-		return
-	}
-	s.r, s.released = ref{}, true
-	s.sess.oneFree = append(s.sess.oneFree, s)
 }
 
 // nodeCursorIter adapts a storage-layer node cursor to the item pipeline,
-// yielding NodeItems.
+// yielding stored nodes.
 type nodeCursorIter struct {
 	cur nodestore.Cursor
 }
 
-func (c *nodeCursorIter) Next() (Item, bool) {
-	id, ok := c.cur.Next()
-	if !ok {
-		return nil, false
-	}
-	return NodeItem{ID: id}, true
-}
-
-func (c *nodeCursorIter) nextRef() (ref, bool) {
+func (c *nodeCursorIter) next() (ref, bool) {
 	id, ok := c.cur.Next()
 	return ref{id: id}, ok
 }
 
-// flatMapIter expands every item of outer through fn and streams the
-// concatenation: the workhorse behind path steps and FLWOR return clauses.
-type flatMapIter struct {
-	outer Iterator
-	fn    func(Item) Iterator
-	inner Iterator
-}
-
-func (m *flatMapIter) Next() (Item, bool) {
-	for {
-		if m.inner != nil {
-			if v, ok := m.inner.Next(); ok {
-				return v, true
-			}
-			m.inner = nil
-		}
-		o, ok := m.outer.Next()
-		if !ok {
-			return nil, false
-		}
-		m.inner = m.fn(o)
-	}
-}
-
-// concatIter streams several iterators back to back (comma sequences).
+// concatIter streams several iterators back to back: the root element
+// ahead of its descendants for a descendant step from the document node.
 type concatIter struct {
 	parts []Iterator
 }
 
-func (c *concatIter) Next() (Item, bool) {
+func (c *concatIter) next() (ref, bool) {
 	for len(c.parts) > 0 {
-		if v, ok := c.parts[0].Next(); ok {
-			return v, true
+		if r, ok := c.parts[0].next(); ok {
+			return r, true
 		}
 		c.parts = c.parts[1:]
 	}
-	return nil, false
+	return ref{}, false
 }
 
 // predFilterIter applies one predicate to a streaming candidate sequence
@@ -302,15 +178,15 @@ type predFilterIter struct {
 	size int // context size for last(); 0 when streaming without it
 }
 
-func (f *predFilterIter) Next() (Item, bool) {
+func (f *predFilterIter) next() (ref, bool) {
 	for {
-		v, ok := f.in.Next()
+		r, ok := f.in.next()
 		if !ok {
-			return nil, false
+			return ref{}, false
 		}
 		f.pos++
-		if f.ev.predMatch(f.pred, f.env, ref{item: v}, f.pos, f.size) {
-			return v, true
+		if f.ev.predMatch(f.pred, f.env, r, f.pos, f.size) {
+			return r, true
 		}
 	}
 }
@@ -350,12 +226,11 @@ func (ev *evaluator) predValue(pred *plan.Node, env *bindings, pos int) bool {
 		return ev.evalBool(pred, env)
 	}
 	it := ev.iter(pred, env)
-	ri := asRefs(it)
-	first, ok := pullRef(it, ri)
+	first, ok := it.next()
 	if !ok {
 		return false
 	}
-	if _, more := pullRef(it, ri); !more {
+	if _, more := it.next(); !more {
 		if num, isNum := first.item.(NumItem); isNum {
 			return float64(pos) == float64(num)
 		}
@@ -377,7 +252,7 @@ func (ev *evaluator) filterCandidates(in Iterator, preds []*plan.Node, env *bind
 	for _, pred := range preds {
 		if pred.UsesLast {
 			items := materialize(in)
-			in = &predFilterIter{ev: ev, in: items.Iter(), pred: pred, env: env, size: len(items)}
+			in = &predFilterIter{ev: ev, in: ev.newVarIter(items), pred: pred, env: env, size: len(items)}
 		} else {
 			in = &predFilterIter{ev: ev, in: in, pred: pred, env: env}
 		}
@@ -388,12 +263,11 @@ func (ev *evaluator) filterCandidates(in Iterator, preds []*plan.Node, env *bind
 // effectiveBoolIter computes the effective boolean value of a streaming
 // sequence, pulling at most two items.
 func (ev *evaluator) effectiveBoolIter(in Iterator) bool {
-	ri := asRefs(in)
-	first, ok := pullRef(in, ri)
+	first, ok := in.next()
 	if !ok {
 		return false
 	}
-	if _, more := pullRef(in, ri); more {
+	if _, more := in.next(); more {
 		// Multi-item sequence: same fallback as itemBool documents.
 		drop(in)
 		return true

@@ -182,19 +182,20 @@ func TestPreparedReRun(t *testing.T) {
 	}
 }
 
-// TestSeqIterReusable verifies that a materialized Seq can be iterated any
-// number of times.
+// TestSeqIterReusable verifies that a materialized Seq can be streamed any
+// number of times, each stream a varIter recycled through the session.
 func TestSeqIterReusable(t *testing.T) {
 	s := Seq{StrItem("a"), NumItem(2), BoolItem(true)}
+	ev := &evaluator{sess: NewSession()}
 	for round := 0; round < 2; round++ {
-		it := s.Iter()
+		it := ev.newVarIter(s)
 		var got Seq
 		for {
-			v, ok := it.Next()
+			r, ok := it.next()
 			if !ok {
 				break
 			}
-			got = append(got, v)
+			got = append(got, r.box())
 		}
 		if len(got) != 3 || got[0] != s[0] || got[2] != s[2] {
 			t.Fatalf("round %d: got %v", round, got)
@@ -239,19 +240,25 @@ func TestDescendantsFromNestedContext(t *testing.T) {
 }
 
 // TestDescendantsWithPredicateFromNestedContext exercises the materializing
-// fallback: per-origin positional predicates on an overlapping context.
-// a#1's first b descendant is the x-valued one (also a#2's first), a#3's is
-// the z-valued one; the union deduplicates.
+// fallback: a predicate on a descendant step from an overlapping context.
+// a#1 reaches x and y, a#2 reaches x again and a#3 reaches z; the
+// predicate drops y and the union deduplicates. A positional predicate
+// there is a parse error: the engine would rank per origin (a#1's first b
+// descendant is x), while //b[1] means the first b child of every node,
+// which includes y.
 func TestDescendantsWithPredicateFromNestedContext(t *testing.T) {
 	for _, e := range nestedStores(t) {
-		seq, err := e.Query(`//a//b[1]`)
+		seq, err := e.Query(`//a//b[@v != "y"]`)
 		if err != nil {
 			t.Fatalf("[%s] %v", e.Store().Name(), err)
 		}
 		got := SerializeString(e.Store(), seq)
 		want := `<b v="x"/><b v="z"/>`
 		if got != want {
-			t.Fatalf("[%s] //a//b[1] = %s, want %s", e.Store().Name(), got, want)
+			t.Fatalf("[%s] //a//b[@v != \"y\"] = %s, want %s", e.Store().Name(), got, want)
+		}
+		if _, err := e.Query(`//a//b[1]`); err == nil || !strings.Contains(err.Error(), "positional predicate") {
+			t.Fatalf("[%s] //a//b[1]: err %v, want the positional-predicate parse error", e.Store().Name(), err)
 		}
 	}
 }

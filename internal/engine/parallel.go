@@ -209,14 +209,14 @@ func (g *gather) work(i int, wev *evaluator, pipe *plan.Node, env *bindings, cou
 		if produced%abortCheckInterval == 0 && g.abort.Load() {
 			return
 		}
-		v, ok := it.Next()
+		r, ok := it.next()
 		if !ok {
 			return
 		}
 		if countOnly {
 			p.count++
 		} else {
-			p.items = append(p.items, v)
+			p.items = append(p.items, r.box())
 		}
 	}
 }
@@ -232,15 +232,15 @@ type gatherIter struct {
 	ci  int
 }
 
-func (it *gatherIter) Next() (Item, bool) {
+func (it *gatherIter) next() (ref, bool) {
 	for {
 		if it.ci < len(it.cur) {
 			v := it.cur[it.ci]
 			it.ci++
-			return v, true
+			return ref{item: v}, true
 		}
 		if it.i >= len(it.g.parts) {
-			return nil, false
+			return ref{}, false
 		}
 		p := &it.g.parts[it.i]
 		it.i++

@@ -21,11 +21,11 @@ func (ev *evaluator) serializeResult(w io.Writer, root *plan.Node, it Iterator) 
 		iw.st = ev.prof.statsFor(root)
 	}
 	for {
-		v, ok := it.Next()
+		r, ok := it.next()
 		if !ok {
 			return iw.Err()
 		}
-		if err := iw.WriteItem(v); err != nil {
+		if err := iw.WriteItem(r.box()); err != nil {
 			return err
 		}
 	}

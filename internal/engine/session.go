@@ -45,7 +45,7 @@ type Session struct {
 	// request and clears it afterwards, since Sessions outlive requests.
 	Trace *obs.Span
 
-	// stepFree, inlineFree, varFree and oneFree recycle iterators (with
+	// stepFree, inlineFree and varFree recycle iterators (with
 	// their grown buffers) once they are exhausted or dropped by a
 	// consumer that stopped early: per-tuple paths in FLWOR return and
 	// where clauses re-evaluate constantly, and reuse keeps the operators
@@ -53,7 +53,6 @@ type Session struct {
 	stepFree   []*stepIter
 	inlineFree []*inlineTextIter
 	varFree    []*varIter
-	oneFree    []*singleIter
 	// atoms is the stack of materialized comparison operands: a general
 	// comparison without a literal side pushes its right operand's atoms,
 	// compares, and pops them, so nested comparisons share one buffer.

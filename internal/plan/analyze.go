@@ -114,85 +114,7 @@ func copyBound(m map[string]bool) map[string]bool {
 // in the current focus.
 func usesLastExpr(e xquery.Expr, funcs map[string]*xquery.FuncDecl) bool {
 	isUser := func(name string) bool { _, ok := funcs[name]; return ok }
-	return usesFocusCallName(e, isUser, "last")
-}
-
-// usesFocusCallName conservatively reports whether evaluating e may call
-// the named focus-dependent builtin (last, position) in the current focus:
-// a syntactic walk that does not descend into nested predicates (their
-// focus is their own) but treats user function calls as potentially using
-// it. The parallelize rule uses it to reject whole-sequence filters whose
-// decisions depend on global ranks.
-func usesFocusCallName(e xquery.Expr, isUser func(string) bool, name string) bool {
-	found := false
-	var walk func(e xquery.Expr)
-	walkAll := func(es []xquery.Expr) {
-		for _, x := range es {
-			if x != nil {
-				walk(x)
-			}
-		}
-	}
-	walk = func(e xquery.Expr) {
-		if found || e == nil {
-			return
-		}
-		switch v := e.(type) {
-		case *xquery.Call:
-			if v.Name == name {
-				found = true
-				return
-			}
-			if isUser(v.Name) {
-				// A user function body could consult the caller's focus;
-				// stay conservative.
-				found = true
-				return
-			}
-			walkAll(v.Args)
-		case *xquery.Path:
-			walk(v.Input)
-			// Nested step predicates get their own focus; skip them.
-		case *xquery.Filter:
-			walk(v.Input)
-		case *xquery.FLWOR:
-			for _, cl := range v.Clauses {
-				if cl.For != nil {
-					walk(cl.For.Seq)
-				} else {
-					walk(cl.Let.Seq)
-				}
-			}
-			if v.Where != nil {
-				walk(v.Where)
-			}
-			for _, o := range v.Order {
-				walk(o.Key)
-			}
-			walk(v.Return)
-		case *xquery.Quantified:
-			walkAll(v.Seqs)
-			walk(v.Satisfies)
-		case *xquery.IfExpr:
-			walk(v.Cond)
-			walk(v.Then)
-			walk(v.Else)
-		case *xquery.Binary:
-			walk(v.Left)
-			walk(v.Right)
-		case *xquery.Unary:
-			walk(v.Operand)
-		case *xquery.Sequence:
-			walkAll(v.Items)
-		case *xquery.ElementCtor:
-			for _, a := range v.Attrs {
-				walkAll(a.Parts)
-			}
-			walkAll(v.Content)
-		}
-	}
-	walk(e)
-	return found
+	return xquery.UsesFocusCall(e, isUser, "last")
 }
 
 // boolShaped reports whether e always evaluates to a single boolean, so a

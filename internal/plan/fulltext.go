@@ -119,7 +119,7 @@ func fulltextSteps(p *Plan, ts nodestore.TextSearcher, n *Node) {
 		safe := true
 		for _, pr := range sp.Preds {
 			if !pr.BoolShaped || pr.UsesLast ||
-				usesFocusCallName(pr.Expr, isUser, "position") {
+				xquery.UsesFocusCall(pr.Expr, isUser, "position") {
 				safe = false
 				break
 			}

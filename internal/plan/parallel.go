@@ -231,7 +231,7 @@ func (pz *parallelizer) seqSafePred(pr *Node) bool {
 		return false
 	}
 	isUser := func(name string) bool { _, ok := pz.p.Funcs[name]; return ok }
-	return !usesFocusCallName(pr.Expr, isUser, "position")
+	return !xquery.UsesFocusCall(pr.Expr, isUser, "position")
 }
 
 // probeTag consults the store for tag extent partitionability, counting

@@ -313,7 +313,7 @@ func (a *shardAnalyzer) crossingSteps(steps []*xquery.Step) bool {
 func (a *shardAnalyzer) crossPredOK(p xquery.Expr) bool {
 	return boolShaped(p, a.funcs) &&
 		!usesLastExpr(p, a.funcs) &&
-		!usesFocusCallName(p, a.isUser, "position") &&
+		!xquery.UsesFocusCall(p, a.isUser, "position") &&
 		a.local(p)
 }
 

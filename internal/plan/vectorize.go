@@ -328,5 +328,5 @@ func rankFreePred(p *Plan, pr *Node) bool {
 		return false
 	}
 	isUser := func(name string) bool { _, ok := p.Funcs[name]; return ok }
-	return !usesFocusCallName(pr.Expr, isUser, "position")
+	return !xquery.UsesFocusCall(pr.Expr, isUser, "position")
 }

@@ -75,24 +75,29 @@ func (b *Benchmark) RunQuery(inst *Instance, id int) (QueryResult, error) {
 // results. This is the benchmark-as-verifier use of the paper (§1: the
 // query set can "aid in the verification of query processors").
 func (b *Benchmark) VerifyAll(instances []*Instance) error {
+	_, err := b.verifyAll(instances)
+	return err
+}
+
+// verifyAll is VerifyAll returning every result it compared, query by
+// query and in instance order.
+func (b *Benchmark) verifyAll(instances []*Instance) ([]QueryResult, error) {
+	var all []QueryResult
 	for _, q := range AllQueries() {
-		var ref QueryResult
 		for i, inst := range instances {
 			res, err := b.RunQuery(inst, q.ID)
 			if err != nil {
-				return err
+				return nil, err
 			}
-			if i == 0 {
-				ref = res
-				continue
-			}
-			if res.Output != ref.Output {
-				return fmt.Errorf("Q%d: system %s result differs from system %s (%d vs %d bytes)",
+			if i > 0 && res.Output != all[len(all)-i].Output {
+				ref := all[len(all)-i]
+				return nil, fmt.Errorf("Q%d: system %s result differs from system %s (%d vs %d bytes)",
 					q.ID, res.System, ref.System, len(res.Output), len(ref.Output))
 			}
+			all = append(all, res)
 		}
 	}
-	return nil
+	return all, nil
 }
 
 // Table1Row is one row of the bulkload experiment.

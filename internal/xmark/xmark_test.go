@@ -1,6 +1,11 @@
 package xmark
 
 import (
+	"errors"
+	"flag"
+	"fmt"
+	"hash/crc32"
+	"os"
 	"strings"
 	"testing"
 
@@ -110,17 +115,96 @@ func TestTypoDiagnosticsAllSystems(t *testing.T) {
 	}
 }
 
+var update = flag.Bool("update", false, "rewrite testdata/work.golden")
+
 // TestAllQueriesAllSystemsAgree is the central correctness test of the
 // reproduction: every numbered query, Q1-Q23, returns the identical
-// serialized result on all seven architectures.
+// serialized result on all seven architectures. At factors 0.005 and 0.01
+// it also pins each result's byte length and CRC-32 in
+// testdata/work.golden, so outputs stay comparable across versions;
+// -update rewrites the file.
 func TestAllQueriesAllSystemsAgree(t *testing.T) {
-	b := bench(t, 0.004)
+	var rows strings.Builder
+	rows.WriteString("# query system factor bytes crc32\n")
+	for _, factor := range []float64{0.005, 0.01} {
+		b := bench(t, factor)
+		instances, err := b.LoadAll(Systems())
+		if err != nil {
+			t.Fatal(err)
+		}
+		results, err := b.verifyAll(instances)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range results {
+			fmt.Fprintf(&rows, "Q%d %s %g %d %08x\n", r.QueryID, r.System, factor, len(r.Output), crc32.ChecksumIEEE([]byte(r.Output)))
+		}
+	}
+	const golden = "testdata/work.golden"
+	if *update {
+		if err := os.WriteFile(golden, []byte(rows.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+	want, err := os.ReadFile(golden)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, wantRows := strings.Split(rows.String(), "\n"), strings.Split(string(want), "\n")
+	if len(got) != len(wantRows) {
+		t.Fatalf("%d rows, %s has %d", len(got), golden, len(wantRows))
+	}
+	for i := range got {
+		if got[i] != wantRows[i] {
+			t.Errorf("got %q, %s has %q", got[i], golden, wantRows[i])
+		}
+	}
+}
+
+// TestDescendantPositionalPredicateAllSystems pins the stopgap for a
+// wrong answer all seven systems agreed on: a positional predicate on a //
+// step ranked the whole descendant sequence, so count(//item[1]) answered
+// 1 where XPath's reading, the first item child of every node, gives one
+// item per region. Such queries are now a parse error on every system at
+// every width, while a position over the whole sequence, the per-parent
+// form spelled with child steps and a boolean // predicate still answer
+// alike everywhere.
+func TestDescendantPositionalPredicateAllSystems(t *testing.T) {
+	b := bench(t, 0.005)
 	instances, err := b.LoadAll(Systems())
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := b.VerifyAll(instances); err != nil {
-		t.Fatal(err)
+	rejected := []string{`count(//item[1])`, `count(/site//item[1])`, `count(/site/regions//item[last()])`}
+	kept := map[string]string{
+		`count((//item)[1])`:                           "1",
+		`count(/site/regions/*/item[1])`:               "6",
+		`count(//item[contains(description, "gold")])`: "",
+	}
+	for _, width := range []int{1, 0} {
+		for _, inst := range instances {
+			for _, src := range rejected {
+				_, err := inst.Engine.Prepare(src)
+				var pe *xquery.ParseError
+				if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "positional predicate") {
+					t.Errorf("system %s: Prepare(%q) = %v; want the positional-predicate ParseError", inst.System.ID, src, err)
+				}
+			}
+			for src, want := range kept {
+				prep, err := inst.Engine.Prepare(src)
+				if err != nil {
+					t.Fatalf("system %s: %s: %v", inst.System.ID, src, err)
+				}
+				got := serializeWith(t, prep, 0, width)
+				if want == "" {
+					kept[src], want = got, got
+				}
+				if got != want {
+					t.Errorf("system %s width %d: %s = %s, want %s", inst.System.ID, width, src, got, want)
+				}
+			}
+		}
 	}
 }
 

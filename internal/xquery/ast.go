@@ -194,3 +194,82 @@ func (*Unary) isExpr()       {}
 func (*Call) isExpr()        {}
 func (*Sequence) isExpr()    {}
 func (*ElementCtor) isExpr() {}
+
+// UsesFocusCall conservatively reports whether evaluating e may call
+// the named focus-dependent builtin (last, position) in the current focus:
+// a syntactic walk that does not descend into nested predicates (their
+// focus is their own) but treats a call of a function isUser names as
+// potentially using it. The planner uses it to reject whole-sequence
+// filters whose decisions depend on global ranks, and the parser to find
+// positional predicates.
+func UsesFocusCall(e Expr, isUser func(string) bool, name string) bool {
+	found := false
+	var walk func(e Expr)
+	walkAll := func(es []Expr) {
+		for _, x := range es {
+			if x != nil {
+				walk(x)
+			}
+		}
+	}
+	walk = func(e Expr) {
+		if found || e == nil {
+			return
+		}
+		switch v := e.(type) {
+		case *Call:
+			if v.Name == name {
+				found = true
+				return
+			}
+			if isUser(v.Name) {
+				// A user function body could consult the caller's focus;
+				// stay conservative.
+				found = true
+				return
+			}
+			walkAll(v.Args)
+		case *Path:
+			walk(v.Input)
+			// Nested step predicates get their own focus; skip them.
+		case *Filter:
+			walk(v.Input)
+		case *FLWOR:
+			for _, cl := range v.Clauses {
+				if cl.For != nil {
+					walk(cl.For.Seq)
+				} else {
+					walk(cl.Let.Seq)
+				}
+			}
+			if v.Where != nil {
+				walk(v.Where)
+			}
+			for _, o := range v.Order {
+				walk(o.Key)
+			}
+			walk(v.Return)
+		case *Quantified:
+			walkAll(v.Seqs)
+			walk(v.Satisfies)
+		case *IfExpr:
+			walk(v.Cond)
+			walk(v.Then)
+			walk(v.Else)
+		case *Binary:
+			walk(v.Left)
+			walk(v.Right)
+		case *Unary:
+			walk(v.Operand)
+		case *Sequence:
+			walkAll(v.Items)
+		case *ElementCtor:
+			for _, a := range v.Attrs {
+				walkAll(a.Parts)
+			}
+			walkAll(v.Content)
+		}
+	}
+	walk(e)
+	return found
+}

@@ -74,3 +74,27 @@ func TestParseDeepInputFailsFast(t *testing.T) {
 		}
 	}
 }
+
+// TestParseErrorEndsDescent pins that the parser stops descending once it
+// has an error. The current token no longer advances then, so a keyword
+// that opens an expression without consuming input ("if" before its
+// parenthesis) used to recurse three ways per level down to MaxDepth:
+// some 3^256 calls, which ran out of memory instead of returning.
+func TestParseErrorEndsDescent(t *testing.T) {
+	for _, src := range []string{`some $a if 1`, `for $x if 1`, `let $x if 1`} {
+		done := make(chan error, 1)
+		go func() {
+			_, err := xquery.Parse(src)
+			done <- err
+		}()
+		select {
+		case err := <-done:
+			var pe *xquery.ParseError
+			if !errors.As(err, &pe) {
+				t.Errorf("Parse(%q) = %v; want a ParseError", src, err)
+			}
+		case <-time.After(100 * time.Millisecond):
+			t.Fatalf("Parse(%q) did not return within 100ms", src)
+		}
+	}
+}

@@ -32,9 +32,15 @@ type parser struct {
 }
 
 // enter opens one nesting level, failing the parse past MaxDepth; every
-// enter is paired with a leave.
+// enter is paired with a leave. After the first error it refuses every
+// level: advance no longer moves, so a recursion that does not consume a
+// token (an "if" never followed by its parenthesis) would otherwise
+// branch at every level down to MaxDepth.
 func (p *parser) enter() bool {
 	p.depth++
+	if p.err != nil {
+		return false
+	}
 	if p.depth > MaxDepth {
 		p.fail("query nests deeper than the limit of %d levels", MaxDepth)
 		return false
@@ -130,8 +136,8 @@ func (p *parser) parseFuncDecl() *FuncDecl {
 	return &FuncDecl{Name: name, Params: params, Body: body}
 }
 
-// parseExpr parses a full (single) expression, dispatching on the FLWOR,
-// quantified and conditional keywords.
+// parseExpr parses one expression without the top-level comma operator,
+// dispatching on the FLWOR, quantified and conditional keywords.
 func (p *parser) parseExpr() Expr {
 	defer p.leave()
 	if !p.enter() {
@@ -158,7 +164,7 @@ func (p *parser) parseFLWOR() Expr {
 			for p.err == nil {
 				v := p.expect(TokVar, "variable").Text
 				p.expectKeyword("in")
-				seq := p.parseSingle()
+				seq := p.parseExpr()
 				f.Clauses = append(f.Clauses, Clause{For: &ForClause{Var: v, Seq: seq}})
 				if p.tok.Kind != TokComma {
 					break
@@ -170,7 +176,7 @@ func (p *parser) parseFLWOR() Expr {
 			for p.err == nil {
 				v := p.expect(TokVar, "variable").Text
 				p.expect(TokAssign, ":=")
-				seq := p.parseSingle()
+				seq := p.parseExpr()
 				f.Clauses = append(f.Clauses, Clause{Let: &LetClause{Var: v, Seq: seq}})
 				if p.tok.Kind != TokComma {
 					break
@@ -184,13 +190,13 @@ func (p *parser) parseFLWOR() Expr {
 clausesDone:
 	if p.keyword("where") {
 		p.advance()
-		f.Where = p.parseSingle()
+		f.Where = p.parseExpr()
 	}
 	if p.keyword("order") {
 		p.advance()
 		p.expectKeyword("by")
 		for p.err == nil {
-			spec := OrderSpec{Key: p.parseSingle()}
+			spec := OrderSpec{Key: p.parseExpr()}
 			if p.keyword("ascending") {
 				p.advance()
 			} else if p.keyword("descending") {
@@ -205,7 +211,7 @@ clausesDone:
 		}
 	}
 	p.expectKeyword("return")
-	f.Return = p.parseSingle()
+	f.Return = p.parseExpr()
 	return f
 }
 
@@ -215,14 +221,14 @@ func (p *parser) parseQuantified() Expr {
 	for p.err == nil {
 		q.Vars = append(q.Vars, p.expect(TokVar, "variable").Text)
 		p.expectKeyword("in")
-		q.Seqs = append(q.Seqs, p.parseSingle())
+		q.Seqs = append(q.Seqs, p.parseExpr())
 		if p.tok.Kind != TokComma {
 			break
 		}
 		p.advance()
 	}
 	p.expectKeyword("satisfies")
-	q.Satisfies = p.parseSingle()
+	q.Satisfies = p.parseExpr()
 	return q
 }
 
@@ -232,28 +238,10 @@ func (p *parser) parseIf() Expr {
 	cond := p.parseExpr()
 	p.expect(TokRParen, ")")
 	p.expectKeyword("then")
-	thenE := p.parseSingle()
+	thenE := p.parseExpr()
 	p.expectKeyword("else")
-	elseE := p.parseSingle()
+	elseE := p.parseExpr()
 	return &IfExpr{Cond: cond, Then: thenE, Else: elseE}
-}
-
-// parseSingle parses one expression without the top-level comma operator.
-func (p *parser) parseSingle() Expr {
-	defer p.leave()
-	if !p.enter() {
-		return &Sequence{}
-	}
-	switch {
-	case p.keyword("for") || p.keyword("let"):
-		return p.parseFLWOR()
-	case p.keyword("some") || p.keyword("every"):
-		return p.parseQuantified()
-	case p.keyword("if"):
-		return p.parseIf()
-	default:
-		return p.parseOr()
-	}
 }
 
 func (p *parser) parseOr() Expr {
@@ -426,7 +414,27 @@ func (p *parser) parseStep(axis Axis) *Step {
 		return st
 	}
 	st.Preds = p.parsePredicates()
+	if axis == AxisDescendant {
+		for _, pr := range st.Preds {
+			if positional(pr) {
+				// The engine applies it to the whole descendant sequence,
+				// not per parent as //x abbreviates.
+				p.fail("positional predicate on a descendant step //%s[...] is not supported; use (//%s)[...] for a position in the whole sequence", st.Name, st.Name)
+				return st
+			}
+		}
+	}
 	return st
+}
+
+// positional reports whether a predicate selects by position: a number
+// literal, or a call of position() or last() outside a nested predicate.
+func positional(pred Expr) bool {
+	if _, ok := pred.(*NumberLit); ok {
+		return true
+	}
+	builtin := func(string) bool { return false }
+	return UsesFocusCall(pred, builtin, "position") || UsesFocusCall(pred, builtin, "last")
 }
 
 func (p *parser) parsePredicates() []Expr {

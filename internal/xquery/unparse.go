@@ -56,11 +56,14 @@ func sortStrings(s []string) {
 func unparseExpr(b *strings.Builder, e Expr) {
 	switch v := e.(type) {
 	case *StringLit:
-		b.WriteByte('"')
+		// The lexer has no escapes: a literal holding a double quote was
+		// written between single quotes, and must be again.
+		q := quoteFor(v.Val)
+		b.WriteByte(q)
 		b.WriteString(v.Val)
-		b.WriteByte('"')
+		b.WriteByte(q)
 	case *NumberLit:
-		b.WriteString(strconv.FormatFloat(v.Val, 'g', -1, 64))
+		b.WriteString(strconv.FormatFloat(v.Val, 'f', -1, 64))
 	case *VarRef:
 		b.WriteByte('$')
 		b.WriteString(v.Name)
@@ -144,29 +147,36 @@ func unparseExpr(b *strings.Builder, e Expr) {
 	}
 }
 
+// leadKeywords are the names the parser reads as the start of a
+// declaration, FLWOR, quantified or conditional expression.
+var leadKeywords = map[string]bool{"declare": true, "for": true, "let": true, "some": true, "every": true, "if": true}
+
 func unparsePath(b *strings.Builder, p *Path) {
+	// A named child or attribute step reads as relative to the context
+	// item without a prefix, unless the name is a keyword an expression
+	// starts with; any other first step needs the explicit ".".
+	_, fromCtx := p.Input.(*ContextItem)
+	first := p.Steps[0]
+	bare := fromCtx && (first.Axis == AxisAttribute ||
+		first.Axis == AxisChild && first.Name != "*" && !leadKeywords[first.Name])
 	switch p.Input.(type) {
 	case *Root:
 		// The leading separator comes from the first step below.
 	case *ContextItem:
-		// A bare relative step; no prefix.
+		if !bare {
+			b.WriteByte('.')
+		}
 	default:
 		unparseExpr(b, p.Input)
 	}
-	_, fromRoot := p.Input.(*Root)
-	_, fromCtx := p.Input.(*ContextItem)
 	for i, st := range p.Steps {
 		sep := "/"
 		if st.Axis == AxisDescendant {
 			sep = "//"
 		}
-		if i == 0 && fromCtx && st.Axis == AxisChild {
+		if i == 0 && bare {
 			sep = ""
 		}
-		if i == 0 && fromCtx && st.Axis == AxisAttribute {
-			sep = ""
-		}
-		_ = fromRoot
 		b.WriteString(sep)
 		switch st.Axis {
 		case AxisAttribute:
@@ -225,13 +235,30 @@ func unparseFLWOR(b *strings.Builder, f *FLWOR) {
 	unparseExpr(b, f.Return)
 }
 
+// quoteFor picks the quote character that can delimit s: a double quote
+// unless s holds one.
+func quoteFor(s string) byte {
+	if strings.IndexByte(s, '"') >= 0 {
+		return '\''
+	}
+	return '"'
+}
+
 func unparseCtor(b *strings.Builder, c *ElementCtor) {
 	b.WriteByte('<')
 	b.WriteString(c.Tag)
 	for _, a := range c.Attrs {
 		b.WriteByte(' ')
 		b.WriteString(a.Name)
-		b.WriteString(`="`)
+		var lits strings.Builder
+		for _, part := range a.Parts {
+			if lit, ok := part.(*StringLit); ok {
+				lits.WriteString(lit.Val)
+			}
+		}
+		q := quoteFor(lits.String())
+		b.WriteByte('=')
+		b.WriteByte(q)
 		for _, part := range a.Parts {
 			if lit, ok := part.(*StringLit); ok {
 				b.WriteString(lit.Val)
@@ -241,7 +268,7 @@ func unparseCtor(b *strings.Builder, c *ElementCtor) {
 			unparseExpr(b, part)
 			b.WriteByte('}')
 		}
-		b.WriteByte('"')
+		b.WriteByte(q)
 	}
 	if len(c.Content) == 0 {
 		b.WriteString("/>")
