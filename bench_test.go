@@ -409,8 +409,10 @@ func BenchmarkServiceThroughput(b *testing.B) {
 }
 
 // BenchmarkServiceSessionReuse isolates the per-worker Session: the same
-// prepared query executed with a kept Session (warm free lists, memoized
-// join build side) versus a fresh Session per execution.
+// prepared query executed with a kept Session (warm free lists) versus a
+// fresh Session per execution. The join build side is memoized on the
+// Prepared, so it is built by the first execution of either arm and
+// shared by both: the difference is free-list warmth alone.
 func BenchmarkServiceSessionReuse(b *testing.B) {
 	cat := serviceCatalog(b)
 	prep, err := cat.Prepared(xmark.SystemD, 8)

@@ -27,11 +27,11 @@ const typoQuery = "count(/site/peeple/person)"
 
 // newTestServer loads a tiny single-system catalog synchronously and
 // returns a ready server, bypassing main()'s background load.
-func newTestServer(t *testing.T) *server { return newTestServerOf(t, "D") }
+func newTestServer(t testing.TB) *server { return newTestServerOf(t, "D") }
 
 // newTestServerOf is newTestServer over the systems ids names, one letter
 // each.
-func newTestServerOf(t *testing.T, ids string) *server {
+func newTestServerOf(t testing.TB, ids string) *server {
 	t.Helper()
 	var systems []xmark.System
 	for _, id := range ids {
@@ -365,15 +365,17 @@ func TestDeepQueryIs400(t *testing.T) {
 }
 
 // TestDescendantTextOrAttributeIs400 sends the // forms the engine has no
-// step for: each is a parse error naming the construct, answered 400
-// rather than a wrong result with 200.
+// step for: each is a parse error naming the construct — or, for a
+// predicate that is positional only at run time, an evaluation error
+// naming it — answered 400 rather than a wrong result with 200.
 func TestDescendantTextOrAttributeIs400(t *testing.T) {
 	s := newTestServer(t)
 	mux := s.routes(false)
 	for q, construct := range map[string]string{
-		"count(/site//text())": "//text()",
-		"count(//@id)":         "//@",
-		"count(//item[1])":     "//item[",
+		"count(/site//text())":                 "//text()",
+		"count(//@id)":                         "//@",
+		"count(//item[1])":                     "//item[",
+		"let $n := 1 return count(//item[$n])": "//item[",
 	} {
 		rec := get(t, mux, "/query?"+url.Values{"system": {"D"}, "q": {q}}.Encode(), nil)
 		if rec.Code != http.StatusBadRequest || !strings.Contains(rec.Body.String(), construct) {

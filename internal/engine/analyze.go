@@ -250,11 +250,13 @@ type Analysis struct {
 // instrumentation, writing the serialized result to w, and returns the
 // annotated report. The serialized output is byte-identical to
 // SerializeSession: the wrappers observe the pipeline, they never change
-// it.
+// it. The run builds its join build sides afresh into a private memo, so
+// every report counts the build-side rows, however often the Prepared ran
+// before.
 func (p *Prepared) ExplainAnalyze(w io.Writer, sess *Session) (Analysis, error) {
 	prof := newProfile()
 	start := time.Now()
-	err := p.execute(sess, prof, func(ev *evaluator, it Iterator) error {
+	err := p.execute(sess, &memo{}, prof, func(ev *evaluator, it Iterator) error {
 		return ev.serializeResult(w, p.plan.Root, it)
 	})
 	exec := time.Since(start)

@@ -30,8 +30,8 @@ import (
 //   - thetaJoinTupleIter: the planned nested-loop join for non-equality
 //     conjuncts (Q11/Q12's income > 5000·initial). There is no hash bucket
 //     for an inequality, but the clause sequence is variable-independent,
-//     so its items and their atomized key values memoize per session
-//     (Session.thetaCache) — numeric keys as a float vector with a sorted
+//     so its items and their atomized key values memoize on the plan
+//     (thetaIndexFor) — numeric keys as a float vector with a sorted
 //     copy, so a comparison is a binary-search range — and each outer tuple
 //     evaluates and converts its own side of the comparison exactly once.
 
@@ -148,7 +148,7 @@ func (ev *evaluator) newBatchJoinIndex(n *plan.Node) *joinIndex {
 			break
 		}
 	}
-	idx := &joinIndex{items: items, probe: n.Probe}
+	idx := &joinIndex{items: items}
 	// When the outer-side key is an attribute path over a single variable,
 	// the probe can walk store primitives straight to a dictionary code (or
 	// attribute string) instead of entering the evaluator: record its shape
@@ -330,8 +330,8 @@ func (ev *evaluator) fillKeyIndex(idx *joinIndex, n *plan.Node) {
 
 // thetaIndex memoizes the variable-independent inner side of a planned
 // non-equality join: the materialized items and, per item, the atomized
-// values of the conjunct's key expression. Keyed by plan-node identity in
-// Session.thetaCache, exactly like the hash-join cache.
+// values of the conjunct's key expression. Memoized on the plan, keyed by
+// the join node, exactly like the hash-join index.
 //
 // The keys live in one of two layouts. When the planner proved the key
 // side numeric (plan.Node.NumKeys) and every item has exactly one key, the
@@ -344,9 +344,6 @@ func (ev *evaluator) fillKeyIndex(idx *joinIndex, n *plan.Node) {
 // the outer operand once per tuple instead of once per comparison.
 type thetaIndex struct {
 	items Seq
-	// keyPlan is the key expression the index was built from;
-	// identity-checked so a stale cache entry never answers.
-	keyPlan *plan.Node
 
 	nums   []float64
 	sorted []float64
@@ -367,44 +364,39 @@ type thetaProbe struct {
 	vals Seq
 }
 
-// thetaIndexFor returns the session's memoized theta index for the join,
+// thetaIndexFor returns the plan's memoized theta index for the join,
 // building it from the batch pipeline on first use.
 func (ev *evaluator) thetaIndexFor(n *plan.Node) *thetaIndex {
-	if ev.sess.thetaCache == nil {
-		ev.sess.thetaCache = make(map[*plan.Node]*thetaIndex)
-	}
-	if idx := ev.sess.thetaCache[n]; idx != nil && idx.keyPlan == n.Probe {
+	return memoized(ev, n, true, func() *thetaIndex {
+		items := ev.buildItems(n)
+		idx := &thetaIndex{items: items, keys: make([]Seq, len(items)), numKeys: n.NumKeys}
+		single := idx.numKeys
+		for i, it := range items {
+			envI := noBindings.bindOne(n.Var, it)
+			ks := ev.atomizeSeq(ev.eval(n.Probe, envI))
+			idx.keys[i] = ks
+			single = single && len(ks) == 1
+			for _, k := range ks {
+				if _, num := k.(NumItem); !num {
+					idx.numKeys, single = false, false
+				}
+			}
+		}
+		if single {
+			idx.nums = make([]float64, len(items))
+			idx.sorted = make([]float64, 0, len(items))
+			for i, ks := range idx.keys {
+				x := float64(ks[0].(NumItem))
+				idx.nums[i] = x
+				if !math.IsNaN(x) {
+					idx.sorted = append(idx.sorted, x)
+				}
+			}
+			sort.Float64s(idx.sorted)
+			idx.keys = nil
+		}
 		return idx
-	}
-	items := ev.buildItems(n)
-	idx := &thetaIndex{items: items, keys: make([]Seq, len(items)), keyPlan: n.Probe, numKeys: n.NumKeys}
-	single := idx.numKeys
-	for i, it := range items {
-		envI := noBindings.bindOne(n.Var, it)
-		ks := ev.atomizeSeq(ev.eval(n.Probe, envI))
-		idx.keys[i] = ks
-		single = single && len(ks) == 1
-		for _, k := range ks {
-			if _, num := k.(NumItem); !num {
-				idx.numKeys, single = false, false
-			}
-		}
-	}
-	if single {
-		idx.nums = make([]float64, len(items))
-		idx.sorted = make([]float64, 0, len(items))
-		for i, ks := range idx.keys {
-			x := float64(ks[0].(NumItem))
-			idx.nums[i] = x
-			if !math.IsNaN(x) {
-				idx.sorted = append(idx.sorted, x)
-			}
-		}
-		sort.Float64s(idx.sorted)
-		idx.keys = nil
-	}
-	ev.sess.thetaCache[n] = idx
-	return idx
+	})
 }
 
 // probe prepares one outer tuple's operand values: the index's single probe
@@ -530,7 +522,7 @@ func (idx *thetaIndex) count(pr *thetaProbe) int {
 // in inner-sequence order (the index keeps the sequence order; its sorted
 // copy only ever answers how many match), a tuple×item pair emits iff the
 // general comparison holds — but the inner sequence evaluates once per
-// session instead of once per outer tuple, and the outer key converts once
+// Prepared instead of once per outer tuple, and the outer key converts once
 // per tuple instead of once per pair.
 type thetaJoinTupleIter struct {
 	ev   *evaluator

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -179,10 +180,29 @@ func TestBatchJoinEarlyTermination(t *testing.T) {
 	}
 }
 
-// TestBatchJoinSessionCache pins the memoization contract: one execution
-// populates the session's join cache, a second execution on the same
-// session reuses the identical index object, and executions at different
-// widths still agree after a cache built at another width answers.
+// memoEntries lists the indexes of type T a Prepared has memoized in one
+// build form.
+func memoEntries[T any](p *Prepared, batch bool) []T {
+	m := &p.memo.tuple
+	if batch {
+		m = &p.memo.batch
+	}
+	var out []T
+	m.Range(func(_, v any) bool {
+		if idx, ok := v.(T); ok {
+			out = append(out, idx)
+		}
+		return true
+	})
+	return out
+}
+
+// TestBatchJoinSessionCache pins the memoization contract: a join index
+// lives on the Prepared, not on the Session. One execution populates the
+// plan's memo, an execution on another session reuses the identical index
+// object, a width-1 run builds and probes its own tuple-form index, and
+// the code-keyed index answers a key through the dictionary translation
+// exactly as the tuple index does.
 func TestBatchJoinSessionCache(t *testing.T) {
 	e := joinEngines(t)["path"]
 	prep, err := e.Prepare(joinQueries[0])
@@ -190,33 +210,48 @@ func TestBatchJoinSessionCache(t *testing.T) {
 		t.Fatal(err)
 	}
 	want := serializeWidth(t, prep, nil, 1)
-	sess := NewSession()
-	if got := serializeWidth(t, prep, sess, 64); got != want {
-		t.Fatalf("first run differs")
+	if got := serializeWidth(t, prep, NewSession(), 64); got != want {
+		t.Fatalf("first batch run differs")
 	}
-	if len(sess.joinCache) == 0 {
-		t.Fatal("join cache empty after a hash-join execution")
+	coded := memoEntries[*joinIndex](prep, true)
+	if len(coded) != 1 {
+		t.Fatalf("%d batch-form join indexes after a hash-join execution, want 1", len(coded))
 	}
-	var cached *joinIndex
-	for _, idx := range sess.joinCache {
-		cached = idx
-	}
-	if cached.byCode == nil {
+	code := coded[0]
+	if code.byCode == nil {
 		t.Fatal("mapping-store batch join did not build a code-keyed index")
 	}
-	// A width-1 run on the same session consumes the cached code-keyed
-	// index through the tuple probe path (the dictionary translation).
-	if got := serializeWidth(t, prep, sess, 1); got != want {
-		t.Fatalf("tuple-mode run over cached code index differs")
+	if got := serializeWidth(t, prep, NewSession(), 64); got != want {
+		t.Fatalf("second batch run differs")
+	}
+	if again := memoEntries[*joinIndex](prep, true); len(again) != 1 || again[0] != code {
+		t.Fatal("a second execution on a fresh session rebuilt the join index")
+	}
+	tuple := memoEntries[*joinIndex](prep, false)
+	if len(tuple) != 1 || tuple[0].byKey == nil {
+		t.Fatalf("width-1 run left %d tuple-form indexes, want one string-keyed", len(tuple))
+	}
+	// The dictionary-translation probe (lookup over byCode): every key of
+	// the string-keyed tuple index finds the same positions, and a string
+	// the dictionary never interned finds none.
+	for k, pos := range tuple[0].byKey {
+		if got := code.lookup(StrItem(k)); !slices.Equal(got, pos) {
+			t.Errorf("key %q: code index %v, string index %v", k, got, pos)
+		}
+	}
+	if got := code.lookup(StrItem("no such person")); got != nil {
+		t.Errorf("an uninterned key matched %v", got)
 	}
 }
 
-// TestSessionResetReleasesJoinMemory pins the Reset contract: the join
-// and theta caches drop, and the dropped indexes (with their materialized
-// build sides) become collectible — observed via a finalizer.
+// TestSessionResetReleasesJoinMemory pins the retention contract: a
+// Session holds no join index, and once a Prepared is dropped its indexes
+// (with their materialized build sides) become collectible while the
+// session that ran it lives on — observed via a finalizer.
 func TestSessionResetReleasesJoinMemory(t *testing.T) {
 	e := joinEngines(t)["path"]
 	sess := NewSession()
+	freed := make(chan struct{})
 	for _, src := range []string{joinQueries[0], joinQueries[5]} {
 		prep, err := e.Prepare(src)
 		if err != nil {
@@ -225,27 +260,24 @@ func TestSessionResetReleasesJoinMemory(t *testing.T) {
 		if got := serializeWidth(t, prep, sess, 64); got == "" {
 			t.Fatal("join produced no output")
 		}
-	}
-	if len(sess.joinCache) == 0 || len(sess.thetaCache) == 0 {
-		t.Fatalf("caches not populated: join=%d theta=%d", len(sess.joinCache), len(sess.thetaCache))
-	}
-	freed := make(chan struct{})
-	for _, idx := range sess.joinCache {
-		runtime.SetFinalizer(idx, func(*joinIndex) { close(freed) })
-		break
+		joins, thetas := memoEntries[*joinIndex](prep, true), memoEntries[*thetaIndex](prep, true)
+		if len(joins)+len(thetas) != 1 {
+			t.Fatalf("%s: memo holds %d join and %d theta indexes, want one", src, len(joins), len(thetas))
+		}
+		if len(joins) == 1 {
+			runtime.SetFinalizer(joins[0], func(*joinIndex) { close(freed) })
+		}
 	}
 	sess.Reset()
-	if sess.joinCache != nil || sess.thetaCache != nil {
-		t.Fatal("Reset left join caches populated")
-	}
 	deadline := time.After(5 * time.Second)
 	for {
 		runtime.GC()
 		select {
 		case <-freed:
+			runtime.KeepAlive(sess)
 			return
 		case <-deadline:
-			t.Fatal("joinIndex not collected after Reset: memory is retained")
+			t.Fatal("joinIndex not collected after its Prepared was dropped: memory is retained")
 		case <-time.After(10 * time.Millisecond):
 		}
 	}
@@ -342,9 +374,8 @@ func TestBatchSortJoinProperty(t *testing.T) {
 							if form == "count" && !strings.Contains(ex, "[count-only]") {
 								t.Fatalf("%s: count-join did not fire:\n%s", src, ex)
 							}
-							sess := NewSession()
-							got := serializeWidth(t, prep, sess, 0)
-							for _, idx := range sess.thetaCache {
+							got := serializeWidth(t, prep, nil, 0)
+							for _, idx := range memoEntries[*thetaIndex](prep, true) {
 								if idx.keys == nil {
 									typed++
 								}

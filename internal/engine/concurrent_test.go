@@ -113,8 +113,9 @@ func TestSessionReuseRebindsEvaluator(t *testing.T) {
 }
 
 // TestSessionReuseAcrossQueries pins that one Session may serve many
-// different Prepared queries in sequence (the worker-pool usage): the
-// join cache is keyed by expression identity, so entries never collide.
+// different Prepared queries in sequence (the worker-pool usage): nothing
+// on it depends on the plan, and each query's join build sides live on its
+// own Prepared.
 func TestSessionReuseAcrossQueries(t *testing.T) {
 	for _, e := range sampleStores(t) {
 		sess := NewSession()

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"sync"
 	"time"
 
 	"repro/internal/nodestore"
@@ -41,10 +42,11 @@ func (e *Engine) Options() Options { return e.opts }
 // Run materializes it, while Stream and Serialize consume it item by item
 // without holding the whole result.
 //
-// A Prepared is immutable after Prepare returns and can be executed any
-// number of times, including concurrently from multiple goroutines: every
-// execution builds a fresh pipeline, and all mutable evaluation scratch
-// lives in a per-execution (or caller-supplied per-worker) Session.
+// A Prepared can be executed any number of times, including concurrently
+// from multiple goroutines: every execution builds a fresh pipeline, and
+// all mutable evaluation scratch lives in a per-execution (or
+// caller-supplied per-worker) Session. Executions add nothing to it but
+// the memo of join build sides, which they share read-only.
 //
 // An execution whose Session carries a parallelism budget (Session.Degree
 // above one) may additionally fan the plan's partitioned scans out across
@@ -56,6 +58,8 @@ type Prepared struct {
 	// plan is the optimized logical plan; published once here, read-only
 	// during execution.
 	plan *plan.Plan
+	// memo holds the plan's join build sides, built on first use.
+	memo memo
 	// CompileTime is the wall time spent in Prepare.
 	CompileTime time.Duration
 	// MetaProbes counts catalog consultations during compilation.
@@ -96,7 +100,7 @@ func (p *Prepared) Plan() *plan.Plan { return p.plan }
 
 // Run executes the prepared query and materializes the result sequence.
 func (p *Prepared) Run() (result Seq, err error) {
-	err = p.execute(nil, nil, func(_ *evaluator, it Iterator) error {
+	err = p.execute(nil, &p.memo, nil, func(_ *evaluator, it Iterator) error {
 		result = materialize(it)
 		return nil
 	})
@@ -115,13 +119,13 @@ func (p *Prepared) Stream(fn func(Item) bool) error {
 }
 
 // StreamSession is Stream with a caller-owned Session holding the
-// execution's mutable scratch (recycled iterators, memoized join build
-// sides). A worker goroutine that executes prepared queries repeatedly
+// execution's mutable scratch (recycled iterators and batch buffers). A
+// worker goroutine that executes prepared queries repeatedly
 // passes its own Session to keep that scratch warm across executions; the
 // Session must not be shared between goroutines. A nil sess behaves like
 // Stream.
 func (p *Prepared) StreamSession(sess *Session, fn func(Item) bool) error {
-	return p.execute(sess, nil, func(_ *evaluator, it Iterator) error {
+	return p.execute(sess, &p.memo, nil, func(_ *evaluator, it Iterator) error {
 		for {
 			r, ok := it.next()
 			if !ok || !fn(r.box()) {
@@ -146,7 +150,7 @@ func (p *Prepared) Serialize(w io.Writer) error {
 // serializes through the one ItemWriter, so output is byte-identical at
 // every batch size.
 func (p *Prepared) SerializeSession(w io.Writer, sess *Session) error {
-	return p.execute(sess, nil, func(ev *evaluator, it Iterator) error {
+	return p.execute(sess, &p.memo, nil, func(ev *evaluator, it Iterator) error {
 		return ev.serializeResult(w, p.plan.Root, it)
 	})
 }
@@ -154,11 +158,13 @@ func (p *Prepared) SerializeSession(w io.Writer, sess *Session) error {
 // execute builds a fresh pipeline for the optimized plan and hands it to
 // consume, converting evaluation panics into error returns. The evaluator
 // reads the immutable plan through the Prepared and keeps all mutable
-// scratch in the Session, so concurrent executions of one Prepared never
-// share writable state. A non-nil prof installs the EXPLAIN ANALYZE
-// counter wrappers (Prepared.ExplainAnalyze); every other execution
-// passes nil and runs uninstrumented.
-func (p *Prepared) execute(sess *Session, prof *profile, consume func(*evaluator, Iterator) error) (err error) {
+// scratch in the Session, so concurrent executions of one Prepared share
+// nothing writable but the lock-free memo m, the Prepared's own. A non-nil
+// prof installs the EXPLAIN ANALYZE counter wrappers
+// (Prepared.ExplainAnalyze, which passes a private memo so the analyzed
+// run counts its own builds); every other execution passes nil and runs
+// uninstrumented.
+func (p *Prepared) execute(sess *Session, m *memo, prof *profile, consume func(*evaluator, Iterator) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ee, ok := r.(*evalError); ok {
@@ -177,6 +183,7 @@ func (p *Prepared) execute(sess *Session, prof *profile, consume func(*evaluator
 		store:     p.engine.store,
 		opts:      p.engine.opts,
 		funcs:     p.plan.Funcs,
+		memo:      m,
 		sess:      sess,
 		degree:    sess.Degree,
 		batchSize: resolveBatchSize(sess.BatchSize),
@@ -187,6 +194,33 @@ func (p *Prepared) execute(sess *Session, prof *profile, consume func(*evaluator
 	// it finished, errored, or the consumer stopped pulling mid-stream.
 	defer ev.stopGathers()
 	return consume(ev, ev.iter(p.plan.Root, &bindings{}))
+}
+
+// memo holds a plan's build sides — hash-join and theta-join indexes,
+// attribute-index candidates — each a pure function of the sealed store
+// and the plan, so every execution of the plan shares them. Entries are
+// keyed by plan node (or step), one map per build form: a width-1 run
+// builds and probes with the tuple code, a wider run with the batch code.
+type memo struct{ tuple, batch sync.Map }
+
+// memoized returns the entry for at, building it on first use outside any
+// lock (a build may open a nested join); of two racing builds the first
+// published wins. The build runs without the morsel cursor, so a morsel
+// never publishes an index over its partition alone.
+func memoized[T any](ev *evaluator, at any, batch bool, build func() T) T {
+	m := &ev.memo.tuple
+	if batch {
+		m = &ev.memo.batch
+	}
+	if v, ok := m.Load(at); ok {
+		return v.(T)
+	}
+	part, partNode := ev.part, ev.partNode
+	ev.part, ev.partNode = nil, nil
+	built := build()
+	ev.part, ev.partNode = part, partNode
+	v, _ := m.LoadOrStore(at, built)
+	return v.(T)
 }
 
 // resolveBatchSize picks one execution's vector width: the Session's

@@ -128,9 +128,10 @@ type evaluator struct {
 	opts  Options
 	// funcs are the compiled user function bodies of the plan.
 	funcs map[string]*plan.FuncPlan
-	// sess holds the run's mutable scratch: iterator free lists and the
-	// hash-join index cache. Per-worker when the caller supplies one, per-
-	// execution otherwise.
+	// memo is the Prepared's (a private one under EXPLAIN ANALYZE).
+	memo *memo
+	// sess holds the run's mutable scratch: per-worker when the caller
+	// supplies one, per-execution otherwise.
 	sess     *Session
 	focus    focus
 	hasFocus bool
@@ -325,8 +326,7 @@ func (ev *evaluator) newVarIter(s Seq) *varIter {
 	if n := len(free); n > 0 {
 		v := free[n-1]
 		ev.sess.varFree = free[:n-1]
-		// Rebind ev: a Session outlives executions, so a recycled iterator
-		// may carry the previous execution's evaluator.
+		// Rebind ev: release dropped the previous execution's evaluator.
 		v.ev, v.s, v.released = ev, s, false
 		return v
 	}
@@ -393,8 +393,9 @@ func (v *varIter) release() {
 	if v.released {
 		return
 	}
-	v.s, v.i, v.r, v.one, v.released = nil, 0, ref{}, false, true
-	v.ev.sess.varFree = append(v.ev.sess.varFree, v)
+	sess := v.ev.sess // drop ev: a Session must not pin a dropped Prepared's memo
+	v.ev, v.s, v.i, v.r, v.one, v.released = nil, nil, 0, ref{}, false, true
+	sess.varFree = append(sess.varFree, v)
 }
 
 // sequenceIter streams a comma sequence, building each part's pipeline
@@ -469,9 +470,9 @@ func (ev *evaluator) newStepIter(in Iterator, sp *plan.StepPlan, env *bindings) 
 	if n := len(free); n > 0 {
 		d = free[n-1]
 		ev.sess.stepFree = free[:n-1]
-		// Rebind ev, not just the operands: a Session is reused across
-		// executions of different Prepared queries, and a stale evaluator
-		// would navigate the previous query's store with its funcs.
+		// Rebind ev, not just the operands: release dropped the previous
+		// execution's evaluator, whose store and funcs may be another
+		// query's.
 		d.ev, d.in, d.st, d.env = ev, in, sp, env
 	} else {
 		d = &stepIter{ev: ev, in: in, st: sp, env: env}
@@ -490,7 +491,9 @@ func (d *stepIter) release() {
 	d.pending, d.attrVal = false, ""
 	d.bi, d.bn = 0, 0
 	d.ft, d.ftOn = nil, false
-	d.ev.sess.stepFree = append(d.ev.sess.stepFree, d)
+	sess := d.ev.sess
+	d.ev = nil // as in varIter.release
+	sess.stepFree = append(sess.stepFree, d)
 }
 
 // stepIter streams a child, attribute or text step over the context
@@ -862,8 +865,9 @@ func (ev *evaluator) newInlineTextIter(in Iterator, sp *plan.StepPlan) *inlineTe
 }
 
 func (d *inlineTextIter) release() {
-	d.in, d.st, d.inner = nil, nil, nil
-	d.ev.sess.inlineFree = append(d.ev.sess.inlineFree, d)
+	sess := d.ev.sess
+	d.ev, d.in, d.st, d.inner = nil, nil, nil, nil // as in varIter.release
+	sess.inlineFree = append(sess.inlineFree, d)
 }
 
 func (d *inlineTextIter) next() (ref, bool) {
@@ -936,21 +940,20 @@ func (ev *evaluator) attrIndexStep(in Iterator, sp *plan.StepPlan) (Iterator, bo
 }
 
 // attrCandidates is the store's index answer for an attribute-index step,
-// memoized per session for the request: it depends only on the store and
-// the step's literal, and a step under a FLWOR probes once per tuple.
+// memoized on the plan: it depends only on the store and the step's
+// literal, and a step under a FLWOR probes once per tuple.
 func (ev *evaluator) attrCandidates(sp *plan.StepPlan) ([]tree.NodeID, bool) {
-	sess := ev.sess
-	if ids, ok := sess.attrCache[sp]; ok {
-		return ids, true
-	}
-	ids, supported := ev.store.AttrLookup(sp.IdxAttr, sp.IdxValue)
-	if supported {
-		if sess.attrCache == nil {
-			sess.attrCache = make(map[*plan.StepPlan][]tree.NodeID)
-		}
-		sess.attrCache[sp] = ids
-	}
-	return ids, supported
+	hit := memoized(ev, sp, false, func() attrHit {
+		ids, supported := ev.store.AttrLookup(sp.IdxAttr, sp.IdxValue)
+		return attrHit{ids, supported}
+	})
+	return hit.ids, hit.supported
+}
+
+// attrHit is one attribute-index lookup.
+type attrHit struct {
+	ids       []tree.NodeID
+	supported bool
 }
 
 func stepFromConstructed(c *Constructed, sp *plan.StepPlan) Seq {
@@ -1124,7 +1127,7 @@ func (ev *evaluator) buildTuplesNode(n *plan.Node, env *bindings, retained bool)
 		}
 		return &forTupleIter{ev: ev, in: in, name: n.Var, seq: n.Seq, slot: sl}
 	case plan.OpNLJoin:
-		// The vectorized theta join memoizes the inner side per session
+		// The vectorized theta join memoizes the inner side on the plan
 		// and hoists the outer comparison operand per tuple; conjuncts it
 		// cannot prove (and batch size 1) keep the for+where expansion.
 		if n.Vectorized && ev.batchSize > 1 {
@@ -1408,9 +1411,6 @@ type joinIndex struct {
 	byKey  map[string][]int
 	byCode map[int32][]int
 	coder  nodestore.AttrCoder
-	// probe is the key plan evaluated per item; identity-checked so a
-	// stale cache entry for a different plan never answers.
-	probe *plan.Node
 	// probeVar/probeTags/probeAttr describe the outer-side key when it is
 	// itself an attribute path over a single variable (probeFast): the
 	// probe then walks store primitives to a dictionary code and never
@@ -1453,26 +1453,21 @@ type hashJoinTupleIter struct {
 
 // newHashJoinIter executes the planned hash join. The index materializes
 // the independent sequence — the hash table is a pipeline breaker by
-// nature — and is memoized in the Session keyed by the join's plan node,
-// so it is reused across evaluations within a run and, for a worker that
-// keeps its Session, across executions.
+// nature — and is memoized on the plan, so it is built once for the
+// Prepared and shared by every evaluation and execution after that.
 func (ev *evaluator) newHashJoinIter(in tupleIter, n *plan.Node) *hashJoinTupleIter {
-	if ev.sess.joinCache == nil {
-		ev.sess.joinCache = make(map[*plan.Node]*joinIndex)
-	}
-	idx := ev.sess.joinCache[n]
-	if idx == nil || idx.probe != n.Probe {
-		if n.Vectorized && ev.batchSize > 1 {
+	batch := n.Vectorized && ev.batchSize > 1
+	idx := memoized(ev, n, batch, func() *joinIndex {
+		if batch {
 			// The planned batch build: items fill from NodeID vectors, and
 			// attribute-path keys over a dictionary-encoded store index by
 			// int32 code instead of key string.
-			idx = ev.newBatchJoinIndex(n)
-		} else {
-			idx = &joinIndex{items: ev.eval(n.Seq, &bindings{}), probe: n.Probe}
-			ev.fillKeyIndex(idx, n)
+			return ev.newBatchJoinIndex(n)
 		}
-		ev.sess.joinCache[n] = idx
-	}
+		idx := &joinIndex{items: ev.eval(n.Seq, &bindings{})}
+		ev.fillKeyIndex(idx, n)
+		return idx
+	})
 	return &hashJoinTupleIter{ev: ev, in: in, node: n, idx: idx}
 }
 

@@ -33,7 +33,12 @@ func (ev *evaluator) iterCall(n *plan.Node, env *bindings) Iterator {
 		for i, param := range fd.Params {
 			inner = ev.bindEval(inner, param, n.Kids[i], env)
 		}
+		// As in XQuery the body has no focus (the join memo relies on it);
+		// it materializes before the caller's focus is restored.
+		hasFocus := ev.hasFocus
+		ev.hasFocus = false
 		r, s, single := ev.bindingValue(fd.Body, inner)
+		ev.hasFocus = hasFocus
 		if single {
 			return ev.oneRef(r)
 		}

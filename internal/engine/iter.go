@@ -232,6 +232,10 @@ func (ev *evaluator) predValue(pred *plan.Node, env *bindings, pos int) bool {
 	}
 	if _, more := it.next(); !more {
 		if num, isNum := first.item.(NumItem); isNum {
+			if pred.DescStep != "" {
+				errf("positional predicate on a descendant step //%s[...] is not supported; use (//%s)[...] for a position in the whole sequence",
+					pred.DescStep, pred.DescStep)
+			}
 			return float64(pos) == float64(num)
 		}
 		return refBool(first)

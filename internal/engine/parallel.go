@@ -17,7 +17,8 @@ import (
 // runs one copy of the compiled sub-pipeline per partition, each on its
 // own goroutine with a private Session (all evaluator scratch stays
 // strictly per worker, the same contract the concurrent service relies
-// on). Partition ranges are disjoint and totally ordered in document
+// on) but the execution's memo, so a join builds once for all morsels.
+// Partition ranges are disjoint and totally ordered in document
 // order, and every operator the rule admits is order-preserving and
 // confined to its partition's territory, so the ordered gather —
 // emitting partition 0's items, then partition 1's, and so on — IS the
@@ -126,9 +127,9 @@ func (ev *evaluator) gatherCount(n *plan.Node, env *bindings) (int, bool) {
 // spawn launches one worker per partition and registers the gather with
 // this execution so stopGathers can end it. Workers share only immutable
 // state — the plan, the loaded store, the environment's materialized
-// bindings — and each owns a fresh Session; a worker's session budget is
-// zero, so gathers nested inside a partitioned sub-pipeline run
-// sequentially instead of fanning out recursively.
+// bindings — and the lock-free memo, and each owns a fresh Session; a
+// worker's session budget is zero, so gathers nested inside a partitioned
+// sub-pipeline run sequentially instead of fanning out recursively.
 func (ev *evaluator) spawn(n *plan.Node, env *bindings, parts []nodestore.Cursor, countOnly bool) *gather {
 	g := &gather{parts: make([]gatherPart, len(parts))}
 	if ev.prof != nil {
@@ -147,6 +148,7 @@ func (ev *evaluator) spawn(n *plan.Node, env *bindings, parts []nodestore.Cursor
 			store:     ev.store,
 			opts:      ev.opts,
 			funcs:     ev.funcs,
+			memo:      ev.memo,
 			sess:      NewSession(),
 			part:      cur,
 			partNode:  n.Scan,

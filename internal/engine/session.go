@@ -2,26 +2,18 @@ package engine
 
 import (
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/tree"
 )
 
-// Session is the per-worker mutable evaluation state: the recycled
-// iterator free lists and the memoized hash-join build sides. A Session is
-// NOT safe for concurrent use — it is the part of the evaluator that must
-// never cross goroutines — but it may be reused across any number of
-// sequential executions, and across different Prepared queries: the join
-// cache is keyed by plan-node identity, and every Prepared owns its own
-// optimized plan, so entries from different queries (or the same query
-// compiled for different stores) can never collide.
-//
-// Reusing a Session keeps the free lists' grown buffers warm and makes
-// hash-join build sides (which depend only on the store and the plan)
-// build once per worker instead of once per execution — the steady-state
-// win for a server executing the same prepared queries over and over.
-// Executions without a Session (Prepared.Run, Stream, Serialize) allocate
-// a fresh one each time, which is what makes a shared Prepared trivially
-// safe to execute from many goroutines.
+// Session is the per-worker mutable evaluation scratch: free lists and the
+// atom stack, plus the execution's Degree, BatchSize and Trace. A Session
+// is NOT safe for concurrent use, but it may be reused across any number
+// of sequential executions of any Prepared queries: nothing on it depends
+// on the store or the plan (join build sides live on the Prepared, see
+// memo). Reuse keeps the free lists' grown buffers warm. Executions
+// without a Session (Prepared.Run, Stream, Serialize) allocate a fresh one
+// each time, which is what makes a shared Prepared trivially safe to
+// execute from many goroutines.
 type Session struct {
 	// Degree is the execution's intra-query parallelism budget: the
 	// maximum number of partition workers a Gather operator may fan out
@@ -60,40 +52,14 @@ type Session struct {
 	// batchFree recycles the NodeID vectors of exhausted batch operators,
 	// so steady-state vectorized execution allocates no batch buffers.
 	batchFree [][]tree.NodeID
-	// joinCache memoizes hash-join indexes keyed by the join's plan node,
-	// so correlated inner FLWORs (Q10) build the index once per session.
-	joinCache map[*plan.Node]*joinIndex
-	// thetaCache memoizes the inner items and key values of planned
-	// non-equality joins (Q11/Q12), keyed like joinCache.
-	thetaCache map[*plan.Node]*thetaIndex
-	// attrCache memoizes the value-index candidates of attribute-index
-	// steps, keyed by the step: a step under a FLWOR probes per tuple.
-	attrCache map[*plan.StepPlan][]tree.NodeID
 }
 
 // NewSession returns an empty Session for one worker goroutine.
 func NewSession() *Session { return &Session{} }
 
-// Reset drops the session's memoized join state: the hash-join and
-// theta-join caches, whose entries retain materialized build sides (and,
-// through them, whole item sequences) for the life of the worker, and
-// the attribute-index candidates. A
-// service executor calls it between requests so one request's joins are
-// never pinned while the worker sits idle — the retention policy is "for
-// the duration of a request", not "for the life of the worker". The
-// iterator and batch-buffer free lists survive a Reset: they are
-// bounded, store-independent scratch whose warmth is the point of
-// keeping a Session at all.
-func (s *Session) Reset() {
-	s.joinCache = nil
-	s.thetaCache = nil
-	s.attrCache = nil
-	s.Trace = nil
-}
-
-// CachedJoins reports how many join indexes the session currently
-// memoizes: what an execution leaves behind on it and Reset drops.
-func (s *Session) CachedJoins() int { return len(s.joinCache) + len(s.thetaCache) }
+// Reset drops the request span, so a later run records nothing under it.
+// The free lists survive: their warmth is the point of keeping a Session.
+func (s *Session) Reset() { s.Trace = nil }
 
 // getBatchBuf takes a recycled NodeID vector of at least n capacity from
 // the free list, or allocates a fresh one. The returned slice has length n.

@@ -22,13 +22,17 @@ func splitConjuncts(e xquery.Expr) []xquery.Expr {
 	return []xquery.Expr{e}
 }
 
-// exprIndependent reports whether e references no variables at all (so its
-// value, and a hash index over it, can be computed once and reused).
+// exprIndependent reports whether e references no variables and no focus
+// at all (so its value, and a hash index over it, can be computed once and
+// reused).
 func exprIndependent(e xquery.Expr) bool { return len(freeVars(e)) == 0 }
 
-// freeVars returns the free variables of e.
+// freeVars returns the free variables of e, and "." when e reads the focus
+// it is evaluated in: the context item, position() or last() outside a
+// nested predicate (which has a focus of its own).
 func freeVars(e xquery.Expr) map[string]bool {
 	out := map[string]bool{}
+	preds := 0 // nesting depth of predicates being walked
 	var walk func(e xquery.Expr, bound map[string]bool)
 	walkAll := func(es []xquery.Expr, bound map[string]bool) {
 		for _, x := range es {
@@ -43,14 +47,22 @@ func freeVars(e xquery.Expr) map[string]bool {
 			if !bound[v.Name] {
 				out[v.Name] = true
 			}
+		case *xquery.ContextItem:
+			if preds == 0 {
+				out["."] = true
+			}
 		case *xquery.Path:
 			walk(v.Input, bound)
+			preds++
 			for _, st := range v.Steps {
 				walkAll(st.Preds, bound)
 			}
+			preds--
 		case *xquery.Filter:
 			walk(v.Input, bound)
+			preds++
 			walkAll(v.Preds, bound)
+			preds--
 		case *xquery.FLWOR:
 			inner := copyBound(bound)
 			for _, cl := range v.Clauses {
@@ -86,6 +98,9 @@ func freeVars(e xquery.Expr) map[string]bool {
 		case *xquery.Unary:
 			walk(v.Operand, bound)
 		case *xquery.Call:
+			if preds == 0 && (v.Name == "position" || v.Name == "last") {
+				out["."] = true
+			}
 			walkAll(v.Args, bound)
 		case *xquery.Sequence:
 			walkAll(v.Items, bound)

@@ -49,7 +49,11 @@ func (c *compiler) expr(e xquery.Expr) *Node {
 		for _, st := range v.Steps {
 			sp := &StepPlan{Axis: st.Axis, Name: st.Name}
 			for _, pr := range st.Preds {
-				sp.Preds = append(sp.Preds, c.pred(pr))
+				pn := c.pred(pr)
+				if st.Axis == xquery.AxisDescendant {
+					pn.DescStep = st.Name
+				}
+				sp.Preds = append(sp.Preds, pn)
 			}
 			n.Steps = append(n.Steps, sp)
 		}

@@ -306,6 +306,12 @@ type Node struct {
 	// UsesLast marks predicate nodes that may consult last(): the filter
 	// operators materialize their input to know the context size.
 	UsesLast bool
+	// DescStep is set on the predicates of a // step to the step's name
+	// test. The engine ranks such a step's candidates over the whole
+	// descendant sequence, not per parent as // abbreviates, so a
+	// predicate whose value turns out numeric — positional — is an
+	// evaluation error naming the step rather than a wrong answer.
+	DescStep string
 	// BoolShaped marks expressions that always evaluate to one boolean,
 	// enabling the evaluator's allocation-free boolean fast path and
 	// letting predicates skip positional-value handling.

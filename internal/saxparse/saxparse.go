@@ -113,6 +113,9 @@ func (s *scanner) markup(sawRoot *bool) error {
 	case hasPrefixAt(d, s.pos, "</"):
 		return s.endTag()
 	default:
+		if *sawRoot && len(s.stack) == 0 {
+			return s.errf("second root element")
+		}
 		*sawRoot = true
 		return s.startTag()
 	}
@@ -135,6 +138,9 @@ func (s *scanner) skipUntil(end string) error {
 }
 
 func (s *scanner) cdata() error {
+	if len(s.stack) == 0 {
+		return s.errf("CDATA section outside root element")
+	}
 	start := s.pos + len("<![CDATA[")
 	i := strings.Index(string(s.data[start:]), "]]>")
 	if i < 0 {
@@ -369,7 +375,7 @@ func (s *scanner) decode(raw []byte) (string, error) {
 		default:
 			if len(ent) > 1 && ent[0] == '#' {
 				r, err := parseCharRef(ent[1:])
-				if err != nil {
+				if err != nil || !isXMLChar(r) {
 					return "", s.errf("bad character reference &%s;", ent)
 				}
 				out = append(out, string(rune(r))...)
@@ -381,6 +387,19 @@ func (s *scanner) decode(raw []byte) (string, error) {
 	}
 	s.scratch = out
 	return string(out), nil
+}
+
+// isXMLChar reports whether a character reference names a character XML
+// admits (the Char production): tab, newline, carriage return, and the
+// Unicode scalar values from U+0020 on, less U+FFFE and U+FFFF.
+func isXMLChar(r int64) bool {
+	switch {
+	case r == 0x9 || r == 0xA || r == 0xD:
+		return true
+	case r < 0x20 || r >= 0xD800 && r < 0xE000 || r == 0xFFFE || r == 0xFFFF:
+		return false
+	}
+	return r <= 0x10FFFF
 }
 
 func parseCharRef(body string) (int64, error) {

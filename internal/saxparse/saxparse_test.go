@@ -132,6 +132,13 @@ func TestErrors(t *testing.T) {
 		{"unterminated comment", "<!-- <a/>"},
 		{"no root", "<!-- only a comment -->"},
 		{"unterminated cdata", "<a><![CDATA[x</a>"},
+		{"cdata before root", "<![CDATA[x]]><a/>"},
+		{"cdata after root", "<a/><![CDATA[ ]]>"},
+		{"second root", "<a/><b/>"},
+		{"negative char ref", "<a>&#-5;</a>"},
+		{"nul char ref", "<a>&#0;</a>"},
+		{"surrogate char ref", "<a>&#xD800;</a>"},
+		{"char ref past unicode", `<a x="&#x110000;"/>`},
 	}
 	for _, c := range cases {
 		err := Parse([]byte(c.doc), Callbacks{})

@@ -100,10 +100,11 @@ type task struct {
 // Executor runs queries against a shared Catalog on a bounded worker
 // pool. Admission is a fixed-capacity queue: Execute either enqueues
 // immediately or fails fast with ErrQueueFull (backpressure). Each worker
-// owns one engine.Session, so all mutable evaluator state — recycled
-// iterators, memoized hash-join build sides — stays strictly per
-// goroutine while the Catalog's stores and compiled plans are shared
-// read-only.
+// owns one engine.Session, so all mutable evaluator scratch — recycled
+// iterators and batch buffers — stays strictly per goroutine while the
+// Catalog's stores and compiled plans are shared. A cached plan's join
+// build sides live on its engine.Prepared, built once by the first
+// request that needs them and shared read-only by every worker after.
 type Executor struct {
 	cat       *Catalog
 	metrics   *Metrics
@@ -261,10 +262,9 @@ func (e *Executor) worker() {
 	defer e.wg.Done()
 	// The worker's Session lives as long as the worker: free-list buffers
 	// stay warm across every query it executes, cached plan or ad-hoc text,
-	// and the executor's batch width rides on it into every execution.
-	// Memoized join build sides live only for the request that built them —
-	// serve resets the session so an idle worker never pins one request's
-	// materialized indexes.
+	// and the executor's batch width rides on it into every execution. It
+	// holds nothing of any request's plan: join build sides live on the
+	// Prepared, so an ad-hoc text's die with it after its one request.
 	sess := engine.NewSession()
 	sess.BatchSize = e.batchSize
 	for t := range e.queue {
@@ -287,7 +287,6 @@ func (e *Executor) serve(sess *engine.Session, t *task) {
 	}
 	e.metrics.inFlight.Add(1)
 	resp, err := e.runRecovered(t.ctx, sess, t.req)
-	sess.Reset()
 	e.metrics.inFlight.Add(-1)
 	resp.Wait = wait
 	switch {
@@ -336,9 +335,8 @@ func (e *Executor) run(ctx context.Context, sess *engine.Session, req Request) (
 	case req.QueryID != 0:
 		prep, err = e.cat.Prepared(req.System, req.QueryID)
 	case req.Text != "":
-		// An ad-hoc Prepared lives for one request, and so do the session's
-		// join caches keyed by its plan nodes: serve resets them after
-		// every request.
+		// An ad-hoc Prepared lives for one request, and so do the join
+		// build sides memoized on it.
 		start := time.Now()
 		prep, err = e.cat.PrepareText(req.System, req.Text)
 		resp.Compile = time.Since(start)

@@ -15,14 +15,18 @@ import (
 )
 
 // TestAdHocRunsOnWorkerSession pins where ad-hoc texts execute: on the
-// worker's own session, like cached plans — a run leaves its join indexes
-// on the session it was handed — and a stream of distinct texts leaves
-// nothing behind, because serve resets the session after every request.
+// worker's own session, like cached plans — the run records its gather
+// under the session's trace span, which only an execution on that session
+// reads — and a stream of distinct texts leaves nothing of any request on
+// the session: its trace span is cleared after every request, and a
+// text's join build sides live on its Prepared, which dies with the
+// request (the engine's TestSessionResetReleasesJoinMemory watches them
+// being collected).
 func TestAdHocRunsOnWorkerSession(t *testing.T) {
 	c := testCat(t)
-	// Parallel 1: a fanned-out scan runs its joins on the partition workers'
-	// own sessions, which is not what this test watches.
-	ex := NewExecutor(c, Config{Workers: 1, Parallel: 1})
+	// Parallel 2: Q8's scan fans out, and the gather span is what shows
+	// which session the engine ran on.
+	ex := NewExecutor(c, Config{Workers: 1, Parallel: 2})
 	defer ex.Close()
 	ctx := context.Background()
 	sess := engine.NewSession()
@@ -31,13 +35,16 @@ func TestAdHocRunsOnWorkerSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := ex.run(ctx, sess, Request{System: xmark.SystemD, Text: text}); err != nil {
+	root := obs.StartSpan("request")
+	if _, err := ex.run(obs.ContextWith(ctx, root), sess, Request{System: xmark.SystemD, Text: text}); err != nil {
 		t.Fatal(err)
 	}
-	if sess.CachedJoins() == 0 {
-		t.Fatal("an ad-hoc join left no index on the worker's session: it ran on a throw-away one")
+	if !hasSpan(root.View(), "gather") {
+		t.Fatal("an ad-hoc run recorded no gather under the worker session's trace: it ran on a throw-away session")
 	}
-	sess.Reset()
+	if sess.Trace != nil {
+		t.Fatal("the ad-hoc run left its trace span on the worker's session")
+	}
 
 	for _, qid := range []int{8, 9, 10, 11, 12} {
 		text, err := c.QueryText(qid)
@@ -48,7 +55,8 @@ func TestAdHocRunsOnWorkerSession(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tk := &task{ctx: ctx, req: Request{System: xmark.SystemD, Text: text}, enq: time.Now(), done: make(chan taskResult, 1)}
+		root := obs.StartSpan("request")
+		tk := &task{ctx: obs.ContextWith(ctx, root), req: Request{System: xmark.SystemD, Text: text}, enq: time.Now(), done: make(chan taskResult, 1)}
 		ex.metrics.queueDepth.Add(1) // what Execute does before the send
 		ex.serve(sess, tk)
 		res := <-tk.done
@@ -61,10 +69,23 @@ func TestAdHocRunsOnWorkerSession(t *testing.T) {
 		if res.resp.Compile <= 0 {
 			t.Errorf("ad-hoc Q%d reported no compile time", qid)
 		}
-		if n := sess.CachedJoins(); n != 0 {
-			t.Errorf("after ad-hoc Q%d the session still holds %d join indexes", qid, n)
+		if sess.Trace != nil {
+			t.Errorf("after ad-hoc Q%d the session still holds the request's trace span", qid)
 		}
 	}
+}
+
+// hasSpan reports whether the span tree v has a span called name.
+func hasSpan(v obs.SpanView, name string) bool {
+	if v.Name == name {
+		return true
+	}
+	for _, c := range v.Children {
+		if hasSpan(c, name) {
+			return true
+		}
+	}
+	return false
 }
 
 // faultyStore panics on its failAt-th by-tag child navigation call,

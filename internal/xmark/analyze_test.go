@@ -1,6 +1,8 @@
 package xmark
 
 import (
+	"io"
+	"regexp"
 	"strings"
 	"testing"
 
@@ -94,5 +96,63 @@ func TestAnalyzeOptionLeavesReportOnSession(t *testing.T) {
 	}
 	if after.String() != want.String() {
 		t.Errorf("the plain run after ExplainAnalyze changed the output (%d vs %d bytes)", after.Len(), want.Len())
+	}
+}
+
+// analyzeTiming matches the report's wall-time fields, which differ from
+// run to run.
+var analyzeTiming = regexp.MustCompile(`time=[0-9.]+ms|analyze: exec [0-9.]+ms`)
+
+// TestAnalyzeCountsBuildSideEveryRun pins that EXPLAIN ANALYZE builds its
+// joins' build sides afresh on every run: after a plain run has memoized
+// them on the Prepared, two analyzed runs on the same Prepared and session
+// report the same counters, and each join's build-side scan reports the
+// rows it read.
+func TestAnalyzeCountsBuildSideEveryRun(t *testing.T) {
+	b := bench(t, 0.01)
+	for _, sid := range []SystemID{SystemB, SystemD} {
+		sys, err := SystemByID(sid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := sys.Load(b.DocText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, qid := range []int{8, 9, 11, 12} {
+			prep, err := inst.Engine.Prepare(b.QueryText(qid))
+			if err != nil {
+				t.Fatal(err)
+			}
+			sess := engine.NewSession()
+			if err := prep.SerializeSession(io.Discard, sess); err != nil {
+				t.Fatal(err)
+			}
+			var reports [2]string
+			for i := range reports {
+				a, err := prep.ExplainAnalyze(io.Discard, sess)
+				if err != nil {
+					t.Fatal(err)
+				}
+				reports[i] = analyzeTiming.ReplaceAllString(a.Report, "time")
+			}
+			if reports[0] != reports[1] {
+				t.Errorf("Q%d on %s: two analyzed runs differ:\n%s\n%s", qid, sid, reports[0], reports[1])
+			}
+			lines := strings.Split(reports[0], "\n")
+			joins := 0
+			for i, l := range lines {
+				if !strings.Contains(l, "Join ") {
+					continue
+				}
+				joins++
+				if i+1 == len(lines) || !strings.Contains(lines[i+1], "ids=") && !strings.Contains(lines[i+1], "rows=") {
+					t.Errorf("Q%d on %s: the build side of %q reports no rows:\n%s", qid, sid, strings.TrimSpace(l), reports[0])
+				}
+			}
+			if joins == 0 {
+				t.Errorf("Q%d on %s: no join in the plan:\n%s", qid, sid, reports[0])
+			}
+		}
 	}
 }

@@ -1,7 +1,14 @@
 package xmark
 
 import (
+	"io"
+	"strings"
+	"sync"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/nodestore"
+	"repro/internal/obs"
 )
 
 // numericJoinDoc pairs incomes and initial prices that are equal as
@@ -63,6 +70,172 @@ func TestNumericEqualityJoinMatchesNestedLoop(t *testing.T) {
 					t.Errorf("form %d system %s width %d: got %q, want %q", fi, inst.System.ID, width, got, want)
 				}
 			}
+		}
+	}
+}
+
+// scanCountingStore counts the path-extent cursors a store hands out, per
+// path. A join's build side is the only reader of its extent in Q8, Q9
+// and Q11 on System D, so the count of a build path is the number of
+// times that join's index was built.
+type scanCountingStore struct {
+	nodestore.Store
+	mu    sync.Mutex
+	scans map[string]int
+}
+
+func (s *scanCountingStore) PathExtentCursor(path []string) (nodestore.Cursor, bool) {
+	s.mu.Lock()
+	s.scans["/"+strings.Join(path, "/")]++
+	s.mu.Unlock()
+	return s.Store.PathExtentCursor(path)
+}
+
+func (s *scanCountingStore) count(path string) int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.scans[path]
+}
+
+// TestJoinBuildOncePerPrepared pins that a join's build side belongs to
+// the Prepared: two workers, each with its own Session at degree 2 (so
+// gather morsels open the joins too), run Q8, Q9 and Q11 on System D over
+// one shared Prepared each, many times, and every run gives the sequential
+// answer. Each build side is built at most once per worker in the first
+// wave — two cold runs may race, and the loser's copy is discarded — and
+// never again after it, whatever the worker, request or morsel.
+func TestJoinBuildOncePerPrepared(t *testing.T) {
+	b := bench(t, 0.01)
+	sys, err := SystemByID(SystemD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sys.Load(b.DocText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers, runs = 2, 12
+	for _, c := range []struct {
+		query  int
+		builds []string
+	}{
+		{8, []string{"/site/closed_auctions/closed_auction"}},
+		{9, []string{"/site/closed_auctions/closed_auction", "/site/regions/europe/item"}},
+		{11, []string{"/site/open_auctions/open_auction/initial"}},
+	} {
+		ref, err := inst.Engine.Prepare(b.QueryText(c.query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		var want strings.Builder
+		if err := ref.SerializeSession(&want, nil); err != nil {
+			t.Fatal(err)
+		}
+		store := &scanCountingStore{Store: inst.Engine.Store(), scans: map[string]int{}}
+		prep, err := engine.New(store, inst.Engine.Options()).Prepare(b.QueryText(c.query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		wave := func(n int) {
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					sess := engine.NewSession()
+					sess.Degree = 2
+					for i := 0; i < n; i++ {
+						sess.Trace = obs.StartSpan("exec")
+						var got strings.Builder
+						if err := prep.SerializeSession(&got, sess); err != nil {
+							t.Error(err)
+							return
+						}
+						if got.String() != want.String() {
+							t.Errorf("Q%d: a concurrent run differs from the sequential answer", c.query)
+						}
+						if !strings.Contains(fmtSpan(sess.Trace.View()), "morsel") {
+							t.Errorf("Q%d: the run did not fan out at degree 2", c.query)
+						}
+					}
+				}()
+			}
+			wg.Wait()
+		}
+		wave(1)
+		first := map[string]int{}
+		for _, path := range c.builds {
+			first[path] = store.count(path)
+			if first[path] < 1 || first[path] > workers {
+				t.Errorf("Q%d: %s built %d times by %d cold runs", c.query, path, first[path], workers)
+			}
+		}
+		wave(runs)
+		for _, path := range c.builds {
+			if n := store.count(path); n != first[path] {
+				t.Errorf("Q%d: %s rebuilt %d times by %d warm runs", c.query, path, n-first[path], workers*runs)
+			}
+		}
+	}
+}
+
+// fmtSpan flattens a span tree into its names, for containment checks.
+func fmtSpan(v obs.SpanView) string {
+	var b strings.Builder
+	b.WriteString(v.Name + "\n")
+	for _, c := range v.Children {
+		b.WriteString(fmtSpan(c))
+	}
+	return b.String()
+}
+
+// TestFocusDependentJoinSideAllSystems pins that a for-clause whose
+// sequence is relative to the focus (bidder inside an open_auction
+// predicate) is never chosen as a join's build side: its value differs per
+// context node, so an index built once would answer every auction with
+// the first one's bidders. Every system, at width 1 and the default width,
+// must answer what System G's nested loop answers — an equality and a
+// theta join. A function body has no focus, so the same sequence hidden
+// in one is an error everywhere rather than a stale index.
+func TestFocusDependentJoinSideAllSystems(t *testing.T) {
+	b := bench(t, 0.01)
+	instances, err := b.LoadAll(Systems())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, src := range []string{
+		`count(/site/open_auctions/open_auction[count(for $p in /site/people/person for $b in bidder
+		 where $b/personref/@person = $p/@id return $b) > 3])`,
+		`count(/site/open_auctions/open_auction[count(for $p in /site/people/person[@id = "person0"] for $b in bidder
+		 where $b/increase > $p/profile/@income div 10000 return $b) > 3])`,
+	} {
+		want := ""
+		for _, width := range []int{1, 0} {
+			for _, inst := range instances {
+				prep, err := inst.Engine.Prepare(src)
+				if err != nil {
+					t.Fatalf("system %s: %v", inst.System.ID, err)
+				}
+				got := serializeWith(t, prep, 0, width)
+				if want == "" {
+					want = got
+				}
+				if got != want || got == "0" {
+					t.Errorf("system %s width %d: %s = %s, want %s (nonzero)", inst.System.ID, width, src, got, want)
+				}
+			}
+		}
+	}
+	src := `declare function local:bids() { bidder };
+	 count(/site/open_auctions/open_auction[count(for $p in /site/people/person for $b in local:bids()
+	 where $b/personref/@person = $p/@id return $b) > 3])`
+	for _, inst := range instances {
+		prep, err := inst.Engine.Prepare(src)
+		if err != nil {
+			t.Fatalf("system %s: %v", inst.System.ID, err)
+		}
+		if err := prep.SerializeSession(io.Discard, nil); err == nil || !strings.Contains(err.Error(), "context item") {
+			t.Errorf("system %s: a function body read the caller's focus: err %v", inst.System.ID, err)
 		}
 	}
 }

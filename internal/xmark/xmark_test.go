@@ -5,10 +5,12 @@ import (
 	"flag"
 	"fmt"
 	"hash/crc32"
+	"io"
 	"os"
 	"strings"
 	"testing"
 
+	"repro/internal/engine"
 	"repro/internal/xquery"
 )
 
@@ -189,6 +191,65 @@ func TestDescendantPositionalPredicateAllSystems(t *testing.T) {
 				var pe *xquery.ParseError
 				if !errors.As(err, &pe) || !strings.Contains(pe.Msg, "positional predicate") {
 					t.Errorf("system %s: Prepare(%q) = %v; want the positional-predicate ParseError", inst.System.ID, src, err)
+				}
+			}
+			for src, want := range kept {
+				prep, err := inst.Engine.Prepare(src)
+				if err != nil {
+					t.Fatalf("system %s: %s: %v", inst.System.ID, src, err)
+				}
+				got := serializeWith(t, prep, 0, width)
+				if want == "" {
+					kept[src], want = got, got
+				}
+				if got != want {
+					t.Errorf("system %s width %d: %s = %s, want %s", inst.System.ID, width, src, got, want)
+				}
+			}
+		}
+	}
+}
+
+// TestDescendantRuntimePositionalPredicateAllSystems is the run-time half
+// of the positional-predicate rejection: a // step whose predicate is a
+// number only at run time (a variable, a computed count) is an evaluation
+// error naming the step on every system at widths 1 and default, where it
+// used to rank the whole descendant sequence and answer 1 instead of 6. A
+// position over the whole sequence, a positional predicate on a child
+// step, and boolean // predicates over variables still answer, alike on
+// every system.
+func TestDescendantRuntimePositionalPredicateAllSystems(t *testing.T) {
+	b := bench(t, 0.005)
+	instances, err := b.LoadAll(Systems())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rejected := map[string]string{
+		`let $n := 1 return count(//item[$n])`:                           "//item[",
+		`for $n in (1, 2) return count(/site//item[$n])`:                 "//item[",
+		`count(/site/regions//item[count(mailbox) + 1])`:                 "//item[",
+		`for $a in /site/open_auctions/open_auction return $a//*[1 + 0]`: "//*[",
+	}
+	kept := map[string]string{
+		`let $n := 1 return count((//item)[$n])`:                           "1",
+		`let $n := 1 return count(/site/regions/*/item[$n])`:               "6",
+		`let $w := "gold" return count(//item[contains(description, $w)])`: "",
+		`let $id := "item0" return //item[@id = $id]/name/text()`:          "",
+		`count(//item[mailbox/mail])`:                                      "",
+	}
+	for _, width := range []int{1, 0} {
+		for _, inst := range instances {
+			for src, construct := range rejected {
+				prep, err := inst.Engine.Prepare(src)
+				if err != nil {
+					t.Fatalf("system %s: %s: %v", inst.System.ID, src, err)
+				}
+				sess := engine.NewSession()
+				sess.BatchSize = width
+				err = prep.SerializeSession(io.Discard, sess)
+				if err == nil || !strings.Contains(err.Error(), "positional predicate") || !strings.Contains(err.Error(), construct) {
+					t.Errorf("system %s width %d: %s: err %v; want the positional-predicate error naming %s",
+						inst.System.ID, width, src, err, construct)
 				}
 			}
 			for src, want := range kept {
