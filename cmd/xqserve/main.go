@@ -11,18 +11,16 @@
 // across every core while many concurrent clients each run sequentially.
 // -timeout bounds every request with a context deadline; a query that
 // exceeds it stops mid-stream (releasing its worker and any partition
-// workers) and answers 504 with the elapsed time. -batch sets the workers'
-// batch-at-a-time vector width (1 = tuple-at-a-time baseline). -pprof
-// exposes net/http/pprof under /debug/pprof/ — off by default — so
-// batch-vs-tuple CPU profiles can be captured from the running service.
+// workers) and answers 504 with the elapsed time. -pprof exposes
+// net/http/pprof under /debug/pprof/ — off by default — so CPU and heap
+// profiles can be captured from the running service.
 //
 // Every /query response carries an X-Request-ID (echoing the caller's, or
 // freshly generated), X-Query-Wait, X-Query-Compile (the parse and plan time
 // of an ad-hoc text, 0s on a plan-cache hit) and X-Query-Exec, and, when the
 // query's compile surfaced diagnostics, an X-Query-Warnings header. -log
-// writes one structured access-log line per request; /debug/slowlog keeps
-// the -slowlog K slowest requests with their span trees (queue wait, exec,
-// gather morsels).
+// writes one structured access-log line per request. /analyze reports a
+// gather's fan-out and morsel skew.
 //
 // Endpoints:
 //
@@ -32,7 +30,6 @@
 //	GET /analyze?system=D&q=8             EXPLAIN ANALYZE: plan + runtime counters
 //	GET /stats                            executor metrics as JSON
 //	GET /metrics                          Prometheus text format metrics
-//	GET /debug/slowlog                    top-K slowest requests + span trees
 //	GET /healthz                          readiness + catalog load status
 //
 // The server binds its listener first and prints the address it actually
@@ -76,10 +73,8 @@ type server struct {
 	start   time.Time
 	timeout time.Duration
 
-	// slow is the bounded top-K slow-query log behind /debug/slowlog;
 	// accessLog, when non-nil, gets one structured line per /query
 	// request (the -log flag).
-	slow      *obs.SlowLog
 	accessLog *log.Logger
 
 	mu      sync.RWMutex
@@ -97,13 +92,12 @@ func (s *server) routes(pprofOn bool) *http.ServeMux {
 	mux.HandleFunc("/analyze", s.handleAnalyze)
 	mux.HandleFunc("/stats", s.handleStats)
 	mux.HandleFunc("/metrics", s.handleMetrics)
-	mux.HandleFunc("/debug/slowlog", s.handleSlowlog)
 	mux.HandleFunc("/healthz", s.handleHealthz)
 	if pprofOn {
 		// Profiling endpoints are opt-in: they expose runtime internals,
 		// so the default server surface stays queries-only. With the flag
-		// set, batch-vs-tuple CPU and heap profiles can be captured from
-		// the running service, e.g.
+		// set, CPU and heap profiles can be captured from the running
+		// service, e.g.
 		//   go tool pprof 'http://localhost:8080/debug/pprof/profile?seconds=10'
 		mux.HandleFunc("/debug/pprof/", pprof.Index)
 		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
@@ -162,18 +156,16 @@ func main() {
 	workers := flag.Int("workers", 0, "worker pool size (0 = GOMAXPROCS)")
 	queue := flag.Int("queue", 0, "admission queue depth (0 = 4x workers)")
 	degree := flag.Int("degree", 0, "shared intra-query parallelism pool (0 = GOMAXPROCS, 1 = sequential)")
-	batch := flag.Int("batch", 0, "batch-at-a-time vector width on the workers (0 = engine default, 1 = tuple-at-a-time)")
 	timeout := flag.Duration("timeout", 30*time.Second, "per-request deadline; slow queries answer 504 (0 = none)")
 	systems := flag.String("systems", "", "systems to load, e.g. ABD (empty = all seven)")
 	pprofOn := flag.Bool("pprof", false, "expose net/http/pprof under /debug/pprof/ (off by default)")
 	accessLog := flag.Bool("log", false, "write one structured access-log line per /query request to stderr")
-	slowK := flag.Int("slowlog", 32, "slow-query log size: keep the K slowest requests for /debug/slowlog")
 	flag.Parse()
 
 	loaded, err := selectSystems(*systems)
 	check(err)
 
-	s := &server{factor: *factor, start: time.Now(), timeout: *timeout, slow: obs.NewSlowLog(*slowK)}
+	s := &server{factor: *factor, start: time.Now(), timeout: *timeout}
 	if *accessLog {
 		s.accessLog = log.New(os.Stderr, "xqserve: ", log.LstdFlags|log.LUTC)
 	}
@@ -199,7 +191,7 @@ func main() {
 			return
 		}
 		s.cat = cat
-		s.ex = service.NewExecutor(cat, service.Config{Workers: *workers, QueueDepth: *queue, Parallel: *degree, BatchSize: *batch})
+		s.ex = service.NewExecutor(cat, service.Config{Workers: *workers, QueueDepth: *queue, Parallel: *degree})
 		fmt.Printf("xqserve: ready — %d systems, %.1f MB document, loaded in %v (%s)\n",
 			len(cat.Systems()), float64(cat.DocBytes)/1e6, cat.LoadTime, loadPhases(cat))
 	}()
@@ -294,13 +286,12 @@ func (s *server) handleStats(w http.ResponseWriter, _ *http.Request) {
 		Workers     int                       `json:"workers"`
 		QueueCap    int                       `json:"queue_cap"`
 		Parallel    int                       `json:"parallel"`
-		BatchSize   int                       `json:"batch_size"`
 		Factor      float64                   `json:"factor"`
 		StoreBytes  []service.StoreSize       `json:"store_bytes"`
 		TextIndexes []service.TextIndexStatus `json:"text_indexes"`
 		Dictionary  service.DictionaryStatus  `json:"dictionary"`
 		Snapshot    service.Snapshot          `json:"snapshot"`
-	}{ex.Workers(), ex.QueueCap(), ex.Parallel(), ex.BatchSize(), cat.Factor, cat.StoreBytes(), cat.TextIndexes(), cat.Dictionary(), ex.Metrics().Snapshot()})
+	}{ex.Workers(), ex.QueueCap(), ex.Parallel(), cat.Factor, cat.StoreBytes(), cat.TextIndexes(), cat.Dictionary(), ex.Metrics().Snapshot()})
 }
 
 // parseRequest extracts the system and query (number or ad-hoc text) of a
@@ -325,7 +316,7 @@ func parseRequest(r *http.Request, cat *service.Catalog) (service.Request, error
 	return req, nil
 }
 
-// queryLabel names a request for logs and the slow-query log: "Q8" for a
+// queryLabel names a request for the access log and /explain: "Q8" for a
 // benchmark query, the text for an ad-hoc one, truncated on a rune
 // boundary to at most 57 bytes plus "..." when longer than 60.
 func queryLabel(req service.Request) string {
@@ -345,10 +336,9 @@ func queryLabel(req service.Request) string {
 // handleQuery serves one /query request. The request context follows the
 // client connection, so a dropped client cancels the query. Every request
 // gets an ID (the caller's X-Request-ID or a fresh one), echoed back in
-// the response and threaded through the span tree: queue wait and exec on
-// the executor, morsels on the engine's gather workers. Completed requests
-// feed the slow-query log; with -log set, each request leaves one
-// structured access-log line.
+// the response and carried on the context, so a worker's panic message
+// names it; with -log set, each request leaves one structured access-log
+// line.
 func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	reqID := r.Header.Get("X-Request-ID")
 	if reqID == "" {
@@ -356,7 +346,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	}
 	sw := &statusWriter{ResponseWriter: w, status: http.StatusOK}
 	sw.Header().Set("X-Request-ID", reqID)
-	root := obs.StartSpan("request")
 	var (
 		req                 service.Request
 		wait, compile, exec time.Duration
@@ -378,12 +367,10 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(sw, err.Error(), http.StatusBadRequest)
 		return
 	}
-	root.Set("system", string(req.System))
-	root.Set("query", queryLabel(req))
 
 	// The request context follows the client connection; the server-side
 	// deadline bounds how long a slow query may pin a worker slot.
-	ctx := obs.ContextWithRequestID(obs.ContextWith(r.Context(), root), reqID)
+	ctx := obs.ContextWithRequestID(r.Context(), reqID)
 	if s.timeout > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithTimeout(ctx, s.timeout)
@@ -403,17 +390,6 @@ func (s *server) handleQuery(w http.ResponseWriter, r *http.Request) {
 	if len(resp.Warnings) > 0 {
 		sw.Header().Set("X-Query-Warnings", strings.Join(resp.Warnings, "; "))
 	}
-	root.End()
-	s.slow.Observe(obs.SlowLogEntry{
-		RequestID: reqID,
-		System:    string(req.System),
-		Query:     queryLabel(req),
-		When:      time.Now().UTC(),
-		Status:    sw.status,
-		WaitMs:    float64(wait) / float64(time.Millisecond),
-		ExecMs:    float64(exec) / float64(time.Millisecond),
-		Trace:     root.View(),
-	})
 	writeBody(sw, resp.Output)
 }
 
@@ -485,8 +461,8 @@ func (s *server) handleExplain(w http.ResponseWriter, r *http.Request) {
 // instrumentation and renders the annotated plan: per-operator rows,
 // next() calls, batches, selection survival, cumulative time, gather
 // fan-out and morsel skew. It runs on its own session outside the worker
-// pool — a diagnostic endpoint, not a serving path — and takes optional
-// degree= and batch= parameters to analyze a specific execution shape.
+// pool — a diagnostic endpoint, not a serving path — and takes an optional
+// degree= parameter to analyze a parallel execution.
 func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	cat, _, ok := s.ready(w)
 	if !ok {
@@ -509,12 +485,6 @@ func (s *server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	if b := r.URL.Query().Get("batch"); b != "" {
-		if sess.BatchSize, err = strconv.Atoi(b); err != nil {
-			http.Error(w, "bad batch= value", http.StatusBadRequest)
-			return
-		}
-	}
 	a, err := prep.ExplainAnalyze(io.Discard, sess)
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusBadRequest)
@@ -534,17 +504,6 @@ func (s *server) handleMetrics(w http.ResponseWriter, _ *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 	ex.Metrics().WriteProm(w)
 	cat.WriteProm(w)
-}
-
-// handleSlowlog reports the top-K slowest requests with their span trees.
-// Served even while the catalog loads — the log is plain memory.
-func (s *server) handleSlowlog(w http.ResponseWriter, _ *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	_ = enc.Encode(struct {
-		Slowest []obs.SlowLogEntry `json:"slowest"`
-	}{s.slow.Top()})
 }
 
 // selectSystems parses a string of system letters into system values.

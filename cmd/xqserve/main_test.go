@@ -14,7 +14,6 @@ import (
 	"time"
 	"unicode/utf8"
 
-	"repro/internal/obs"
 	"repro/internal/service"
 	"repro/internal/xmark"
 	"repro/internal/xquery"
@@ -49,7 +48,6 @@ func newTestServerOf(t testing.TB, ids string) *server {
 		factor:  0.001,
 		start:   time.Now(),
 		timeout: 10 * time.Second,
-		slow:    obs.NewSlowLog(8),
 	}
 	s.cat = cat
 	s.ex = service.NewExecutor(cat, service.Config{Workers: 2})
@@ -144,8 +142,8 @@ func TestAnalyzeEndpoint(t *testing.T) {
 }
 
 // TestMetricsAndSlowlog drives a query through /query and checks it
-// lands in the Prometheus scrape, the slow-query log (with its span
-// tree), and the access log.
+// lands in the Prometheus scrape and the access log, and that the retired
+// slow-query log is no longer served.
 func TestMetricsAndSlowlog(t *testing.T) {
 	s := newTestServer(t)
 	var logBuf bytes.Buffer
@@ -172,22 +170,8 @@ func TestMetricsAndSlowlog(t *testing.T) {
 		}
 	}
 
-	rec = get(t, mux, "/debug/slowlog", nil)
-	var slow struct {
-		Slowest []obs.SlowLogEntry `json:"slowest"`
-	}
-	if err := json.Unmarshal(rec.Body.Bytes(), &slow); err != nil {
-		t.Fatalf("bad slowlog JSON: %v", err)
-	}
-	if len(slow.Slowest) != 1 {
-		t.Fatalf("slowlog has %d entries, want 1", len(slow.Slowest))
-	}
-	e := slow.Slowest[0]
-	if e.RequestID != "trace-me" || e.System != "D" || e.Query != "Q1" || e.Status != http.StatusOK {
-		t.Fatalf("slowlog entry = %+v", e)
-	}
-	if e.Trace.Name != "request" || len(e.Trace.Children) == 0 {
-		t.Fatalf("slowlog entry has no span tree: %+v", e.Trace)
+	if rec = get(t, mux, "/debug/slowlog", nil); rec.Code != http.StatusNotFound {
+		t.Errorf("/debug/slowlog status %d, want 404", rec.Code)
 	}
 
 	line := logBuf.String()
@@ -385,7 +369,7 @@ func TestDescendantTextOrAttributeIs400(t *testing.T) {
 }
 
 // TestQueryLabelCutsOnRuneBoundary pins the truncation of ad-hoc query
-// labels (access log, span attribute, slowlog, /explain): a multi-byte
+// labels (access log, /explain): a multi-byte
 // rune straddling the 57-byte cut is dropped whole, never split.
 func TestQueryLabelCutsOnRuneBoundary(t *testing.T) {
 	pad := strings.Repeat("x", 56)

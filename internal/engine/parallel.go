@@ -1,13 +1,11 @@
 package engine
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/nodestore"
-	"repro/internal/obs"
 	"repro/internal/plan"
 )
 
@@ -43,9 +41,6 @@ type gather struct {
 	// slots, published to the report renderer by the done-channel close
 	// and the execution's final wg.Wait.
 	gs *gatherStats
-	// span, when non-nil, is the request trace's gather span; each worker
-	// appends its morsel as a timed child (Span is concurrency-safe).
-	span *obs.Span
 }
 
 // gatherPart is one partition worker's result slot, published by closing
@@ -136,10 +131,6 @@ func (ev *evaluator) spawn(n *plan.Node, env *bindings, parts []nodestore.Cursor
 		g.gs = &gatherStats{parts: make([]partStat, len(parts))}
 		ev.prof.gathers[n] = g.gs
 	}
-	if ev.sess.Trace != nil {
-		g.span = ev.sess.Trace.Child("gather")
-		g.span.Set("degree", fmt.Sprintf("%d", len(parts)))
-	}
 	ev.gathers = append(ev.gathers, g)
 	g.wg.Add(len(parts))
 	for i, cur := range parts {
@@ -172,21 +163,13 @@ func (g *gather) work(i int, wev *evaluator, pipe *plan.Node, env *bindings, cou
 			g.abort.Store(true)
 		}
 	}()
-	if g.gs != nil || g.span != nil {
+	if g.gs != nil {
 		start := time.Now()
 		// Registered after the recover, so it observes the slot even when
 		// the worker panics; it runs before close(p.done), so the counters
 		// are published with the slot.
 		defer func() {
-			rows := int64(p.count) + int64(len(p.items))
-			ns := int64(time.Since(start))
-			if g.gs != nil {
-				g.gs.parts[i] = partStat{rows: rows, ns: ns}
-			}
-			if g.span != nil {
-				sp := g.span.Add(fmt.Sprintf("morsel %d", i), time.Duration(ns))
-				sp.Set("rows", fmt.Sprintf("%d", rows))
-			}
+			g.gs.parts[i] = partStat{rows: int64(p.count) + int64(len(p.items)), ns: int64(time.Since(start))}
 		}()
 	}
 	if countOnly {

@@ -1,12 +1,9 @@
 package engine
 
-import (
-	"repro/internal/obs"
-	"repro/internal/tree"
-)
+import "repro/internal/tree"
 
 // Session is the per-worker mutable evaluation scratch: free lists and the
-// atom stack, plus the execution's Degree, BatchSize and Trace. A Session
+// atom stack, plus the execution's Degree and BatchSize. A Session
 // is NOT safe for concurrent use, but it may be reused across any number
 // of sequential executions of any Prepared queries: nothing on it depends
 // on the store or the plan (join build sides live on the Prepared, see
@@ -30,13 +27,6 @@ type Session struct {
 	// width. Output is byte-identical at every width.
 	BatchSize int
 
-	// Trace, when non-nil, is the request span under which executions on
-	// this Session record their internal fan-out: each Gather adds a
-	// "gather" child with one timed "morsel i" span per partition worker.
-	// Nil (the default) records nothing. A service executor sets it per
-	// request and clears it afterwards, since Sessions outlive requests.
-	Trace *obs.Span
-
 	// stepFree, inlineFree and varFree recycle iterators (with
 	// their grown buffers) once they are exhausted or dropped by a
 	// consumer that stopped early: per-tuple paths in FLWOR return and
@@ -57,9 +47,11 @@ type Session struct {
 // NewSession returns an empty Session for one worker goroutine.
 func NewSession() *Session { return &Session{} }
 
-// Reset drops the request span, so a later run records nothing under it.
-// The free lists survive: their warmth is the point of keeping a Session.
-func (s *Session) Reset() { s.Trace = nil }
+// Reset does nothing: a Session carries no per-request state, since join
+// build sides live on the Prepared. It stays so callers that reset a
+// Session between requests keep compiling. The free lists are never
+// cleared: their warmth is the point of keeping a Session.
+func (s *Session) Reset() {}
 
 // getBatchBuf takes a recycled NodeID vector of at least n capacity from
 // the free list, or allocates a fresh one. The returned slice has length n.

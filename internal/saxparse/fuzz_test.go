@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strings"
 	"testing"
+	"unicode/utf8"
 
 	"repro/internal/saxparse"
 	"repro/internal/tree"
@@ -21,8 +22,9 @@ type event struct {
 
 // FuzzSaxparse checks the scanner on arbitrary bytes: it never panics, it
 // fails only with a *SyntaxError, and a document it accepts has one root
-// element, balanced and matching tags, and means what it says — writing its events back out as
-// XML and scanning that again reproduces the same events. The corpus is
+// element, balanced and matching tags, text and attribute values made only
+// of characters XML admits, and means what it says — writing its events
+// back out as XML and scanning that again reproduces the same events. The corpus is
 // seeded with a small document cut from a generated one (its first item,
 // person and auctions, each also alone) and the incidentals the scanner
 // supports: whole generated documents are tens of kilobytes, too big for
@@ -66,6 +68,15 @@ func FuzzSaxparse(f *testing.F) {
 					roots++
 				}
 				open = append(open, ev.name)
+				for _, a := range ev.attrs {
+					if !xmlChars(a.Value) {
+						t.Fatalf("accepted attribute %s=%q, which holds a character XML excludes", a.Name, a.Value)
+					}
+				}
+			case "text":
+				if !xmlChars(ev.name) {
+					t.Fatalf("accepted text %q, which holds a character XML excludes", ev.name)
+				}
 			case "end":
 				if len(open) == 0 || open[len(open)-1] != ev.name {
 					t.Fatalf("end tag %q does not match the open elements %v", ev.name, open)
@@ -137,6 +148,21 @@ func writeEvents(evs []event) []byte {
 		}
 	}
 	return b
+}
+
+// xmlChars reports whether s is UTF-8 made only of characters XML's Char
+// production admits: tab, newline, carriage return and U+0020 on, less
+// U+FFFE and U+FFFF (valid UTF-8 cannot encode a surrogate).
+func xmlChars(s string) bool {
+	if !utf8.ValidString(s) {
+		return false
+	}
+	for _, r := range s {
+		if r < 0x20 && r != '\t' && r != '\n' && r != '\r' || r == 0xFFFE || r == 0xFFFF {
+			return false
+		}
+	}
+	return true
 }
 
 func eventEqual(a, b event) bool {

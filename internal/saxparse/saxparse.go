@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Attr is one attribute of a start tag, with its value fully normalized
@@ -146,6 +147,9 @@ func (s *scanner) cdata() error {
 	if i < 0 {
 		return s.errf("unterminated CDATA section")
 	}
+	if err := s.checkChars(start, start+i); err != nil {
+		return err
+	}
 	text := string(s.data[start : start+i])
 	s.pos = start + i + len("]]>")
 	if s.cb.CharData != nil && text != "" {
@@ -249,11 +253,20 @@ func (s *scanner) startTag() error {
 		quote := s.data[s.pos]
 		s.pos++
 		vstart := s.pos
+		odd := false
 		for s.pos < len(s.data) && s.data[s.pos] != quote {
+			if c := s.data[s.pos]; c < 0x20 || c >= utf8.RuneSelf {
+				odd = true
+			}
 			s.pos++
 		}
 		if s.pos >= len(s.data) {
 			return s.errf("unterminated attribute value for %q", aname)
+		}
+		if odd {
+			if err := s.checkChars(vstart, s.pos); err != nil {
+				return err
+			}
 		}
 		val, err := s.decode(s.data[vstart:s.pos])
 		if err != nil {
@@ -291,12 +304,20 @@ func (s *scanner) endTag() error {
 
 func (s *scanner) charData() error {
 	start := s.pos
-	hasEntity := false
+	hasEntity, odd := false, false
 	for s.pos < len(s.data) && s.data[s.pos] != '<' {
-		if s.data[s.pos] == '&' {
+		switch c := s.data[s.pos]; {
+		case c == '&':
 			hasEntity = true
+		case c < 0x20 || c >= utf8.RuneSelf:
+			odd = true
 		}
 		s.pos++
+	}
+	if odd {
+		if err := s.checkChars(start, s.pos); err != nil {
+			return err
+		}
 	}
 	if len(s.stack) == 0 {
 		// Character data outside the root: only whitespace is legal.
@@ -389,8 +410,34 @@ func (s *scanner) decode(raw []byte) (string, error) {
 	return string(out), nil
 }
 
-// isXMLChar reports whether a character reference names a character XML
-// admits (the Char production): tab, newline, carriage return, and the
+// checkChars rejects raw characters in data[lo:hi] that XML's Char
+// production excludes: C0 controls other than tab, newline and carriage
+// return, invalid UTF-8 (encoded surrogates included, which the decoder
+// refuses), and U+FFFE and U+FFFF. The scan loops call it only for a run
+// that holds a control or a byte >= 0x80, so ASCII text is read once.
+func (s *scanner) checkChars(lo, hi int) error {
+	for i := lo; i < hi; {
+		c := s.data[i]
+		if c >= 0x20 && c < utf8.RuneSelf || isSpace(c) {
+			i++
+			continue
+		}
+		r, n := utf8.DecodeRune(s.data[i:hi])
+		if r == utf8.RuneError && n == 1 {
+			s.pos = i
+			return s.errf("invalid UTF-8 byte %#x", c)
+		}
+		if !isXMLChar(int64(r)) {
+			s.pos = i
+			return s.errf("character %U not allowed in XML", r)
+		}
+		i += n
+	}
+	return nil
+}
+
+// isXMLChar reports whether a character reference or a raw character is
+// one XML admits (the Char production): tab, newline, carriage return, and the
 // Unicode scalar values from U+0020 on, less U+FFFE and U+FFFF.
 func isXMLChar(r int64) bool {
 	switch {

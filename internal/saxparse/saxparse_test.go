@@ -109,6 +109,25 @@ func TestCDATA(t *testing.T) {
 	}
 }
 
+// TestNonASCIIText pins what the raw-character check must keep accepting:
+// multi-byte UTF-8 (a literal U+FFFD included), tab, newline and carriage
+// return, in character data, attribute values and CDATA.
+func TestNonASCIIText(t *testing.T) {
+	evs := collect(t, "<a b='\tgrö\u00dfe\uFFFD'>\r\ncafé 😀<![CDATA[ü\n]]></a>")
+	if v := evs[0].attrs[0].Value; v != "\tgrö\u00dfe\uFFFD" {
+		t.Fatalf("attribute = %q", v)
+	}
+	var text string
+	for _, e := range evs {
+		if e.kind == "text" {
+			text += e.name
+		}
+	}
+	if text != "\r\ncafé 😀ü\n" {
+		t.Fatalf("text = %q", text)
+	}
+}
+
 func TestAttributeQuoting(t *testing.T) {
 	evs := collect(t, `<a one='single' two = "spaced"/>`)
 	if evs[0].attrs[0].Value != "single" || evs[0].attrs[1].Value != "spaced" {
@@ -139,6 +158,16 @@ func TestErrors(t *testing.T) {
 		{"nul char ref", "<a>&#0;</a>"},
 		{"surrogate char ref", "<a>&#xD800;</a>"},
 		{"char ref past unicode", `<a x="&#x110000;"/>`},
+		{"raw control in text", "<a>\x01</a>"},
+		{"raw nul in attribute", "<a b='\x00'/>"},
+		{"raw control in cdata", "<a><![CDATA[x\x1fy]]></a>"},
+		{"invalid utf-8 in text", "<a>\xff\xfe</a>"},
+		{"truncated utf-8 in text", "<a>caf\xc3</a>"},
+		{"encoded surrogate in text", "<a>\xed\xa0\x80</a>"},
+		{"invalid utf-8 in attribute", "<a b=\"\x80\"/>"},
+		{"invalid utf-8 in cdata", "<a><![CDATA[\xc0\xaf]]></a>"},
+		{"raw U+FFFE in text", "<a>\uFFFE</a>"},
+		{"raw U+FFFF in attribute", "<a b='\uFFFF'/>"},
 	}
 	for _, c := range cases {
 		err := Parse([]byte(c.doc), Callbacks{})

@@ -41,11 +41,6 @@ type Config struct {
 	// concurrent clients run sequentially — both saturate the hardware.
 	// <= 0 means GOMAXPROCS; 1 disables intra-query parallelism.
 	Parallel int
-	// BatchSize is the vector width of batch-at-a-time execution on the
-	// workers: 0 keeps the engine default, 1 forces tuple-at-a-time (the
-	// benchmark baseline), larger values run the plans' vectorized
-	// prefixes at that width. Output is identical at every width.
-	BatchSize int
 }
 
 // Request names one query execution: a numbered query by ID (served from
@@ -106,12 +101,11 @@ type task struct {
 // build sides live on its engine.Prepared, built once by the first
 // request that needs them and shared read-only by every worker after.
 type Executor struct {
-	cat       *Catalog
-	metrics   *Metrics
-	queue     chan *task
-	workers   int
-	parallel  int
-	batchSize int
+	cat      *Catalog
+	metrics  *Metrics
+	queue    chan *task
+	workers  int
+	parallel int
 
 	// bufs recycles per-request output buffers across workers, sized by
 	// recent response byte counts; hit rate is exported via /stats and
@@ -142,12 +136,11 @@ func NewExecutor(cat *Catalog, cfg Config) *Executor {
 		parallel = runtime.GOMAXPROCS(0)
 	}
 	e := &Executor{
-		cat:       cat,
-		metrics:   NewMetrics(),
-		queue:     make(chan *task, depth),
-		workers:   workers,
-		parallel:  parallel,
-		batchSize: cfg.BatchSize,
+		cat:      cat,
+		metrics:  NewMetrics(),
+		queue:    make(chan *task, depth),
+		workers:  workers,
+		parallel: parallel,
 	}
 	e.bufs.metrics = e.metrics
 	for i := 0; i < workers; i++ {
@@ -165,9 +158,6 @@ func (e *Executor) Workers() int { return e.workers }
 
 // Parallel returns the shared intra-query parallelism pool size.
 func (e *Executor) Parallel() int { return e.parallel }
-
-// BatchSize returns the configured vector width (0 = engine default).
-func (e *Executor) BatchSize() int { return e.batchSize }
 
 // grantDegree reserves one request's parallelism budget from the shared
 // pool: the pool divided by the requests in flight (this one included),
@@ -261,12 +251,10 @@ func (e *Executor) Close() {
 func (e *Executor) worker() {
 	defer e.wg.Done()
 	// The worker's Session lives as long as the worker: free-list buffers
-	// stay warm across every query it executes, cached plan or ad-hoc text,
-	// and the executor's batch width rides on it into every execution. It
-	// holds nothing of any request's plan: join build sides live on the
+	// stay warm across every query it executes, cached plan or ad-hoc text.
+	// It holds nothing of any request's plan: join build sides live on the
 	// Prepared, so an ad-hoc text's die with it after its one request.
 	sess := engine.NewSession()
-	sess.BatchSize = e.batchSize
 	for t := range e.queue {
 		e.serve(sess, t)
 	}
@@ -281,9 +269,6 @@ func (e *Executor) serve(sess *engine.Session, t *task) {
 		e.metrics.canceled.Add(1)
 		t.done <- taskResult{err: t.ctx.Err()}
 		return
-	}
-	if sp := obs.FromContext(t.ctx); sp != nil {
-		sp.Add("queue-wait", wait)
 	}
 	e.metrics.inFlight.Add(1)
 	resp, err := e.runRecovered(t.ctx, sess, t.req)
@@ -311,7 +296,7 @@ func (e *Executor) runRecovered(ctx context.Context, sess *engine.Session, req R
 		if r := recover(); r != nil {
 			id := obs.RequestIDFrom(ctx)
 			fmt.Fprintf(os.Stderr, "service: panic executing request %q: %v\n%s", id, r, debug.Stack())
-			*sess = engine.Session{BatchSize: e.batchSize}
+			*sess = engine.Session{}
 			resp = Response{System: req.System, QueryID: req.QueryID}
 			err = fmt.Errorf("%w: request %q: %v", ErrInternal, id, r)
 		}
@@ -356,17 +341,6 @@ func (e *Executor) run(ctx context.Context, sess *engine.Session, req Request) (
 	degree := e.grantDegree()
 	defer e.releaseDegree(degree)
 	sess.Degree = degree
-	if sp := obs.FromContext(ctx); sp != nil {
-		es := sp.Child("exec")
-		es.Set("degree", fmt.Sprintf("%d", degree))
-		// The engine records gather/morsel spans under the exec span;
-		// cleared on the way out because worker Sessions outlive requests.
-		sess.Trace = es
-		defer func() {
-			sess.Trace = nil
-			es.End()
-		}()
-	}
 
 	start := time.Now()
 	buf := e.bufs.get()

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -14,19 +15,53 @@ import (
 	"repro/internal/xmark"
 )
 
+// partCountingStore counts the partition cursors a store hands out to a
+// fan-out: the morsels of every gather an execution over it runs. The
+// planner's compile-time probe asks for one partition and is not counted.
+type partCountingStore struct {
+	nodestore.Store
+	parts atomic.Int64
+}
+
+func (s *partCountingStore) opened(parts []nodestore.Cursor, ok bool) ([]nodestore.Cursor, bool) {
+	if ok && len(parts) > 1 {
+		s.parts.Add(int64(len(parts)))
+	}
+	return parts, ok
+}
+
+func (s *partCountingStore) TagExtentPartitions(tag string, k int) ([]nodestore.Cursor, bool) {
+	return s.opened(s.Store.TagExtentPartitions(tag, k))
+}
+
+func (s *partCountingStore) PathExtentPartitions(path []string, k int) ([]nodestore.Cursor, bool) {
+	return s.opened(s.Store.PathExtentPartitions(path, k))
+}
+
+func (s *partCountingStore) PathExtentFilteredPartitions(path []string, fs []nodestore.ValueFilter, k int) ([]nodestore.Cursor, bool) {
+	return s.opened(s.Store.PathExtentFilteredPartitions(path, fs, k))
+}
+
 // TestAdHocRunsOnWorkerSession pins where ad-hoc texts execute: on the
-// worker's own session, like cached plans — the run records its gather
-// under the session's trace span, which only an execution on that session
-// reads — and a stream of distinct texts leaves nothing of any request on
-// the session: its trace span is cleared after every request, and a
-// text's join build sides live on its Prepared, which dies with the
-// request (the engine's TestSessionResetReleasesJoinMemory watches them
-// being collected).
+// worker's own session, like cached plans. The executor grants the
+// request's degree on the session it is handed, and the engine fans Q8's
+// scan out at that degree — which a throw-away session (degree 0, so
+// sequential) would not. A stream of distinct texts then answers like the
+// cached plans; a text's join build sides live on its Prepared, which
+// dies with the request (the engine's TestSessionResetReleasesJoinMemory
+// watches them being collected).
 func TestAdHocRunsOnWorkerSession(t *testing.T) {
 	c := testCat(t)
-	// Parallel 2: Q8's scan fans out, and the gather span is what shows
-	// which session the engine ran on.
-	ex := NewExecutor(c, Config{Workers: 1, Parallel: 2})
+	inst, err := c.Instance(xmark.SystemD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	store := &partCountingStore{Store: inst.Engine.Store()}
+	counted := &Catalog{instances: map[xmark.SystemID]*xmark.Instance{
+		xmark.SystemD: {System: inst.System, Engine: engine.New(store, inst.Engine.Options())},
+	}}
+	// Parallel 2: Q8's scan fans out on a session granted degree 2.
+	ex := NewExecutor(counted, Config{Workers: 1, Parallel: 2})
 	defer ex.Close()
 	ctx := context.Background()
 	sess := engine.NewSession()
@@ -35,28 +70,28 @@ func TestAdHocRunsOnWorkerSession(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	root := obs.StartSpan("request")
-	if _, err := ex.run(obs.ContextWith(ctx, root), sess, Request{System: xmark.SystemD, Text: text}); err != nil {
+	if _, err := ex.run(ctx, sess, Request{System: xmark.SystemD, Text: text}); err != nil {
 		t.Fatal(err)
 	}
-	if !hasSpan(root.View(), "gather") {
-		t.Fatal("an ad-hoc run recorded no gather under the worker session's trace: it ran on a throw-away session")
+	if sess.Degree != 2 {
+		t.Fatalf("the worker's session holds degree %d after the run, want the granted 2", sess.Degree)
 	}
-	if sess.Trace != nil {
-		t.Fatal("the ad-hoc run left its trace span on the worker's session")
+	if n := store.parts.Load(); n < 2 {
+		t.Fatalf("an ad-hoc run opened %d partition cursors at degree 2: it ran on a throw-away session", n)
 	}
 
+	cached := NewExecutor(c, Config{Workers: 1, Parallel: 2})
+	defer cached.Close()
 	for _, qid := range []int{8, 9, 10, 11, 12} {
 		text, err := c.QueryText(qid)
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := ex.Execute(ctx, Request{System: xmark.SystemD, QueryID: qid})
+		want, err := cached.Execute(ctx, Request{System: xmark.SystemD, QueryID: qid})
 		if err != nil {
 			t.Fatal(err)
 		}
-		root := obs.StartSpan("request")
-		tk := &task{ctx: obs.ContextWith(ctx, root), req: Request{System: xmark.SystemD, Text: text}, enq: time.Now(), done: make(chan taskResult, 1)}
+		tk := &task{ctx: ctx, req: Request{System: xmark.SystemD, Text: text}, enq: time.Now(), done: make(chan taskResult, 1)}
 		ex.metrics.queueDepth.Add(1) // what Execute does before the send
 		ex.serve(sess, tk)
 		res := <-tk.done
@@ -69,23 +104,7 @@ func TestAdHocRunsOnWorkerSession(t *testing.T) {
 		if res.resp.Compile <= 0 {
 			t.Errorf("ad-hoc Q%d reported no compile time", qid)
 		}
-		if sess.Trace != nil {
-			t.Errorf("after ad-hoc Q%d the session still holds the request's trace span", qid)
-		}
 	}
-}
-
-// hasSpan reports whether the span tree v has a span called name.
-func hasSpan(v obs.SpanView, name string) bool {
-	if v.Name == name {
-		return true
-	}
-	for _, c := range v.Children {
-		if hasSpan(c, name) {
-			return true
-		}
-	}
-	return false
 }
 
 // faultyStore panics on its failAt-th by-tag child navigation call,

@@ -8,7 +8,6 @@ import (
 	"sync"
 
 	"repro/internal/engine"
-	"repro/internal/obs"
 	"repro/internal/plan"
 	"repro/internal/service"
 	"repro/internal/xmark"
@@ -111,14 +110,8 @@ func (co *Coordinator) Query(ctx context.Context, sys xmark.SystemID, qid int) (
 		return Result{}, fmt.Errorf("shard: no benchmark query Q%d", qid)
 	}
 	req := service.Request{System: sys, QueryID: qid}
-	sp := obs.FromContext(ctx)
 	if mode == plan.ShardNone {
 		// Non-decomposable query: the global unsharded replica serves it.
-		if sp != nil {
-			gsp := sp.Child("global-replica")
-			ctx = obs.ContextWith(ctx, gsp)
-			defer gsp.End()
-		}
 		resp, err := co.global.Execute(ctx, req)
 		if err != nil {
 			return Result{}, err
@@ -132,33 +125,14 @@ func (co *Coordinator) Query(ctx context.Context, sys xmark.SystemID, qid int) (
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			sctx := ctx
-			if sp != nil {
-				ssp := sp.Child(fmt.Sprintf("shard %d", i))
-				sctx = obs.ContextWith(ctx, ssp)
-				defer func() {
-					if err := replies[i].err; err != nil {
-						ssp.Set("error", err.Error())
-					}
-					ssp.End()
-				}()
-			}
-			replies[i].resp, replies[i].err = ex.Execute(sctx, req)
+			replies[i].resp, replies[i].err = ex.Execute(ctx, req)
 		}(i)
 	}
 	// Every scatter goroutine observes ctx through its executor, so this
 	// join returns promptly on cancellation — no goroutine outlives the
 	// query.
 	wg.Wait()
-	var msp *obs.Span
-	if sp != nil {
-		msp = sp.Child("merge")
-		msp.Set("mode", mode.String())
-	}
 	out, err := gather(ctx, mode, replies)
-	if msp != nil {
-		msp.End()
-	}
 	if err != nil {
 		return Result{}, err
 	}

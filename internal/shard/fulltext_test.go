@@ -82,13 +82,30 @@ func TestFulltextByteIdentical(t *testing.T) {
 
 	// Phase 2, sharded: the coordinator's answer (each shard carrying its
 	// own index over its own territory) against the same scan reference,
-	// at sequential-tuple and parallel-batch executor shapes.
-	shapes := []service.Config{
-		{Parallel: 1, BatchSize: 1},
-		{Parallel: 8},
-	}
+	// at sequential and parallel executor shapes. The executors run at the
+	// default width, so each shard's own answer is also checked at width 1
+	// against its default-width answer: with the coordinator's merge of the
+	// default-width answers equal to the reference, the tuple-at-a-time
+	// shards merge to it too.
+	shapes := []service.Config{{Parallel: 1}, {Parallel: 8}}
 	for _, nshards := range []int{1, 2, 4} {
 		cat := loadCatalog(t, factor, nshards, systems)
+		for _, sh := range cat.Shards {
+			for _, s := range systems {
+				for _, qid := range queryIDs {
+					prep, err := sh.Catalog.Prepared(s.ID, qid)
+					if err != nil {
+						t.Fatalf("shard %d/%d %s/Q%d: %v", sh.Index, nshards, s.ID, qid, err)
+					}
+					tuple, err1 := serialize(prep, 1, 1)
+					batch, err2 := serialize(prep, 0, 1)
+					if err1 != nil || err2 != nil || tuple != batch {
+						t.Fatalf("shard %d/%d %s/Q%d: width 1 %q (%v) differs from default width %q (%v)",
+							sh.Index, nshards, s.ID, qid, tuple, err1, batch, err2)
+					}
+				}
+			}
+		}
 		for _, exec := range shapes {
 			co, err := NewCoordinator(cat, Config{Exec: exec})
 			if err != nil {
@@ -103,8 +120,8 @@ func TestFulltextByteIdentical(t *testing.T) {
 					}
 					if want := reference[cell{s.ID, qid}]; res.Output != want {
 						co.Close()
-						t.Fatalf("%s/Q%d at %d shards (parallel=%d, batch=%d): output differs from scan reference\n got: %q\nwant: %q",
-							s.ID, qid, nshards, exec.Parallel, exec.BatchSize, res.Output, want)
+						t.Fatalf("%s/Q%d at %d shards (parallel=%d): output differs from scan reference\n got: %q\nwant: %q",
+							s.ID, qid, nshards, exec.Parallel, res.Output, want)
 					}
 				}
 			}

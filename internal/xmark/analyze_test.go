@@ -3,6 +3,7 @@ package xmark
 import (
 	"io"
 	"regexp"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -153,6 +154,59 @@ func TestAnalyzeCountsBuildSideEveryRun(t *testing.T) {
 			if joins == 0 {
 				t.Errorf("Q%d on %s: no join in the plan:\n%s", qid, sid, reports[0])
 			}
+		}
+	}
+}
+
+// gatherLine matches a Gather operator's counters in an ANALYZE report:
+// its own rows, the fan-out and the rows each morsel produced.
+var gatherLine = regexp.MustCompile(`Gather .*\{rows=(\d+), .*fanout=(\d+), morsel rows=\[([0-9 ]*)\]`)
+
+// TestAnalyzeReportsGatherFanout pins EXPLAIN ANALYZE as the instrument of
+// a gather's fan-out: Q8 on System D at degree 2, tuple-at-a-time and at
+// the default width, reports fanout=2 on its Gather, one morsel row count
+// per partition, and morsel rows that sum to the rows the Gather emitted.
+func TestAnalyzeReportsGatherFanout(t *testing.T) {
+	b := bench(t, 0.01)
+	sys, err := SystemByID(SystemD)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inst, err := sys.Load(b.DocText)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := inst.Engine.Prepare(b.QueryText(8))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, width := range []int{1, 0} {
+		sess := engine.NewSession()
+		sess.Degree = 2
+		sess.BatchSize = width
+		a, err := prep.ExplainAnalyze(io.Discard, sess)
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := gatherLine.FindStringSubmatch(a.Report)
+		if m == nil {
+			t.Fatalf("width %d: no fanned-out Gather in the report:\n%s", width, a.Report)
+		}
+		if m[2] != "2" {
+			t.Errorf("width %d: fanout=%s, want 2:\n%s", width, m[2], a.Report)
+		}
+		morsels := strings.Fields(m[3])
+		sum := 0
+		for _, r := range morsels {
+			n, err := strconv.Atoi(r)
+			if err != nil {
+				t.Fatal(err)
+			}
+			sum += n
+		}
+		if rows, _ := strconv.Atoi(m[1]); len(morsels) != 2 || sum != rows || rows == 0 {
+			t.Errorf("width %d: morsel rows %v sum to %d, want 2 morsels summing to the Gather's rows=%d:\n%s",
+				width, morsels, sum, rows, a.Report)
 		}
 	}
 }
