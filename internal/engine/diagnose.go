@@ -54,71 +54,19 @@ func (p *Prepared) diagnose() {
 		}
 	}
 
-	var walk func(e xquery.Expr)
-	walkAll := func(es []xquery.Expr) {
-		for _, e := range es {
-			if e != nil {
-				walk(e)
+	p.walk(func(e xquery.Expr, _ *xquery.Scope) bool {
+		path, ok := e.(*xquery.Path)
+		if !ok {
+			return true
+		}
+		if _, isRoot := path.Input.(*xquery.Root); isRoot {
+			checkAbsolute(path)
+		}
+		for _, st := range path.Steps {
+			if st.Axis == xquery.AxisChild || st.Axis == xquery.AxisDescendant {
+				checkTag(st.Name)
 			}
 		}
-	}
-	walk = func(e xquery.Expr) {
-		switch v := e.(type) {
-		case *xquery.Path:
-			if _, isRoot := v.Input.(*xquery.Root); isRoot {
-				checkAbsolute(v)
-			} else {
-				walk(v.Input)
-			}
-			for _, st := range v.Steps {
-				if st.Axis == xquery.AxisChild || st.Axis == xquery.AxisDescendant {
-					checkTag(st.Name)
-				}
-				walkAll(st.Preds)
-			}
-		case *xquery.Filter:
-			walk(v.Input)
-			walkAll(v.Preds)
-		case *xquery.FLWOR:
-			for _, cl := range v.Clauses {
-				if cl.For != nil {
-					walk(cl.For.Seq)
-				} else {
-					walk(cl.Let.Seq)
-				}
-			}
-			if v.Where != nil {
-				walk(v.Where)
-			}
-			for _, o := range v.Order {
-				walk(o.Key)
-			}
-			walk(v.Return)
-		case *xquery.Quantified:
-			walkAll(v.Seqs)
-			walk(v.Satisfies)
-		case *xquery.IfExpr:
-			walk(v.Cond)
-			walk(v.Then)
-			walk(v.Else)
-		case *xquery.Binary:
-			walk(v.Left)
-			walk(v.Right)
-		case *xquery.Unary:
-			walk(v.Operand)
-		case *xquery.Call:
-			walkAll(v.Args)
-		case *xquery.Sequence:
-			walkAll(v.Items)
-		case *xquery.ElementCtor:
-			for _, a := range v.Attrs {
-				walkAll(a.Parts)
-			}
-			walkAll(v.Content)
-		}
-	}
-	for _, fd := range p.query.Functions {
-		walk(fd.Body)
-	}
-	walk(p.query.Body)
+		return true
+	})
 }

@@ -110,6 +110,39 @@ func TestDiagnoseEachTagOnce(t *testing.T) {
 	}
 }
 
+// TestCompileOutputInNameOrder: function bodies are checked and diagnosed
+// in name order, then the main body, so the warnings of several bodies and
+// the first static error come out the same on every Prepare, whatever the
+// order of the function map.
+func TestCompileOutputInNameOrder(t *testing.T) {
+	e := diagEngine(t, Options{PathExtents: true},
+		nodestore.DOMOptions{Summary: true, TagExtents: true})
+	const warned = `declare function local:c() { //gamma };
+declare function local:a() { //alpha };
+declare function local:b() { //beta };
+(local:c(), local:b(), local:a(), //delta)`
+	var want []string
+	for _, tag := range []string{"alpha", "beta", "gamma", "delta"} {
+		want = append(want, "tag <"+tag+"> occurs nowhere in the database instance")
+	}
+	const unbound = `declare function local:b() { $y };
+declare function local:c() { $z };
+declare function local:a() { $x };
+1`
+	for i := 0; i < 50; i++ {
+		p, err := e.Prepare(warned)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if strings.Join(p.Diagnostics, "\n") != strings.Join(want, "\n") {
+			t.Fatalf("Prepare %d: diagnostics = %q, want %q", i, p.Diagnostics, want)
+		}
+		if _, err := e.Prepare(unbound); err == nil || !strings.Contains(err.Error(), "$x") {
+			t.Fatalf("Prepare %d: error %v, want the unbound $x of local:a", i, err)
+		}
+	}
+}
+
 // extentCounter counts the extents a compile materializes on the
 // fragmenting mapping, whose TagExtent concatenates and merges fragments.
 type extentCounter struct {

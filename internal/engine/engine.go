@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sync"
 	"time"
 
@@ -159,7 +160,7 @@ func (p *Prepared) SerializeSession(w io.Writer, sess *Session) error {
 // consume, converting evaluation panics into error returns. The evaluator
 // reads the immutable plan through the Prepared and keeps all mutable
 // scratch in the Session, so concurrent executions of one Prepared share
-// nothing writable but the lock-free memo m, the Prepared's own. A non-nil
+// nothing writable but the memo m, the Prepared's own. A non-nil
 // prof installs the EXPLAIN ANALYZE counter wrappers
 // (Prepared.ExplainAnalyze, which passes a private memo so the analyzed
 // run counts its own builds); every other execution passes nil and runs
@@ -201,26 +202,58 @@ func (p *Prepared) execute(sess *Session, m *memo, prof *profile, consume func(*
 // and the plan, so every execution of the plan shares them. Entries are
 // keyed by plan node (or step), one map per build form: a width-1 run
 // builds and probes with the tuple code, a wider run with the batch code.
+// While an entry is being built the map holds a chan struct{} that closes
+// when the build ends.
 type memo struct{ tuple, batch sync.Map }
 
-// memoized returns the entry for at, building it on first use outside any
-// lock (a build may open a nested join); of two racing builds the first
-// published wins. The build runs without the morsel cursor, so a morsel
-// never publishes an index over its partition alone.
+// memoized returns the entry for at, building it on first use. A warm
+// read is one lock-free Load. Cold callers are single-flight: the first
+// builds outside any lock (a build may open a nested join) while the rest
+// wait for it, and a build that panics publishes nothing, so the next
+// caller builds afresh. A caller that is itself inside a build never
+// waits: a recursive function's join can reach its own build side, so it
+// builds a private copy instead, and no cycle of waits can form.
 func memoized[T any](ev *evaluator, at any, batch bool, build func() T) T {
 	m := &ev.memo.tuple
 	if batch {
 		m = &ev.memo.batch
 	}
-	if v, ok := m.Load(at); ok {
-		return v.(T)
+	for {
+		if v, ok := m.Load(at); ok {
+			done, building := v.(chan struct{})
+			if !building {
+				return v.(T)
+			}
+			if ev.building > 0 {
+				return buildOn(ev, build)
+			}
+			<-done
+			continue
+		}
+		done := make(chan struct{})
+		if _, loaded := m.LoadOrStore(at, done); loaded {
+			continue
+		}
+		// Deferred in this order, a panicked build removes its mark (a
+		// no-op once the value is published) before waking the waiters.
+		defer close(done)
+		defer m.CompareAndDelete(at, done)
+		built := buildOn(ev, build)
+		m.Store(at, built)
+		return built
 	}
+}
+
+// buildOn runs a memo build on ev without its morsel cursor, so a morsel
+// never builds an index over its partition alone.
+func buildOn[T any](ev *evaluator, build func() T) T {
 	part, partNode := ev.part, ev.partNode
 	ev.part, ev.partNode = nil, nil
+	ev.building++
 	built := build()
+	ev.building--
 	ev.part, ev.partNode = part, partNode
-	v, _ := m.LoadOrStore(at, built)
-	return v.(T)
+	return built
 }
 
 // resolveBatchSize picks one execution's vector width: the Session's
@@ -243,103 +276,45 @@ func (e *Engine) Query(src string) (Seq, error) {
 }
 
 // check performs static analysis: every variable reference must be bound
-// and every called function must exist.
+// and every called function must exist with a matching arity. The error
+// names the first offence in walk order.
 func (p *Prepared) check() error {
-	var walkErr error
-	builtin := builtinNames()
-	var walk func(e xquery.Expr, bound map[string]bool)
-	walkAll := func(es []xquery.Expr, bound map[string]bool) {
-		for _, e := range es {
-			if e != nil {
-				walk(e, bound)
-			}
-		}
-	}
-	walk = func(e xquery.Expr, bound map[string]bool) {
-		if walkErr != nil || e == nil {
-			return
+	var err error
+	p.walk(func(e xquery.Expr, s *xquery.Scope) bool {
+		if err != nil {
+			return false
 		}
 		switch v := e.(type) {
 		case *xquery.VarRef:
-			if !bound[v.Name] {
-				walkErr = fmt.Errorf("engine: unbound variable $%s", v.Name)
+			if !s.Bound(v.Name) {
+				err = fmt.Errorf("engine: unbound variable $%s", v.Name)
 			}
-		case *xquery.Path:
-			walk(v.Input, bound)
-			for _, st := range v.Steps {
-				walkAll(st.Preds, bound)
-			}
-		case *xquery.Filter:
-			walk(v.Input, bound)
-			walkAll(v.Preds, bound)
-		case *xquery.FLWOR:
-			inner := copyBound(bound)
-			for _, cl := range v.Clauses {
-				if cl.For != nil {
-					walk(cl.For.Seq, inner)
-					inner[cl.For.Var] = true
-				} else {
-					walk(cl.Let.Seq, inner)
-					inner[cl.Let.Var] = true
-				}
-			}
-			if v.Where != nil {
-				walk(v.Where, inner)
-			}
-			for _, o := range v.Order {
-				walk(o.Key, inner)
-			}
-			walk(v.Return, inner)
-		case *xquery.Quantified:
-			inner := copyBound(bound)
-			for i, name := range v.Vars {
-				walk(v.Seqs[i], inner)
-				inner[name] = true
-			}
-			walk(v.Satisfies, inner)
-		case *xquery.IfExpr:
-			walk(v.Cond, bound)
-			walk(v.Then, bound)
-			walk(v.Else, bound)
-		case *xquery.Binary:
-			walk(v.Left, bound)
-			walk(v.Right, bound)
-		case *xquery.Unary:
-			walk(v.Operand, bound)
 		case *xquery.Call:
-			if _, user := p.query.Functions[v.Name]; !user && !builtin[v.Name] {
-				walkErr = fmt.Errorf("engine: unknown function %s()", v.Name)
+			if user := p.query.Functions[v.Name]; user == nil && !builtins[v.Name] {
+				err = fmt.Errorf("engine: unknown function %s()", v.Name)
+			} else if user != nil && len(user.Params) != len(v.Args) {
+				err = fmt.Errorf("engine: %s() expects %d arguments, got %d", v.Name, len(user.Params), len(v.Args))
 			}
-			if user := p.query.Functions[v.Name]; user != nil && len(user.Params) != len(v.Args) {
-				walkErr = fmt.Errorf("engine: %s() expects %d arguments, got %d", v.Name, len(user.Params), len(v.Args))
-			}
-			walkAll(v.Args, bound)
-		case *xquery.Sequence:
-			walkAll(v.Items, bound)
-		case *xquery.ElementCtor:
-			for _, a := range v.Attrs {
-				walkAll(a.Parts, bound)
-			}
-			walkAll(v.Content, bound)
 		}
-	}
-	for _, fd := range p.query.Functions {
-		bound := map[string]bool{}
-		for _, param := range fd.Params {
-			bound[param] = true
-		}
-		walk(fd.Body, bound)
-	}
-	walk(p.query.Body, map[string]bool{})
-	return walkErr
+		return err == nil
+	})
+	return err
 }
 
-func copyBound(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
+// walk visits the function bodies in name order, each with its parameters
+// bound, then the query body, so the compile output (the first static
+// error, the diagnostics) never depends on map order.
+func (p *Prepared) walk(visit func(xquery.Expr, *xquery.Scope) bool) {
+	names := make([]string, 0, len(p.query.Functions))
+	for name := range p.query.Functions {
+		names = append(names, name)
 	}
-	return out
+	slices.Sort(names)
+	for _, name := range names {
+		fd := p.query.Functions[name]
+		xquery.Walk(fd.Body, fd.Params, visit)
+	}
+	xquery.Walk(p.query.Body, nil, visit)
 }
 
 // pathPrefix returns the longest leading run of predicate-free child steps

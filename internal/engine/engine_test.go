@@ -1,8 +1,12 @@
 package engine
 
 import (
+	"io"
 	"strings"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/mapping"
 	"repro/internal/nodestore"
@@ -420,11 +424,22 @@ func TestCompileVsRunPhases(t *testing.T) {
 
 func TestStaticErrorsCaughtAtPrepare(t *testing.T) {
 	engines := sampleStores(t)
-	if _, err := engines[0].Prepare(`for $a in /site return $b`); err == nil {
-		t.Fatal("unbound variable not caught")
-	}
-	if _, err := engines[0].Prepare(`declare function local:f($a) { $a }; local:f(1, 2)`); err == nil {
-		t.Fatal("arity mismatch not caught")
+	for _, c := range []struct{ src, want string }{
+		{`for $a in /site return $b`, "unbound variable $b"},
+		// A clause's variable is not in scope in its own sequence.
+		{`for $x in $x return $x`, "unbound variable $x"},
+		{`let $x := $x return 1`, "unbound variable $x"},
+		{`some $a in $b, $b in 1 satisfies $a`, "unbound variable $b"},
+		// The message names the first unbound variable.
+		{`for $a in $b return $c`, "unbound variable $b"},
+		{`declare function local:f($a) { $a }; local:f(1, 2)`, "local:f() expects 1 arguments, got 2"},
+		{`local:nope(1)`, "unknown function local:nope()"},
+		{`count(nosuch(//item))`, "unknown function nosuch()"},
+	} {
+		_, err := engines[0].Prepare(c.src)
+		if err == nil || !strings.Contains(err.Error(), c.want) {
+			t.Errorf("Prepare(%q) = %v, want an error naming %q", c.src, err, c.want)
+		}
 	}
 }
 
@@ -489,5 +504,88 @@ func TestMetaProbesDifferByArchitecture(t *testing.T) {
 	}
 	if pe.MetaProbes != 0 {
 		t.Fatal("edge engine consulted metadata it does not have")
+	}
+}
+
+// TestMemoizedSingleFlight pins the memo's cold path: concurrent callers
+// of one entry share a single build, and a build that panics publishes
+// nothing, so the next caller builds afresh.
+func TestMemoizedSingleFlight(t *testing.T) {
+	ev := &evaluator{memo: &memo{}}
+	var builds atomic.Int32
+	started, release := make(chan struct{}), make(chan struct{})
+	build := func() int {
+		if builds.Add(1) == 1 {
+			close(started)
+		}
+		<-release
+		return 7
+	}
+	var ready, wg sync.WaitGroup
+	got := make([]int, 8)
+	for i := range got {
+		ready.Add(1)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ready.Done()
+			got[i] = memoized(&evaluator{memo: ev.memo}, "k", false, build)
+		}()
+	}
+	ready.Wait()
+	<-started
+	close(release)
+	wg.Wait()
+	if n := builds.Load(); n != 1 {
+		t.Fatalf("%d concurrent cold callers built %d times, want 1", len(got), n)
+	}
+	for _, v := range got {
+		if v != 7 {
+			t.Fatalf("a caller got %d, want 7", v)
+		}
+	}
+
+	func() {
+		defer func() { recover() }()
+		memoized(ev, "p", true, func() int { panic("build failed") })
+	}()
+	if v := memoized(ev, "p", true, func() int { return 9 }); v != 9 {
+		t.Fatalf("after a panicked build the entry answered %d, want a fresh build's 9", v)
+	}
+}
+
+// TestRecursiveJoinBuildSideErrors: a join whose build side calls the
+// function the join sits in reaches its own build while building it. The
+// run must end in the recursion error, on every store and at both widths,
+// not wait on itself.
+func TestRecursiveJoinBuildSideErrors(t *testing.T) {
+	const src = `declare function local:f() {
+  for $p in /site/people/person
+  for $b in local:f()
+  where $b/@id = $p/@id
+  return $p
+};
+count(local:f())`
+	for _, e := range sampleStores(t) {
+		p, err := e.Prepare(src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, width := range []int{1, 0} {
+			done := make(chan error, 1)
+			go func() {
+				sess := NewSession()
+				sess.BatchSize = width
+				done <- p.SerializeSession(io.Discard, sess)
+			}()
+			select {
+			case err := <-done:
+				if err == nil {
+					t.Errorf("%s width %d: unbounded recursion did not error", e.Store().Name(), width)
+				}
+			case <-time.After(20 * time.Second):
+				t.Fatalf("%s width %d: the run hangs", e.Store().Name(), width)
+			}
+		}
 	}
 }

@@ -146,6 +146,10 @@ type evaluator struct {
 	gathers  []*gather
 	part     nodestore.Cursor
 	partNode *plan.Node
+	// building counts the memo builds open on this evaluator, or on the
+	// one whose gather spawned it: such an evaluator never waits for
+	// another caller's build (see memoized).
+	building int
 
 	// batchSize is the execution's vector width for the plan's vectorized
 	// prefixes, resolved at execute from the Session override, the engine

@@ -7,17 +7,15 @@ import (
 	"repro/internal/xquery"
 )
 
-// builtinNames lists the function library of the subset; static analysis
+// builtins lists the function library of the subset; static analysis
 // rejects unknown names.
-func builtinNames() map[string]bool {
-	return map[string]bool{
-		"count": true, "empty": true, "not": true, "contains": true,
-		"string": true, "number": true, "sum": true, "zero-or-one": true,
-		"exactly-one": true, "distinct-values": true, "last": true,
-		"position": true, "document": true, "doc": true, "name": true,
-		"starts-with": true, "string-length": true, "concat": true,
-		"string-join": true, "boolean": true,
-	}
+var builtins = map[string]bool{
+	"count": true, "empty": true, "not": true, "contains": true,
+	"string": true, "number": true, "sum": true, "zero-or-one": true,
+	"exactly-one": true, "distinct-values": true, "last": true,
+	"position": true, "document": true, "doc": true, "name": true,
+	"starts-with": true, "string-length": true, "concat": true,
+	"string-join": true, "boolean": true,
 }
 
 // iterCall evaluates a function call. Aggregates (sum, distinct-values,

@@ -122,7 +122,7 @@ func (ev *evaluator) gatherCount(n *plan.Node, env *bindings) (int, bool) {
 // spawn launches one worker per partition and registers the gather with
 // this execution so stopGathers can end it. Workers share only immutable
 // state — the plan, the loaded store, the environment's materialized
-// bindings — and the lock-free memo, and each owns a fresh Session; a
+// bindings — and the memo, and each owns a fresh Session; a
 // worker's session budget is zero, so gathers nested inside a partitioned
 // sub-pipeline run sequentially instead of fanning out recursively.
 func (ev *evaluator) spawn(n *plan.Node, env *bindings, parts []nodestore.Cursor, countOnly bool) *gather {
@@ -144,6 +144,7 @@ func (ev *evaluator) spawn(n *plan.Node, env *bindings, parts []nodestore.Cursor
 			part:      cur,
 			partNode:  n.Scan,
 			batchSize: ev.batchSize,
+			building:  ev.building,
 		}
 		go g.work(i, wev, n.Input, env, countOnly)
 	}

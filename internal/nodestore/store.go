@@ -140,7 +140,11 @@ type Store interface {
 	// Extents are sorted id slices or document-ordered posting lists, so
 	// a partition is a contiguous range (see SplitIDs). ok is false when
 	// the store has no access path for the scan and it runs sequentially;
-	// an empty extent returns (nil, true).
+	// an empty extent returns (nil, true). The planner never calls these:
+	// TagExtentPartitions answers ok exactly when TagCard does,
+	// PathExtentPartitions exactly when PathCard does, and
+	// PathExtentFilteredPartitions exactly when PathExtentFilteredCursor
+	// does, so the catalog reads decide which scans split.
 	TagExtentPartitions(tag string, k int) ([]Cursor, bool)
 	PathExtentPartitions(path []string, k int) ([]Cursor, bool)
 	// PathExtentFilteredPartitions applies every filter inside each

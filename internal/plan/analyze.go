@@ -32,96 +32,23 @@ func exprIndependent(e xquery.Expr) bool { return len(freeVars(e)) == 0 }
 // nested predicate (which has a focus of its own).
 func freeVars(e xquery.Expr) map[string]bool {
 	out := map[string]bool{}
-	preds := 0 // nesting depth of predicates being walked
-	var walk func(e xquery.Expr, bound map[string]bool)
-	walkAll := func(es []xquery.Expr, bound map[string]bool) {
-		for _, x := range es {
-			if x != nil {
-				walk(x, bound)
-			}
-		}
-	}
-	walk = func(e xquery.Expr, bound map[string]bool) {
+	xquery.Walk(e, nil, func(e xquery.Expr, s *xquery.Scope) bool {
 		switch v := e.(type) {
 		case *xquery.VarRef:
-			if !bound[v.Name] {
+			if !s.Bound(v.Name) {
 				out[v.Name] = true
 			}
 		case *xquery.ContextItem:
-			if preds == 0 {
+			if !s.InPred() {
 				out["."] = true
 			}
-		case *xquery.Path:
-			walk(v.Input, bound)
-			preds++
-			for _, st := range v.Steps {
-				walkAll(st.Preds, bound)
-			}
-			preds--
-		case *xquery.Filter:
-			walk(v.Input, bound)
-			preds++
-			walkAll(v.Preds, bound)
-			preds--
-		case *xquery.FLWOR:
-			inner := copyBound(bound)
-			for _, cl := range v.Clauses {
-				if cl.For != nil {
-					walk(cl.For.Seq, inner)
-					inner[cl.For.Var] = true
-				} else {
-					walk(cl.Let.Seq, inner)
-					inner[cl.Let.Var] = true
-				}
-			}
-			if v.Where != nil {
-				walk(v.Where, inner)
-			}
-			for _, o := range v.Order {
-				walk(o.Key, inner)
-			}
-			walk(v.Return, inner)
-		case *xquery.Quantified:
-			inner := copyBound(bound)
-			for i, name := range v.Vars {
-				walk(v.Seqs[i], inner)
-				inner[name] = true
-			}
-			walk(v.Satisfies, inner)
-		case *xquery.IfExpr:
-			walk(v.Cond, bound)
-			walk(v.Then, bound)
-			walk(v.Else, bound)
-		case *xquery.Binary:
-			walk(v.Left, bound)
-			walk(v.Right, bound)
-		case *xquery.Unary:
-			walk(v.Operand, bound)
 		case *xquery.Call:
-			if preds == 0 && (v.Name == "position" || v.Name == "last") {
+			if !s.InPred() && (v.Name == "position" || v.Name == "last") {
 				out["."] = true
 			}
-			walkAll(v.Args, bound)
-		case *xquery.Sequence:
-			walkAll(v.Items, bound)
-		case *xquery.ElementCtor:
-			for _, a := range v.Attrs {
-				walkAll(a.Parts, bound)
-			}
-			walkAll(v.Content, bound)
 		}
-	}
-	if e != nil {
-		walk(e, map[string]bool{})
-	}
-	return out
-}
-
-func copyBound(m map[string]bool) map[string]bool {
-	out := make(map[string]bool, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
+		return true
+	})
 	return out
 }
 

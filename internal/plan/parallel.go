@@ -34,10 +34,12 @@ import (
 //     (deterministically) and order by is a pipeline breaker that keeps
 //     the chain sequential.
 //
-// Which scans split is a store capability (the *Partitions methods, whose
-// ok=false declines a scan) probed at plan time like every other catalog consultation, and the firing is gated by
-// the system profile's MaxDegree — the paper's embedded System G and the
-// plain-traversal System F stay sequential.
+// Which scans split is a store capability: by the nodestore.Store
+// contract a store partitions exactly the extents its TagCard/PathCard
+// answer, so the rule reads those at plan time like every other catalog
+// consultation, and the firing is gated by the system profile's MaxDegree
+// — the paper's embedded System G and the plain-traversal System F stay
+// sequential.
 func ruleParallelize(p *Plan, opts Options, store nodestore.Store) {
 	if opts.MaxDegree <= 1 {
 		return
@@ -133,13 +135,13 @@ func (pz *parallelizer) navigate(n *Node) *Node {
 		// from it scans a whole tag extent.
 		if len(leaf.Path) == 1 && leaf.Path[0] == pz.rootTag && len(leaf.Filters) == 0 &&
 			len(n.Steps) > 0 && pz.tagStep(n.Steps[0]) && pz.stepsSafe(n.Steps[1:], true) &&
-			pz.probeTag(n.Steps[0].Name) {
+			pz.probe(pz.store.TagCard(n.Steps[0].Name)) {
 			scan := &Node{Op: OpPartitionedScan, Expr: leaf.Expr, Tag: n.Steps[0].Name}
 			n.Input = scan
 			n.Steps = n.Steps[1:]
 			return scan
 		}
-		if !pz.stepsSafe(n.Steps, false) || !pz.probePath(leaf.Path, leaf.Filters) {
+		if !pz.stepsSafe(n.Steps, false) || !pz.probe(pz.store.PathCard(leaf.Path)) {
 			return nil
 		}
 		leaf.Op = OpPartitionedScan
@@ -154,7 +156,7 @@ func (pz *parallelizer) navigate(n *Node) *Node {
 			drop = 1
 		}
 		if len(steps) <= drop || !pz.tagStep(steps[drop]) ||
-			!pz.stepsSafe(steps[drop+1:], true) || !pz.probeTag(steps[drop].Name) {
+			!pz.stepsSafe(steps[drop+1:], true) || !pz.probe(pz.store.TagCard(steps[drop].Name)) {
 			return nil
 		}
 		scan := &Node{Op: OpPartitionedScan, Expr: leaf.Expr, Tag: steps[drop].Name}
@@ -234,22 +236,11 @@ func (pz *parallelizer) seqSafePred(pr *Node) bool {
 	return !xquery.UsesFocusCall(pr.Expr, isUser, "position")
 }
 
-// probeTag consults the store for tag extent partitionability, counting
-// the catalog probe.
-func (pz *parallelizer) probeTag(tag string) bool {
+// probe counts one catalog consultation and passes its answer through. By
+// the nodestore.Store contract a store splits exactly the tag and path
+// extents its TagCard/PathCard answer, and a filtered scan exists only
+// where the store answered its filtered cursor, so it splits too.
+func (pz *parallelizer) probe(_ int, ok bool) bool {
 	pz.p.Probes++
-	_, ok := pz.store.TagExtentPartitions(tag, 1)
-	return ok
-}
-
-// probePath consults the store for (filtered) path extent
-// partitionability, counting the catalog probe.
-func (pz *parallelizer) probePath(path []string, fs []nodestore.ValueFilter) bool {
-	pz.p.Probes++
-	if len(fs) > 0 {
-		_, ok := pz.store.PathExtentFilteredPartitions(path, fs, 1)
-		return ok
-	}
-	_, ok := pz.store.PathExtentPartitions(path, 1)
 	return ok
 }

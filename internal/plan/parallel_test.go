@@ -73,12 +73,18 @@ func TestParallelizeRespectsMaxDegree(t *testing.T) {
 }
 
 func TestParallelizeSkipsUnsplittableStore(t *testing.T) {
-	// A store whose partition methods decline: wrap the DOM so every
-	// partitionability probe answers ok=false.
-	store := plainStore{testStore(t)}
-	p := compileOpt(t, `for $p in /site/people/person return $p/name/text()`, parallelOpts(), store)
-	if fired(p, "parallelize") != 0 {
-		t.Fatalf("parallelize fired on an unsplittable store: %v", p.Fired)
+	// A store without tag or path access paths declines them through the
+	// catalog, and by the Store contract splits no scan either: neither
+	// the path scan nor the tag extent scan may be partitioned.
+	store := catalogFreeStore{testStore(t)}
+	for _, src := range []string{
+		`for $p in /site/people/person return $p/name/text()`,
+		`for $x in /site//person return $x/name/text()`,
+	} {
+		p := compileOpt(t, src, parallelOpts(), store)
+		if fired(p, "parallelize") != 0 {
+			t.Fatalf("parallelize fired on an unsplittable store: %s: %v", src, p.Fired)
+		}
 	}
 }
 
@@ -138,18 +144,36 @@ func TestParallelizeSkipsDescendantAfterTagScan(t *testing.T) {
 	}
 }
 
-// plainStore declines every partitioned scan of the wrapped store with
-// ok=false, the way a store without splittable extents answers.
-type plainStore struct{ nodestore.Store }
+// catalogFreeStore declines every extent and catalog read of the wrapped
+// store with ok=false, the way a store without tag or path access paths
+// answers, and so, by the Store contract, every partitioned scan too.
+type catalogFreeStore struct{ nodestore.Store }
 
-func (plainStore) TagExtentPartitions(string, int) ([]nodestore.Cursor, bool) {
+func (catalogFreeStore) TagCard(string) (int, bool)    { return 0, false }
+func (catalogFreeStore) PathCard([]string) (int, bool) { return 0, false }
+
+func (catalogFreeStore) TagExtent(_ string, buf []tree.NodeID) ([]tree.NodeID, bool) {
+	return buf, false
+}
+
+func (catalogFreeStore) PathExtent(_ []string, buf []tree.NodeID) ([]tree.NodeID, bool) {
+	return buf, false
+}
+
+func (catalogFreeStore) PathExtentCursor([]string) (nodestore.Cursor, bool) { return nil, false }
+
+func (catalogFreeStore) PathExtentFilteredCursor([]string, []nodestore.ValueFilter) (nodestore.Cursor, bool) {
 	return nil, false
 }
 
-func (plainStore) PathExtentPartitions([]string, int) ([]nodestore.Cursor, bool) {
+func (catalogFreeStore) TagExtentPartitions(string, int) ([]nodestore.Cursor, bool) {
 	return nil, false
 }
 
-func (plainStore) PathExtentFilteredPartitions([]string, []nodestore.ValueFilter, int) ([]nodestore.Cursor, bool) {
+func (catalogFreeStore) PathExtentPartitions([]string, int) ([]nodestore.Cursor, bool) {
+	return nil, false
+}
+
+func (catalogFreeStore) PathExtentFilteredPartitions([]string, []nodestore.ValueFilter, int) ([]nodestore.Cursor, bool) {
 	return nil, false
 }

@@ -325,72 +325,20 @@ func (a *shardAnalyzer) crossPredOK(p xquery.Expr) bool {
 // evaluated against one entity's subtree it yields the same value on
 // the entity's shard as on the unsharded document.
 func (a *shardAnalyzer) local(e xquery.Expr) bool {
-	if e == nil {
-		return true
-	}
-	localAll := func(es []xquery.Expr) bool {
-		for _, x := range es {
-			if !a.local(x) {
-				return false
-			}
-		}
-		return true
-	}
-	switch v := e.(type) {
-	case *xquery.Root:
-		return false
-	case *xquery.Path:
-		if !a.local(v.Input) {
+	ok := true
+	xquery.Walk(e, nil, func(e xquery.Expr, _ *xquery.Scope) bool {
+		if !ok {
 			return false
 		}
-		for _, st := range v.Steps {
-			if !localAll(st.Preds) {
-				return false
-			}
+		switch v := e.(type) {
+		case *xquery.Root:
+			ok = false
+		case *xquery.Call:
+			ok = !a.isUser(v.Name) || a.funcLocal(v.Name)
 		}
-		return true
-	case *xquery.Filter:
-		return a.local(v.Input) && localAll(v.Preds)
-	case *xquery.FLWOR:
-		for _, cl := range v.Clauses {
-			if !a.local(clauseSeq(cl)) {
-				return false
-			}
-		}
-		if !a.local(v.Where) {
-			return false
-		}
-		for _, o := range v.Order {
-			if !a.local(o.Key) {
-				return false
-			}
-		}
-		return a.local(v.Return)
-	case *xquery.Quantified:
-		return localAll(v.Seqs) && a.local(v.Satisfies)
-	case *xquery.IfExpr:
-		return a.local(v.Cond) && a.local(v.Then) && a.local(v.Else)
-	case *xquery.Binary:
-		return a.local(v.Left) && a.local(v.Right)
-	case *xquery.Unary:
-		return a.local(v.Operand)
-	case *xquery.Call:
-		if a.isUser(v.Name) && !a.funcLocal(v.Name) {
-			return false
-		}
-		return localAll(v.Args)
-	case *xquery.Sequence:
-		return localAll(v.Items)
-	case *xquery.ElementCtor:
-		for _, at := range v.Attrs {
-			if !localAll(at.Parts) {
-				return false
-			}
-		}
-		return localAll(v.Content)
-	}
-	// Literals, variables, context item.
-	return true
+		return ok
+	})
+	return ok
 }
 
 // clauseSeq returns the bound sequence of a for or let clause.

@@ -15,9 +15,10 @@ import (
 	"repro/internal/xmark"
 )
 
-// partCountingStore counts the partition cursors a store hands out to a
-// fan-out: the morsels of every gather an execution over it runs. The
-// planner's compile-time probe asks for one partition and is not counted.
+// partCountingStore counts the partition cursors a store hands out. Only
+// an execution's gather fan-outs ask for them (the planner reads the
+// catalog instead), and the count skips a fan-out's answer of fewer than
+// two, which the gather runs sequentially.
 type partCountingStore struct {
 	nodestore.Store
 	parts atomic.Int64

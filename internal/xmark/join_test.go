@@ -74,8 +74,8 @@ func TestNumericEqualityJoinMatchesNestedLoop(t *testing.T) {
 }
 
 // scanCountingStore counts the path-extent cursors a store hands out, per
-// path, and the partition cursors of every gather fan-out (not the
-// planner's one-partition probe). A join's build side is the only reader
+// path, and every partition cursor it hands out: only gather fan-outs ask
+// for them, as the planner reads the catalog instead. A join's build side is the only reader
 // of its extent in Q8, Q9 and Q11 on System D, so the count of a build
 // path is the number of times that join's index was built.
 type scanCountingStore struct {
@@ -86,7 +86,7 @@ type scanCountingStore struct {
 }
 
 func (s *scanCountingStore) opened(parts []nodestore.Cursor, ok bool) ([]nodestore.Cursor, bool) {
-	if ok && len(parts) > 1 {
+	if ok {
 		s.mu.Lock()
 		s.parts += len(parts)
 		s.mu.Unlock()
@@ -131,8 +131,8 @@ func (s *scanCountingStore) count(path string) int {
 // gather morsels open the joins too), run Q8, Q9 and Q11 on System D over
 // one shared Prepared each, many times, and every run gives the sequential
 // answer, and every run fans out (opens at least two partition cursors).
-// Each build side is built at most once per worker in the first wave — two
-// cold runs may race, and the loser's copy is discarded — and never again
+// Each build side is built exactly once in the first wave — cold runs and
+// their morsels that race for it wait for the one build — and never again
 // after it, whatever the worker, request or morsel.
 func TestJoinBuildOncePerPrepared(t *testing.T) {
 	b := bench(t, 0.01)
@@ -196,7 +196,7 @@ func TestJoinBuildOncePerPrepared(t *testing.T) {
 		first := map[string]int{}
 		for _, path := range c.builds {
 			first[path] = store.count(path)
-			if first[path] < 1 || first[path] > workers {
+			if first[path] != 1 {
 				t.Errorf("Q%d: %s built %d times by %d cold runs", c.query, path, first[path], workers)
 			}
 		}
@@ -205,6 +205,39 @@ func TestJoinBuildOncePerPrepared(t *testing.T) {
 			if n := store.count(path); n != first[path] {
 				t.Errorf("Q%d: %s rebuilt %d times by %d warm runs", c.query, path, n-first[path], workers*runs)
 			}
+		}
+	}
+}
+
+// TestPrepareOpensNoPartitions pins that compiling never partitions a
+// scan: the parallelize rule reads TagCard/PathCard to learn which scans
+// split. Preparing Q8 on D (a path extent scan) and Q14 on B (a tag
+// extent over several fragments) still plans a Gather, yet hands out no
+// partition cursor.
+func TestPrepareOpensNoPartitions(t *testing.T) {
+	b := bench(t, 0.01)
+	for _, c := range []struct {
+		system SystemID
+		query  int
+	}{{SystemD, 8}, {SystemB, 14}} {
+		sys, err := SystemByID(c.system)
+		if err != nil {
+			t.Fatal(err)
+		}
+		inst, err := sys.Load(b.DocText)
+		if err != nil {
+			t.Fatal(err)
+		}
+		store := &scanCountingStore{Store: inst.Engine.Store(), scans: map[string]int{}}
+		prep, err := engine.New(store, inst.Engine.Options()).Prepare(b.QueryText(c.query))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !strings.Contains(prep.Explain(), "Gather") {
+			t.Errorf("Q%d on %s: no Gather planned:\n%s", c.query, c.system, prep.Explain())
+		}
+		if n := store.partitions(); n != 0 {
+			t.Errorf("Q%d on %s: Prepare opened %d partition cursors, want 0", c.query, c.system, n)
 		}
 	}
 }

@@ -204,72 +204,17 @@ func (*ElementCtor) isExpr() {}
 // positional predicates.
 func UsesFocusCall(e Expr, isUser func(string) bool, name string) bool {
 	found := false
-	var walk func(e Expr)
-	walkAll := func(es []Expr) {
-		for _, x := range es {
-			if x != nil {
-				walk(x)
-			}
+	Walk(e, nil, func(e Expr, s *Scope) bool {
+		// InPred first: a predicate's root may itself be the call.
+		if found || s.InPred() {
+			return false
 		}
-	}
-	walk = func(e Expr) {
-		if found || e == nil {
-			return
+		// A user function body could consult the caller's focus; stay
+		// conservative.
+		if c, ok := e.(*Call); ok && (c.Name == name || isUser(c.Name)) {
+			found = true
 		}
-		switch v := e.(type) {
-		case *Call:
-			if v.Name == name {
-				found = true
-				return
-			}
-			if isUser(v.Name) {
-				// A user function body could consult the caller's focus;
-				// stay conservative.
-				found = true
-				return
-			}
-			walkAll(v.Args)
-		case *Path:
-			walk(v.Input)
-			// Nested step predicates get their own focus; skip them.
-		case *Filter:
-			walk(v.Input)
-		case *FLWOR:
-			for _, cl := range v.Clauses {
-				if cl.For != nil {
-					walk(cl.For.Seq)
-				} else {
-					walk(cl.Let.Seq)
-				}
-			}
-			if v.Where != nil {
-				walk(v.Where)
-			}
-			for _, o := range v.Order {
-				walk(o.Key)
-			}
-			walk(v.Return)
-		case *Quantified:
-			walkAll(v.Seqs)
-			walk(v.Satisfies)
-		case *IfExpr:
-			walk(v.Cond)
-			walk(v.Then)
-			walk(v.Else)
-		case *Binary:
-			walk(v.Left)
-			walk(v.Right)
-		case *Unary:
-			walk(v.Operand)
-		case *Sequence:
-			walkAll(v.Items)
-		case *ElementCtor:
-			for _, a := range v.Attrs {
-				walkAll(a.Parts)
-			}
-			walkAll(v.Content)
-		}
-	}
-	walk(e)
+		return !found
+	})
 	return found
 }
