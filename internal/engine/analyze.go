@@ -162,6 +162,9 @@ func (pr *profile) annotate(n *plan.Node) string {
 	if st != nil {
 		if st.nexts > 0 || st.rows > 0 {
 			add("rows=%d", st.rows)
+		}
+		if st.nexts > 0 {
+			// A pushed operator writes its rows without being pulled.
 			add("next=%d", st.nexts)
 		}
 		if st.batches > 0 {
@@ -256,8 +259,10 @@ type Analysis struct {
 func (p *Prepared) ExplainAnalyze(w io.Writer, sess *Session) (Analysis, error) {
 	prof := newProfile()
 	start := time.Now()
-	err := p.execute(sess, &memo{}, prof, func(ev *evaluator, it Iterator) error {
-		return ev.serializeResult(w, p.plan.Root, it)
+	iw := NewItemWriter(w, p.engine.store)
+	err := p.execute(sess, &memo{}, prof, func(ev *evaluator, env *bindings) error {
+		ev.push(iw, p.plan.Root, env, true)
+		return iw.Err()
 	})
 	exec := time.Since(start)
 	if err != nil {

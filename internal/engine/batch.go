@@ -201,7 +201,16 @@ func (f *fromBatchIter) next() (ref, bool) {
 	}
 }
 
-// constructBatch assembles one marked constructor content part — a
+// batchPart reports whether a constructor content part carries the
+// vectorize rule's BatchConstruct mark: a navigation over a bound
+// variable. Scans and selects in content are marked Vectorized too, as
+// pipelines of their own, and are pulled like any other part.
+func (ev *evaluator) batchPart(part *plan.Node) bool {
+	return part.Vectorized && ev.batchSize > 1 && part.Op == plan.OpNavigate &&
+		part.Input != nil && part.Input.Op == plan.OpVar
+}
+
+// ctorBatchIDs evaluates one marked constructor content part — a
 // navigation over a bound variable whose steps are all simple child/text
 // steps — vector-at-a-time: the binding's NodeIDs walk every step through
 // the store's bulk children probes directly, one tight loop per step over
@@ -210,14 +219,17 @@ func (f *fromBatchIter) next() (ref, bool) {
 // returns, where each binding holds a handful of nodes; pipeline
 // machinery per part per tuple costs more than the navigation itself
 // there, which is why this path loops in place instead of building batch
-// operators. ok is false when the binding holds anything but stored
-// nodes; the caller then falls back to the item pipeline, which is safe
-// because bindings are materialized sequences (re-iteration never
+// operators. It returns the nodes the child/text steps reach, and the
+// final attribute step when the part ends in one (the caller reads that
+// attribute of each node, see ctorAttr); the caller returns ids to the
+// session's batch free list. ok is false when the binding holds anything
+// but stored nodes; the caller then falls back to the item pipeline, which
+// is safe because bindings are materialized sequences (re-iteration never
 // re-evaluates).
-func (ev *evaluator) constructBatch(part *plan.Node, env *bindings, out []Item) ([]Item, bool) {
+func (ev *evaluator) ctorBatchIDs(part *plan.Node, env *bindings) (ids []tree.NodeID, attr *plan.StepPlan, ok bool) {
 	b := env.peek(part.Input.Var)
 	if b == nil {
-		return out, false
+		return nil, nil, false
 	}
 	sess := ev.sess
 	var cur []tree.NodeID
@@ -229,18 +241,16 @@ func (ev *evaluator) constructBatch(part *plan.Node, env *bindings, out []Item) 
 			n, isNode := it.(NodeItem)
 			if !isNode {
 				sess.putBatchBuf(cur)
-				return out, false
+				return nil, nil, false
 			}
 			cur[i] = n.ID
 		}
 	}
-	s := ev.store
 	steps := part.Steps
-	// A final attribute step emits its values as string content directly —
-	// the tuple pipeline's contentItem turns attribute nodes into text.
-	var attrStep *plan.StepPlan
+	// A final attribute step yields its values as string content — the
+	// tuple pipeline's content emission turns attribute nodes into text.
 	if n := len(steps); n > 0 && steps[n-1].Axis == xquery.AxisAttribute {
-		attrStep, steps = steps[n-1], steps[:n-1]
+		attr, steps = steps[n-1], steps[:n-1]
 	}
 	for si, sp := range steps {
 		next := sess.getBatchBuf(0)
@@ -255,22 +265,34 @@ func (ev *evaluator) constructBatch(part *plan.Node, env *bindings, out []Item) 
 		sess.putBatchBuf(cur)
 		cur = next
 	}
-	if attrStep != nil {
-		naive := ev.opts.NaiveStrings
-		for _, id := range cur {
-			if v, ok := s.Attr(id, attrStep.Name); ok {
-				if naive {
-					v = string(append([]byte(nil), v...))
-				}
-				out = append(out, StrItem(v))
-			}
-		}
-	} else {
-		for _, id := range cur {
+	return cur, attr, true
+}
+
+// ctorAttr reads the final attribute step of a BatchConstruct part from
+// one node, copied under NaiveStrings like every string System G touches.
+func (ev *evaluator) ctorAttr(id tree.NodeID, attr *plan.StepPlan) (string, bool) {
+	v, ok := ev.store.Attr(id, attr.Name)
+	if ok && ev.opts.NaiveStrings {
+		v = string(append([]byte(nil), v...))
+	}
+	return v, ok
+}
+
+// constructBatch appends the children of one marked constructor content
+// part to out (see ctorBatchIDs).
+func (ev *evaluator) constructBatch(part *plan.Node, env *bindings, out []Item) ([]Item, bool) {
+	ids, attr, ok := ev.ctorBatchIDs(part, env)
+	if !ok {
+		return out, false
+	}
+	for _, id := range ids {
+		if attr == nil {
 			out = append(out, NodeItem{ID: id})
+		} else if v, ok := ev.ctorAttr(id, attr); ok {
+			out = append(out, StrItem(v))
 		}
 	}
-	sess.putBatchBuf(cur)
+	ev.sess.putBatchBuf(ids)
 	return out, true
 }
 

@@ -40,8 +40,9 @@ func (e *Engine) Options() Options { return e.opts }
 // absolute paths, count shortcuts, pushdown capabilities), and the rewrite
 // rule pipeline, matching the paper's "compilation" phase of Table 2.
 // Execution builds a pull-based iterator pipeline over the optimized plan;
-// Run materializes it, while Stream and Serialize consume it item by item
-// without holding the whole result.
+// Run materializes it and Stream consumes it item by item without holding
+// the whole result, while Serialize pushes the result's constructors
+// straight into its writer.
 //
 // A Prepared can be executed any number of times, including concurrently
 // from multiple goroutines: every execution builds a fresh pipeline, and
@@ -101,8 +102,8 @@ func (p *Prepared) Plan() *plan.Plan { return p.plan }
 
 // Run executes the prepared query and materializes the result sequence.
 func (p *Prepared) Run() (result Seq, err error) {
-	err = p.execute(nil, &p.memo, nil, func(_ *evaluator, it Iterator) error {
-		result = materialize(it)
+	err = p.execute(nil, &p.memo, nil, func(ev *evaluator, env *bindings) error {
+		result = materialize(ev.iter(p.plan.Root, env))
 		return nil
 	})
 	if err != nil {
@@ -126,7 +127,8 @@ func (p *Prepared) Stream(fn func(Item) bool) error {
 // Session must not be shared between goroutines. A nil sess behaves like
 // Stream.
 func (p *Prepared) StreamSession(sess *Session, fn func(Item) bool) error {
-	return p.execute(sess, &p.memo, nil, func(_ *evaluator, it Iterator) error {
+	return p.execute(sess, &p.memo, nil, func(ev *evaluator, env *bindings) error {
+		it := ev.iter(p.plan.Root, env)
 		for {
 			r, ok := it.next()
 			if !ok || !fn(r.box()) {
@@ -137,8 +139,8 @@ func (p *Prepared) StreamSession(sess *Session, fn func(Item) bool) error {
 }
 
 // Serialize executes the prepared query and writes the serialized result
-// to w item by item through an ItemWriter, interleaving evaluation with
-// output instead of materializing the result sequence first.
+// to w through an ItemWriter, interleaving evaluation with output instead
+// of materializing the result sequence first.
 func (p *Prepared) Serialize(w io.Writer) error {
 	return p.SerializeSession(w, nil)
 }
@@ -151,21 +153,34 @@ func (p *Prepared) Serialize(w io.Writer) error {
 // serializes through the one ItemWriter, so output is byte-identical at
 // every batch size.
 func (p *Prepared) SerializeSession(w io.Writer, sess *Session) error {
-	return p.execute(sess, &p.memo, nil, func(ev *evaluator, it Iterator) error {
-		return ev.serializeResult(w, p.plan.Root, it)
+	return p.SerializeTo(NewItemWriter(w, p.engine.store), sess)
+}
+
+// SerializeTo is SerializeSession into a caller-owned ItemWriter over this
+// engine's store, whose LeadAtomic and TailAtomic then describe the
+// result. The result is pushed into the writer (see ItemWriter): element
+// constructors write their markup as they evaluate, with no constructed
+// tree and no boxed item in between, and every result item is handed to
+// the underlying writer as it completes. A write error ends the execution
+// at the next result item and is returned.
+func (p *Prepared) SerializeTo(iw *ItemWriter, sess *Session) error {
+	return p.execute(sess, &p.memo, nil, func(ev *evaluator, env *bindings) error {
+		ev.push(iw, p.plan.Root, env, true)
+		return iw.Err()
 	})
 }
 
-// execute builds a fresh pipeline for the optimized plan and hands it to
-// consume, converting evaluation panics into error returns. The evaluator
-// reads the immutable plan through the Prepared and keeps all mutable
-// scratch in the Session, so concurrent executions of one Prepared share
-// nothing writable but the memo m, the Prepared's own. A non-nil
-// prof installs the EXPLAIN ANALYZE counter wrappers
+// execute sets up an evaluator for one run of the optimized plan and
+// hands it, with the empty top-level environment, to consume, which pulls
+// or pushes the plan's result; evaluation panics become error returns.
+// The evaluator reads the immutable plan through the Prepared and keeps
+// all mutable scratch in the Session, so concurrent executions of one
+// Prepared share nothing writable but the memo m, the Prepared's own. A
+// non-nil prof installs the EXPLAIN ANALYZE counter wrappers
 // (Prepared.ExplainAnalyze, which passes a private memo so the analyzed
 // run counts its own builds); every other execution passes nil and runs
 // uninstrumented.
-func (p *Prepared) execute(sess *Session, m *memo, prof *profile, consume func(*evaluator, Iterator) error) (err error) {
+func (p *Prepared) execute(sess *Session, m *memo, prof *profile, consume func(*evaluator, *bindings) error) (err error) {
 	defer func() {
 		if r := recover(); r != nil {
 			if ee, ok := r.(*evalError); ok {
@@ -194,7 +209,7 @@ func (p *Prepared) execute(sess *Session, m *memo, prof *profile, consume func(*
 	// unwinding: partition workers never outlive their execution, whether
 	// it finished, errored, or the consumer stopped pulling mid-stream.
 	defer ev.stopGathers()
-	return consume(ev, ev.iter(p.plan.Root, &bindings{}))
+	return consume(ev, &bindings{})
 }
 
 // memo holds a plan's build sides — hash-join and theta-join indexes,

@@ -775,7 +775,7 @@ func (ev *evaluator) candidates(it Item, sp *plan.StepPlan) Iterator {
 	case DocItem:
 		return ev.docCandidates(sp)
 	case *Constructed:
-		return ev.newVarIter(stepFromConstructed(n, sp))
+		return ev.newVarIter(ev.stepFromConstructed(n, sp))
 	case AttrItem:
 		return emptyIter{}
 	default:
@@ -960,24 +960,45 @@ type attrHit struct {
 	supported bool
 }
 
-func stepFromConstructed(c *Constructed, sp *plan.StepPlan) Seq {
+// stepFromConstructed applies one step to a constructed element. Stored
+// nodes in its content (copies by reference) are its children too, so the
+// child and descendant steps reach into them through the store.
+func (ev *evaluator) stepFromConstructed(c *Constructed, sp *plan.StepPlan) Seq {
+	s := ev.store
 	var out Seq
+	named := func(tag string) bool { return sp.Name == "*" || tag == sp.Name }
 	switch sp.Axis {
 	case xquery.AxisChild:
 		for _, ch := range c.Children {
-			if el, ok := ch.(*Constructed); ok && (sp.Name == "*" || el.Tag == sp.Name) {
-				out = append(out, el)
+			switch v := ch.(type) {
+			case *Constructed:
+				if named(v.Tag) {
+					out = append(out, v)
+				}
+			case NodeItem:
+				if s.Kind(v.ID) == tree.Element && named(s.Tag(v.ID)) {
+					out = append(out, v)
+				}
 			}
 		}
 	case xquery.AxisDescendant:
 		var walk func(el *Constructed)
 		walk = func(el *Constructed) {
 			for _, ch := range el.Children {
-				if sub, ok := ch.(*Constructed); ok {
-					if sp.Name == "*" || sub.Tag == sp.Name {
-						out = append(out, sub)
+				switch v := ch.(type) {
+				case *Constructed:
+					if named(v.Tag) {
+						out = append(out, v)
 					}
-					walk(sub)
+					walk(v)
+				case NodeItem:
+					if s.Kind(v.ID) != tree.Element {
+						continue
+					}
+					if named(s.Tag(v.ID)) {
+						out = append(out, v)
+					}
+					out = appendAll(out, ev.storedDescendants(v, sp))
 				}
 			}
 		}
@@ -990,8 +1011,13 @@ func stepFromConstructed(c *Constructed, sp *plan.StepPlan) Seq {
 		}
 	case xquery.AxisText:
 		for _, ch := range c.Children {
-			if s, ok := ch.(StrItem); ok {
-				out = append(out, s)
+			switch v := ch.(type) {
+			case StrItem:
+				out = append(out, v)
+			case NodeItem:
+				if s.Kind(v.ID) == tree.Text {
+					out = append(out, v)
+				}
 			}
 		}
 	}
@@ -1838,7 +1864,7 @@ func (ev *evaluator) construct(n *plan.Node, env *bindings) *Constructed {
 		case part.Op == plan.OpCtor:
 			out.Children = append(out.Children, ev.construct(part, env))
 			continue
-		case part.Vectorized && ev.batchSize > 1:
+		case ev.batchPart(part):
 			// The vectorize rule marked this part: assemble its children
 			// vector-at-a-time from the binding's NodeID batches instead of
 			// one item per next dispatch.
@@ -1939,13 +1965,16 @@ func (b *attrBuilder) String() string {
 
 // contentItem adapts an evaluated item for inclusion in constructed
 // content: atomics become text, attribute nodes become text (simplified),
-// and nodes are kept by reference (serialization copies them).
+// the document node stands for the root element, and nodes are kept by
+// reference (serialization copies them).
 func (ev *evaluator) contentItem(it Item) Item {
 	switch v := it.(type) {
 	case NumItem, BoolItem:
 		return StrItem(itemString(v))
 	case AttrItem:
 		return StrItem(v.Value)
+	case DocItem:
+		return NodeItem{ID: ev.store.Root()}
 	default:
 		return it
 	}

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -22,7 +23,9 @@ import (
 // emitting partition 0's items, then partition 1's, and so on — IS the
 // NodeID merge, and output stays byte-identical to sequential evaluation
 // at every degree. Count recombines by partial sums instead, so counting
-// workers never materialize their morsels.
+// workers never materialize their morsels, and a gather whose items are
+// result items has its workers serialize their morsels into private runs,
+// copied out in the same order.
 
 // abortCheckInterval is how many items a partition worker produces
 // between abort-flag checks: small enough that an erroring sibling or a
@@ -49,9 +52,46 @@ type gather struct {
 type gatherPart struct {
 	done  chan struct{}
 	items Seq
+	// count is the number of items counted (countItems) or written
+	// (writeItems).
 	count int
-	err   any
+	// run holds a writeItems morsel's serialized items; lead and tail say
+	// whether its first and last item are atomic.
+	run        []byte
+	lead, tail bool
+	err        any
 }
+
+// gatherMode is what a partition worker does with its morsel's items.
+type gatherMode int
+
+const (
+	// collectItems collects the items for the ordered gatherIter.
+	collectItems gatherMode = iota
+	// countItems only counts them, for count() by partial sums.
+	countItems
+	// writeItems serializes them into the slot's private run, for a
+	// Gather whose items are result items (pushGather).
+	writeItems
+)
+
+// morselWriter is a writeItems worker's private output: it collects the
+// run and fails every write once the fan-out is aborted, which ends the
+// worker's push at its next result item.
+type morselWriter struct {
+	abort *atomic.Bool
+	run   []byte
+}
+
+func (m *morselWriter) Write(b []byte) (int, error) {
+	if m.abort.Load() {
+		return 0, errMorselAborted
+	}
+	m.run = append(m.run, b...)
+	return len(b), nil
+}
+
+var errMorselAborted = errors.New("engine: gather aborted")
 
 // degreeFor resolves the effective degree of one Gather node: the
 // session's parallelism budget clamped by the plan's MaxDegree.
@@ -95,7 +135,7 @@ func (ev *evaluator) iterGather(n *plan.Node, env *bindings) Iterator {
 	if !ok {
 		return ev.iter(n.Input, env)
 	}
-	return &gatherIter{g: ev.spawn(n, env, parts, false)}
+	return &gatherIter{g: ev.spawn(n, env, parts, collectItems)}
 }
 
 // gatherCount executes count() over a Gather argument by partial sums.
@@ -106,7 +146,7 @@ func (ev *evaluator) gatherCount(n *plan.Node, env *bindings) (int, bool) {
 	if !ok {
 		return 0, false
 	}
-	g := ev.spawn(n, env, parts, true)
+	g := ev.spawn(n, env, parts, countItems)
 	total := 0
 	for i := range g.parts {
 		p := &g.parts[i]
@@ -125,7 +165,7 @@ func (ev *evaluator) gatherCount(n *plan.Node, env *bindings) (int, bool) {
 // bindings — and the memo, and each owns a fresh Session; a
 // worker's session budget is zero, so gathers nested inside a partitioned
 // sub-pipeline run sequentially instead of fanning out recursively.
-func (ev *evaluator) spawn(n *plan.Node, env *bindings, parts []nodestore.Cursor, countOnly bool) *gather {
+func (ev *evaluator) spawn(n *plan.Node, env *bindings, parts []nodestore.Cursor, mode gatherMode) *gather {
 	g := &gather{parts: make([]gatherPart, len(parts))}
 	if ev.prof != nil {
 		g.gs = &gatherStats{parts: make([]partStat, len(parts))}
@@ -146,7 +186,7 @@ func (ev *evaluator) spawn(n *plan.Node, env *bindings, parts []nodestore.Cursor
 			batchSize: ev.batchSize,
 			building:  ev.building,
 		}
-		go g.work(i, wev, n.Input, env, countOnly)
+		go g.work(i, wev, n.Input, env, mode)
 	}
 	return g
 }
@@ -154,7 +194,7 @@ func (ev *evaluator) spawn(n *plan.Node, env *bindings, parts []nodestore.Cursor
 // work runs one partition worker: build the sub-pipeline over the
 // partition cursor, drain it into the result slot, and convert panics
 // into the slot's err while aborting the siblings.
-func (g *gather) work(i int, wev *evaluator, pipe *plan.Node, env *bindings, countOnly bool) {
+func (g *gather) work(i int, wev *evaluator, pipe *plan.Node, env *bindings, mode gatherMode) {
 	p := &g.parts[i]
 	defer g.wg.Done()
 	defer close(p.done)
@@ -173,7 +213,14 @@ func (g *gather) work(i int, wev *evaluator, pipe *plan.Node, env *bindings, cou
 			g.gs.parts[i] = partStat{rows: int64(p.count) + int64(len(p.items)), ns: int64(time.Since(start))}
 		}()
 	}
-	if countOnly {
+	switch mode {
+	case writeItems:
+		out := &morselWriter{abort: &g.abort}
+		pw := NewItemWriter(out, wev.store)
+		p.count = wev.push(pw, pipe, env, true)
+		p.run, p.lead, p.tail = out.run, pw.leadAtomic, pw.prevAtomic
+		return
+	case countItems:
 		// A counting worker over a vectorized sub-pipeline sums batch
 		// lengths instead of boxing every morsel id through the item
 		// pipeline; the abort flag is checked between batches.
@@ -199,7 +246,7 @@ func (g *gather) work(i int, wev *evaluator, pipe *plan.Node, env *bindings, cou
 		if !ok {
 			return
 		}
-		if countOnly {
+		if mode == countItems {
 			p.count++
 		} else {
 			p.items = append(p.items, r.box())

@@ -265,7 +265,7 @@ func renderNode(b *strings.Builder, n *Node, depth int, label string, annot func
 			if part.Op == OpLiteral {
 				continue
 			}
-			kid(part, "")
+			kid(part, inlinedLabel(part))
 		}
 	case OpIf:
 		self("If")
@@ -286,7 +286,7 @@ func renderNode(b *strings.Builder, n *Node, depth int, label string, annot func
 	case OpSequence:
 		self("Sequence")
 		for _, k := range n.Kids {
-			kid(k, "")
+			kid(k, inlinedLabel(k))
 		}
 	case OpBinary:
 		self("Op " + n.Expr.(*xquery.Binary).Op.String())
@@ -303,6 +303,15 @@ func renderNode(b *strings.Builder, n *Node, depth int, label string, annot func
 	default:
 		self(n.Op.String())
 	}
+}
+
+// inlinedLabel labels a content part the inline-let rule substituted with
+// the let it replaced.
+func inlinedLabel(n *Node) string {
+	if n.Inlined == "" {
+		return ""
+	}
+	return "let $" + n.Inlined + " := "
 }
 
 // clauseLabel renders a for or let clause; a let the count-join rule fused

@@ -302,6 +302,9 @@ type Node struct {
 	// parts of OpCtor, parallel to the AST constructor.
 	CtorAttrs [][]*Node
 	Content   []*Node
+	// Inlined names the let variable whose sequence the inline-let rule
+	// substituted at this constructor content position.
+	Inlined string
 
 	// UsesLast marks predicate nodes that may consult last(): the filter
 	// operators materialize their input to know the context size.

@@ -17,8 +17,8 @@ import (
 // post-join chains) rather than intermediate ones, vectorize runs after
 // every shape rewrite so its batch marks land on the scans parallelize just
 // partitioned — each morsel then runs vector-at-a-time inside its Gather —
-// and count-join follows it because it only fuses joins the batch operators
-// will run.
+// count-join follows it because it only fuses joins the batch operators
+// will run, and inline-let runs last: it only moves a finished subplan.
 func (p *Plan) Optimize(opts Options, store nodestore.Store) {
 	ruleCountShortcut(p, opts, store)
 	rulePathExtent(p, opts, store)
@@ -32,6 +32,7 @@ func (p *Plan) Optimize(opts Options, store nodestore.Store) {
 	ruleVectorize(p, store)
 	ruleCountJoin(p)
 	ruleFulltext(p, opts, store)
+	ruleInlineLet(p)
 }
 
 // stepPrefix returns the longest leading run of predicate-free named child
@@ -667,5 +668,53 @@ func ruleOrderByElim(p *Plan) {
 				p.fire("orderby-elim", n)
 			}
 		}
+	})
+}
+
+// ruleInlineLet substitutes a let clause into the return constructor that
+// is its only use. The let must be the last clause before the return, its
+// variable must occur exactly once in the return expression, and that
+// occurrence must be direct content of the return constructor, or an item
+// of a comma sequence that is. Evaluating the let's sequence at that
+// content position, in the same tuple, yields the same items in the same
+// order, so the serializer streams them into the element instead of
+// materializing the binding first (Q9's $a, Q10's $p). Any other use — a
+// second reference, an attribute value, a path or predicate over the
+// variable, a clause after the let — keeps the let.
+func ruleInlineLet(p *Plan) {
+	p.walk(func(n *Node) {
+		if n.Op != OpProject || n.Ret.Op != OpCtor {
+			return
+		}
+		let := n.Input
+		if let.Op != OpLet || let.CountOnly {
+			return
+		}
+		var slot **Node
+		for i, part := range n.Ret.Content {
+			switch {
+			case part.Op == OpVar && part.Var == let.Var:
+				slot = &n.Ret.Content[i]
+			case part.Op == OpSequence:
+				for j, k := range part.Kids {
+					if k.Op == OpVar && k.Var == let.Var {
+						slot = &part.Kids[j]
+					}
+				}
+			}
+		}
+		refs := 0
+		walkNode(n.Ret, map[*Node]bool{}, func(c *Node) {
+			if c.Op == OpVar && c.Var == let.Var {
+				refs++
+			}
+		})
+		if slot == nil || refs != 1 {
+			return
+		}
+		*slot = let.Seq
+		let.Seq.Inlined = let.Var
+		n.Input = let.Input
+		p.fire("inline-let", let.Seq)
 	})
 }

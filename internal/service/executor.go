@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"os"
 	"runtime"
 	"runtime/debug"
@@ -304,14 +305,10 @@ func (e *Executor) runRecovered(ctx context.Context, sess *engine.Session, req R
 	return e.run(ctx, sess, req)
 }
 
-// cancelCheckInterval is how many result items a worker streams between
-// request-context checks: small enough to release the slot promptly on
-// cancellation, large enough to keep the check off the per-item hot path.
-const cancelCheckInterval = 64
-
-// run executes one request on this worker's Session, streaming the
-// result through an ItemWriter so cancellation is observed mid-stream
-// and the rest of the result is never computed.
+// run executes one request on this worker's Session, serializing the
+// result through an ItemWriter over a writer that checks the request
+// context on every write, so cancellation is observed at the next result
+// item and the rest of the result is never computed.
 func (e *Executor) run(ctx context.Context, sess *engine.Session, req Request) (Response, error) {
 	resp := Response{System: req.System, QueryID: req.QueryID}
 	var prep *engine.Prepared
@@ -345,32 +342,30 @@ func (e *Executor) run(ctx context.Context, sess *engine.Session, req Request) (
 	start := time.Now()
 	buf := e.bufs.get()
 	defer e.bufs.put(buf)
-	iw := engine.NewItemWriter(buf, inst.Engine.Store())
-	n := 0
-	canceled := false
-	err = prep.StreamSession(sess, func(it engine.Item) bool {
-		if n%cancelCheckInterval == 0 {
-			select {
-			case <-ctx.Done():
-				canceled = true
-				return false
-			default:
-			}
-		}
-		n++
-		return iw.WriteItem(it) == nil
-	})
+	iw := engine.NewItemWriter(ctxWriter{ctx: ctx, w: buf}, inst.Engine.Store())
+	err = prep.SerializeTo(iw, sess)
 	resp.Exec = time.Since(start)
-	if err == nil {
-		err = iw.Err()
-	}
 	if err != nil {
 		return resp, err
-	}
-	if canceled {
-		return resp, ctx.Err()
 	}
 	resp.Output = buf.String()
 	resp.LeadAtomic, resp.TailAtomic = iw.LeadAtomic(), iw.TailAtomic()
 	return resp, nil
+}
+
+// ctxWriter fails a write once its request context is done, with the
+// context's error, so a canceled request's execution stops at its next
+// result item.
+type ctxWriter struct {
+	ctx context.Context
+	w   io.Writer
+}
+
+func (c ctxWriter) Write(b []byte) (int, error) {
+	select {
+	case <-c.ctx.Done():
+		return 0, c.ctx.Err()
+	default:
+		return c.w.Write(b)
+	}
 }

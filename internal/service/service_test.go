@@ -187,10 +187,15 @@ func TestConcurrentQueueSaturation(t *testing.T) {
 	}
 }
 
-// slowQuery is a quadratic nested loop producing a long result stream:
+// slowQueries are quadratic nested loops producing a long result stream:
 // cheap per item, so cancellation lands mid-stream rather than before or
-// after the work.
-const slowQuery = `for $a in //item return for $b in //item return $a/location/text()`
+// after the work. The first streams atomic items; the second's root is a
+// constructor, which the executor pushes into its writer whole, one
+// constructed element per outer item.
+var slowQueries = []string{
+	`for $a in //item return for $b in //item return $a/location/text()`,
+	`for $a in //item return <r>{for $b in //item return $a/location/text()}</r>`,
+}
 
 // TestConcurrentCancellationReleasesWorkers pins per-request
 // cancellation: canceling mid-stream returns the context error, frees the
@@ -200,27 +205,38 @@ func TestConcurrentCancellationReleasesWorkers(t *testing.T) {
 	ex := NewExecutor(c, Config{Workers: 1, QueueDepth: 4})
 	defer ex.Close()
 
-	// Warm up: measure the uncanceled slow query so the cancellation
-	// point lands inside its execution window.
-	resp, err := ex.Execute(context.Background(), Request{System: xmark.SystemF, Text: slowQuery})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Output == "" {
-		t.Fatal("slow query returned nothing; cancellation window would be empty")
-	}
-
-	for i := 0; i < 4; i++ {
-		ctx, cancel := context.WithTimeout(context.Background(), resp.Exec/4+time.Microsecond)
-		_, err := ex.Execute(ctx, Request{System: xmark.SystemF, Text: slowQuery})
-		cancel()
-		if err == nil {
-			// The machine outran the timeout; not a failure of the
-			// release property.
-			continue
+	for _, slowQuery := range slowQueries {
+		// Warm up: measure the uncanceled slow query so the cancellation
+		// point lands inside its execution window.
+		resp, err := ex.Execute(context.Background(), Request{System: xmark.SystemF, Text: slowQuery})
+		if err != nil {
+			t.Fatal(err)
 		}
-		if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
-			t.Fatalf("want a context error, got %v", err)
+		if resp.Output == "" {
+			t.Fatal("slow query returned nothing; cancellation window would be empty")
+		}
+
+		for i := 0; i < 4; i++ {
+			canceled := ex.Metrics().Snapshot().Canceled
+			ctx, cancel := context.WithTimeout(context.Background(), resp.Exec/4+time.Microsecond)
+			_, err := ex.Execute(ctx, Request{System: xmark.SystemF, Text: slowQuery})
+			cancel()
+			if err == nil {
+				// The machine outran the timeout; not a failure of the
+				// release property.
+				continue
+			}
+			if !errors.Is(err, context.DeadlineExceeded) && !errors.Is(err, context.Canceled) {
+				t.Fatalf("%s: want a context error, got %v", slowQuery, err)
+			}
+			// Execute returns when the context ends, whatever the worker
+			// does; the worker itself must stop mid-stream with the
+			// context error (counted as canceled) rather than finish the
+			// result.
+			waitDrained(t, ex)
+			if got := ex.Metrics().Snapshot().Canceled; got != canceled+1 {
+				t.Errorf("%s: the worker did not stop on the cancellation (canceled %d, want %d)", slowQuery, got, canceled+1)
+			}
 		}
 	}
 

@@ -210,3 +210,63 @@ func TestAnalyzeReportsGatherFanout(t *testing.T) {
 		}
 	}
 }
+
+// TestAnalyzeRowsMatchItemsWritten pins EXPLAIN ANALYZE over push
+// emission, on every system, tuple-at-a-time and at the default width:
+// each row below reports rows= equal to the items its operator wrote.
+// Q13's return constructor writes its elements straight into the writer
+// and reports no next=, since nothing pulls it. Q1's return path and
+// Q13's $i/description part (pulled at width 1, a BatchConstruct part at
+// the default width) are counted once, by their iterator, not again by
+// the push that pulled them.
+func TestAnalyzeRowsMatchItemsWritten(t *testing.T) {
+	b := bench(t, 0.01)
+	instances, err := b.LoadAll(Systems())
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := func(tag string) func(out, report string) int {
+		return func(out, _ string) int { return strings.Count(out, tag) }
+	}
+	serializeRows := regexp.MustCompile(`(?m)^Serialize  \{rows=(\d+),`)
+	cases := []struct {
+		q    int
+		row  *regexp.Regexp
+		want func(out, report string) int
+	}{
+		{13, regexp.MustCompile(`(?:Element|BatchConstruct) <item>  \{rows=(\d+), time=`), count("<item ")},
+		{13, regexp.MustCompile(`\$i/description  \{rows=(\d+),`), count("<description>")},
+		{1, regexp.MustCompile(`return: \$b/name/text\(\)(?:\{inline\})?  \{rows=(\d+),`), func(_, report string) int {
+			m := serializeRows.FindStringSubmatch(report)
+			if m == nil {
+				return -1
+			}
+			n, _ := strconv.Atoi(m[1])
+			return n
+		}},
+	}
+	for _, c := range cases {
+		for _, inst := range instances {
+			prep, err := inst.Engine.Prepare(b.QueryText(c.q))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, width := range []int{1, 0} {
+				sess := engine.NewSession()
+				sess.BatchSize = width
+				var out strings.Builder
+				a, err := prep.ExplainAnalyze(&out, sess)
+				if err != nil {
+					t.Fatal(err)
+				}
+				m := c.row.FindStringSubmatch(a.Report)
+				if m == nil {
+					t.Fatalf("Q%d system %s width %d: no rows= on %v:\n%s", c.q, inst.System.ID, width, c.row, a.Report)
+				}
+				if want := c.want(out.String(), a.Report); m[1] != strconv.Itoa(want) || want <= 0 {
+					t.Errorf("Q%d system %s width %d: %v reports rows=%s, wrote %d items:\n%s", c.q, inst.System.ID, width, c.row, m[1], want, a.Report)
+				}
+			}
+		}
+	}
+}

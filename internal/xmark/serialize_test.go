@@ -185,3 +185,145 @@ func TestSerializeByteIdenticalAllQueries(t *testing.T) {
 		}
 	}
 }
+
+// pullSerialize is the serializer as a StreamSession consumer drives it:
+// the pipeline pulls each result item, a constructed element arrives as a
+// built tree, and an ItemWriter writes the items one by one.
+func pullSerialize(t *testing.T, prep *engine.Prepared, store nodestore.Store, degree, width int) string {
+	t.Helper()
+	sess := engine.NewSession()
+	sess.Degree, sess.BatchSize = degree, width
+	var b strings.Builder
+	iw := engine.NewItemWriter(&b, store)
+	if err := prep.StreamSession(sess, func(it engine.Item) bool { return iw.WriteItem(it) == nil }); err != nil {
+		t.Fatal(err)
+	}
+	return b.String()
+}
+
+// pushPullProbes are constructor shapes the benchmark queries leave out.
+// inline says whether the inline-let rule must substitute the query's let.
+var pushPullProbes = []struct {
+	text   string
+	inline bool
+}{
+	{`<a>{()}</a>`, false},
+	{`<a>{""}</a>`, false},
+	{`<a>{1}{2}</a>`, false},
+	{`<a>{/site/people/person[1]/@id}{2.5}{1 = 1}</a>`, false},
+	// A FLWOR as content, nested constructors in it.
+	{`<a>{for $p in /site/people/person return <p id="{$p/@id}">{$p/name/text()}{()}</p>}</a>`, false},
+	// Inlined into a comma sequence beside atomic content.
+	{`for $p in /site/people/person let $x := ($p/name/text(), "x") return <a>{"s", $x}</a>`, true},
+	// Lets the rule must keep: two references, an attribute value, a for
+	// after the let, a reference inside a predicate.
+	{`for $p in /site/people/person let $x := $p/name return <a>{$x}{$x}</a>`, false},
+	{`for $p in /site/people/person let $x := $p/name/text() return <a n="{$x}">{$p/@id}</a>`, false},
+	{`for $p in /site/people/person let $x := $p/name for $w in $p/watches/watch return <a>{$x}</a>`, false},
+	{`for $p in /site/people/person let $x := $p/@id return <a>{/site/closed_auctions/closed_auction[buyer/@person = $x]/price}</a>`, false},
+	// Batch scans and selects as content: directly, beside an atomic in a
+	// comma sequence, and as a content FLWOR's return. The vectorize rule
+	// marks them as pipelines of their own, not as BatchConstruct parts.
+	{`<a>{/site/people/person}</a>`, false},
+	{`<a>{"x", /site/people/person}</a>`, false},
+	{`<r>{for $i in (1, 2) return /site/people/person}</r>`, false},
+	{`<a>{(/site/people/person)[@id = "person0"]}</a>`, false},
+	{`<a>{"x", (/site/people/person)[@id = "person0"]}</a>`, false},
+	{`<r>{for $i in (1, 2) return (/site/people/person)[@id = "person0"]}</r>`, false},
+}
+
+// TestPushMatchesPullAllSystems pins push emission against the pulled
+// item stream: on every system, for every benchmark query and the probes
+// above, SerializeSession (constructors written straight into the
+// writer, gather morsels into private runs) and an ItemWriter over
+// StreamSession's items must both write exactly what the sequential
+// tuple-at-a-time pull writes — tuple-at-a-time and at the default width,
+// sequentially and at degree 2. The reference runs no batch operator, so
+// a gate push and pull share cannot hide a batch-path fault. The probes
+// also pin which lets inline-let substitutes (Q9's and Q10's do). CI
+// repeats it without the race detector, whose slowdown hides morsel-run
+// ordering races.
+func TestPushMatchesPullAllSystems(t *testing.T) {
+	b := bench(t, 0.01)
+	instances, err := b.LoadAll(Systems())
+	if err != nil {
+		t.Fatal(err)
+	}
+	type probe struct {
+		name, text string
+		inline     bool
+	}
+	var probes []probe
+	for _, q := range AllQueries() {
+		probes = append(probes, probe{fmt.Sprintf("Q%d", q.ID), b.QueryText(q.ID), q.ID == 9 || q.ID == 10})
+	}
+	for i, p := range pushPullProbes {
+		probes = append(probes, probe{fmt.Sprintf("probe %d", i), p.text, p.inline})
+	}
+	for _, p := range probes {
+		for _, inst := range instances {
+			prep, err := inst.Engine.Prepare(p.text)
+			if err != nil {
+				t.Fatalf("%s system %s: %v", p.name, inst.System.ID, err)
+			}
+			if got := strings.Contains(prep.Explain(), "inline-let"); got != p.inline {
+				t.Errorf("%s system %s: inline-let fired %v, want %v:\n%s", p.name, inst.System.ID, got, p.inline, prep.Explain())
+			}
+			want := pullSerialize(t, prep, inst.Engine.Store(), 1, 1)
+			for _, degree := range []int{1, 2} {
+				for _, width := range []int{1, 0} {
+					if got := serializeWith(t, prep, degree, width); got != want {
+						t.Errorf("%s system %s degree %d width %d: push output differs from the reference (%d vs %d bytes)\npush: %.200s\nwant: %.200s",
+							p.name, inst.System.ID, degree, width, len(got), len(want), got, want)
+					}
+					if got := pullSerialize(t, prep, inst.Engine.Store(), degree, width); got != want {
+						t.Errorf("%s system %s degree %d width %d: pull output differs from the reference (%d vs %d bytes)\npull: %.200s\nwant: %.200s",
+							p.name, inst.System.ID, degree, width, len(got), len(want), got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDocumentNodeInContentAllSystems pins the document node as element
+// content: it stands for the root element, so the constructed element
+// holds the whole document and a child step from it reaches the root
+// element — through SerializeSession and through StreamSession's items.
+func TestDocumentNodeInContentAllSystems(t *testing.T) {
+	b := bench(t, 0.002)
+	instances, err := b.LoadAll(Systems())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, inst := range instances {
+		store := inst.Engine.Store()
+		run := func(text string) (push, pull string) {
+			prep, err := inst.Engine.Prepare(text)
+			if err != nil {
+				t.Fatalf("%s on %s: %v", text, inst.System.ID, err)
+			}
+			return serializeWith(t, prep, 1, 0), pullSerialize(t, prep, store, 1, 0)
+		}
+		doc, _ := run(`/`)
+		if !strings.HasPrefix(doc, "<site>") {
+			t.Fatalf("system %s: / serializes as %.40q", inst.System.ID, doc)
+		}
+		for _, c := range []struct{ text, want string }{
+			{`<a>{/}</a>`, "<a>" + doc + "</a>"},
+			{`<a>{document("auction.xml")}</a>`, "<a>" + doc + "</a>"},
+			{`count(<a>{/}</a>/site)`, "1"},
+			{`count(<a>{/}</a>//item) = count(//item)`, "true"},
+		} {
+			push, pull := run(c.text)
+			if push != c.want {
+				t.Errorf("%s on %s through SerializeSession: got %.60q (%d bytes), want %.60q (%d bytes)",
+					c.text, inst.System.ID, push, len(push), c.want, len(c.want))
+			}
+			if pull != c.want {
+				t.Errorf("%s on %s through StreamSession: got %.60q (%d bytes), want %.60q (%d bytes)",
+					c.text, inst.System.ID, pull, len(pull), c.want, len(c.want))
+			}
+		}
+	}
+}
